@@ -27,7 +27,7 @@ from pathlib import Path
 from .dataset import DatasetError, SchemaError, load_dataset, load_schema, prepare_experiment
 from .evaluator import DEFAULT_VOTE_SWEEP, ConfusionMatrix, metrics, sweep_to_csv, vote_sweep
 from .network import LossConfig, save_model
-from .trainer import DEFAULT_ARCHITECTURE, TrainingConfig, run_training
+from .trainer import TrainingConfig, run_training
 
 EXPERIMENT_ARTIFACTS = (
     "cm.csv", "cm.txt", "metrics.json", "sweep.csv", "trace.csv", "checkpoint.json",
@@ -66,6 +66,42 @@ class ExperimentManifest:
     dump_batch: bool = False
 
 
+def _parse_bool(value: str | bool) -> bool:
+    if value not in (True, "true", "false"):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value != "false"
+
+
+def _parse_widths(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+# Dataclass field -> (manifest key, parser); the flag is --<key>. A setting
+# absent from both manifest and flags keeps its dataclass default.
+_LOSS_SETTINGS = {
+    "kind": ("loss", lambda v: v.replace("-", "_")),
+    "margin": ("margin", float),
+    "l2": ("lambda", float),
+}
+_TRAINING_SETTINGS = {
+    "train_batch_size": ("batch_size", int),
+    "test_batch_size": ("test_batch_size", int),
+    "n_epochs": ("epochs", int),
+    "minibatch_size": ("minibatch", int),
+    "fresh_batch_per_epoch": ("fresh_batch", _parse_bool),
+    "architecture": ("arch", _parse_widths),
+    "activation": ("activation", str),
+    "learning_rate": ("lr", float),
+    "momentum": ("momentum", float),
+    "seed": ("seed", int),
+}
+_MANIFEST_SETTINGS = {"dump_batch": ("dump_batch", _parse_bool)}
+_MANIFEST_KEYS = {"dataset", "schema", "out", "exclude", "votes", "reference"} | {
+    key for table in (_LOSS_SETTINGS, _TRAINING_SETTINGS, _MANIFEST_SETTINGS)
+    for key, _ in table.values()
+}
+
+
 def _parse_manifest_file(path: Path) -> dict[str, str]:
     if not path.exists():
         raise ManifestError(f"manifest file {path} not found")
@@ -82,6 +118,8 @@ def _parse_manifest_file(path: Path) -> dict[str, str]:
         value = value.strip()
         if not key or not value:
             raise ManifestError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        if key not in _MANIFEST_KEYS:
+            raise ManifestError(f"{path}:{lineno}: unknown setting {key!r}")
         values[key] = value
     return values
 
@@ -97,12 +135,24 @@ def build_manifest(args: argparse.Namespace, need_out: bool = True) -> Experimen
     """Merge manifest file values and CLI flags (flags override)."""
     values = _parse_manifest_file(Path(args.manifest)) if args.manifest else {}
 
-    def pick(key: str, flag_value):
+    def pick(key: str):
+        flag_value = getattr(args, key)
         return flag_value if flag_value is not None else values.get(key)
 
-    dataset = pick("dataset", args.dataset)
-    schema = pick("schema", args.schema)
-    out = pick("out", args.out)
+    def settings(table: dict) -> dict:
+        picked = {}
+        for name, (key, parse) in table.items():
+            value = pick(key)
+            if value is not None:
+                try:
+                    picked[name] = parse(value)
+                except ValueError as exc:
+                    raise ManifestError(f"{key}: {exc}") from None
+        return picked
+
+    dataset = pick("dataset")
+    schema = pick("schema")
+    out = pick("out")
     required = [("dataset", dataset), ("schema", schema)]
     if need_out:
         required.append(("out", out))
@@ -114,36 +164,16 @@ def build_manifest(args: argparse.Namespace, need_out: bool = True) -> Experimen
     if isinstance(exclude, str):
         exclude = [v.strip() for v in exclude.split(",") if v.strip()]
 
-    votes = pick("votes", args.votes)
+    votes = pick("votes")
     votes = _parse_int_list(votes, "votes") if votes is not None else DEFAULT_VOTE_SWEEP
 
-    arch = pick("arch", args.arch)
-    loss_kind = pick("loss", args.loss)
-    if loss_kind is not None:
-        loss_kind = loss_kind.replace("-", "_")
     try:
-        loss = LossConfig(
-            kind=loss_kind if loss_kind is not None else "contrastive",
-            margin=float(pick("margin", args.margin) or 1.0),
-            l2=float(pick("lambda", getattr(args, "lam", None)) or 1e-4),
-        )
-        cfg = TrainingConfig(
-            train_batch_size=int(pick("batch_size", args.batch_size) or 30000),
-            test_batch_size=int(pick("test_batch_size", args.test_batch_size) or 30000),
-            n_epochs=int(pick("epochs", args.epochs) or 2000),
-            minibatch_size=int(pick("minibatch", args.minibatch) or 256),
-            fresh_batch_per_epoch=bool(args.fresh_batch or values.get("fresh_batch") == "true"),
-            loss=loss,
-            architecture=tuple(int(v) for v in arch.split(",")) if arch else DEFAULT_ARCHITECTURE,
-            activation=pick("activation", args.activation) or "sigmoid",
-            learning_rate=float(pick("lr", args.lr) or 0.01),
-            momentum=float(pick("momentum", args.momentum) or 0.9),
-            seed=int(pick("seed", args.seed) or 0),
-        )
+        loss = LossConfig(**settings(_LOSS_SETTINGS))
+        cfg = TrainingConfig(loss=loss, **settings(_TRAINING_SETTINGS))
     except ValueError as exc:
         raise ManifestError(str(exc)) from None
 
-    reference = pick("reference", args.reference)
+    reference = pick("reference")
     if reference is None:
         stem = Path(schema).stem.lower()
         if "nsl" in stem:
@@ -165,7 +195,7 @@ def build_manifest(args: argparse.Namespace, need_out: bool = True) -> Experimen
         votes=votes,
         training=cfg,
         reference=reference,
-        dump_batch=bool(args.dump_batch or values.get("dump_batch") == "true"),
+        **settings(_MANIFEST_SETTINGS),
     )
     if not manifest.dataset.exists():
         raise ManifestError(f"dataset file {manifest.dataset} not found")
@@ -206,16 +236,28 @@ def _resolve_excluded(manifest: ExperimentManifest, class_names: tuple[str, ...]
     return manifest.exclude
 
 
+def _train_and_sweep(raw, excluded_name: str, cfg: TrainingConfig, votes, on_batch=None):
+    """Prepare, train and vote-sweep one leave-one-attack-out experiment.
+
+    The three stages are called through this module's globals so that a
+    wrapper set on `cli.<stage>` (as the benchmark tracer does) sees every
+    experiment, whichever command runs it.
+    """
+    _, split = prepare_experiment(raw, excluded_name, cfg.seed)
+    model, trace = run_training(split, cfg, on_batch)
+    rows = vote_sweep(model, split, cfg.test_batch_size, votes, seed=cfg.seed)
+    return model, trace, rows
+
+
 def run_experiment(manifest: ExperimentManifest, raw, excluded_name: str, out_dir: Path) -> dict:
     """One leave-one-attack-out experiment; returns its summary row."""
-    cfg = manifest.training
-    ds, split = prepare_experiment(raw, excluded_name, cfg.seed)
     on_batch = None
     if manifest.dump_batch:
         out_dir.mkdir(parents=True, exist_ok=True)
         on_batch = lambda batch: batch.dump(out_dir / "pairs.txt")  # noqa: E731
-    model, split, trace = run_training(ds, split.excluded_class, cfg, split=split, on_batch=on_batch)
-    rows = vote_sweep(model, split, cfg.test_batch_size, manifest.votes, seed=cfg.seed)
+    model, trace, rows = _train_and_sweep(
+        raw, excluded_name, manifest.training, manifest.votes, on_batch
+    )
 
     out_dir.mkdir(parents=True, exist_ok=True)
     report_j = _report_j(manifest.votes)
@@ -340,9 +382,7 @@ def cmd_seed_report(args: argparse.Namespace) -> int:
     accuracies = []
     for seed in seeds:
         cfg = manifest.training.with_overrides(seed=seed)
-        ds, split = prepare_experiment(raw, excluded, seed)
-        model, split, _ = run_training(ds, split.excluded_class, cfg, split=split)
-        rows = vote_sweep(model, split, cfg.test_batch_size, (report_j,), seed=seed)
+        _, _, rows = _train_and_sweep(raw, excluded, cfg, (report_j,))
         accuracies.append(rows[0].report.overall_accuracy)
         print(f"seed {seed}: overall accuracy {100.0 * accuracies[-1]:.2f}%")
 
@@ -402,12 +442,12 @@ def _add_manifest_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--activation", choices=["sigmoid", "relu", "tanh", "linear"])
     sub.add_argument("--loss", choices=["contrastive", "regularized-log"])
     sub.add_argument("--margin", type=float)
-    sub.add_argument("--lambda", type=float, dest="lam", help="L2 coefficient for regularized-log")
+    sub.add_argument("--lambda", type=float, help="L2 coefficient for regularized-log")
     sub.add_argument("--lr", type=float)
     sub.add_argument("--momentum", type=float)
-    sub.add_argument("--fresh-batch", action="store_true", dest="fresh_batch",
+    sub.add_argument("--fresh-batch", action="store_true", default=None, dest="fresh_batch",
                      help="regenerate the pair batch every epoch")
-    sub.add_argument("--dump-batch", action="store_true", dest="dump_batch",
+    sub.add_argument("--dump-batch", action="store_true", default=None, dest="dump_batch",
                      help="write each training pair batch to pairs.txt for audit")
     sub.add_argument("--reference", choices=sorted(REFERENCE_OVERALL),
                      help="attach published benchmark accuracies to the summary")

@@ -5,7 +5,13 @@ weight sharing is structural rather than synchronised. Embeddings are
 produced by a plain MLP (hidden activations, linear output); pair distance
 is the Euclidean norm between the two embeddings.
 
-Two losses are supported:
+A training step is one twin pass: the left rows of every pair stacked on
+the right rows go through one forward trace, and one backprop carries the
+pair gradient down as +g for the left half and -g for the right half, so
+both twins' contributions land in the shared parameters together.
+Activation derivatives are read from the stored activations.
+
+`_pair_terms` is the one loss formula, for two losses:
 
 * contrastive: similar pairs contribute d^2, dissimilar pairs
   max(margin - d, 0)^2; the batch loss is the sum over pairs.
@@ -14,8 +20,7 @@ Two losses are supported:
   -sum(y log s + (1-y) log(1-s)) plus an L2 weight penalty added once
   per batch.
 
-Gradients are exact analytic derivatives of those batch sums, with both
-twins' contributions accumulated into the shared parameters.
+Gradients are exact analytic derivatives of those batch sums.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pairgen import PairBatch, Similarity
+from .pairgen import PairBatch
 
 CLAMP_EPS = 1e-12
 CHECKPOINT_FORMAT = "twin-embedding-checkpoint"
@@ -36,14 +41,12 @@ CHECKPOINT_VERSION = 1
 CONTRASTIVE = "contrastive"
 REGULARIZED_LOG = "regularized_log"
 
+# (activation a = f(z), derivative f'(z) written in terms of a)
 _ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(float)),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "sigmoid": (
-        lambda z: 1.0 / (1.0 + np.exp(-z)),
-        lambda z: (s := 1.0 / (1.0 + np.exp(-z))) * (1.0 - s),
-    ),
-    "linear": (lambda z: z, lambda z: np.ones_like(z)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0.0).astype(float)),
+    "tanh": (np.tanh, lambda a: 1.0 - a**2),
+    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda a: a * (1.0 - a)),
+    "linear": (lambda z: z, np.ones_like),
 }
 
 # distance -> similarity maps for the regularized log loss: (f, df/dd)
@@ -123,22 +126,18 @@ def init_model(
     return SiameseModel(sizes, weights, biases, activation)
 
 
-def _forward_trace(model: SiameseModel, x: np.ndarray):
-    """Forward pass keeping per-layer pre-activations and activations."""
+def _forward_trace(model: SiameseModel, x: np.ndarray) -> list[np.ndarray]:
+    """Forward pass keeping every layer's activations, the input first."""
     act_fn, _ = _ACTIVATIONS[model.activation]
     last = model.n_layers - 1
     acts = [x]
-    pres = []
-    a = x
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
         with np.errstate(over="ignore", invalid="ignore"):
-            z = a @ w + b
+            z = acts[-1] @ w + b
         if not np.all(np.isfinite(z)):
             raise FloatingPointError(f"numerical overflow in layer {k}")
-        pres.append(z)
-        a = z if k == last else act_fn(z)
-        acts.append(a)
-    return acts, pres
+        acts.append(z if k == last else act_fn(z))
+    return acts
 
 
 def embed(model: SiameseModel, x: np.ndarray) -> np.ndarray:
@@ -148,47 +147,13 @@ def embed(model: SiameseModel, x: np.ndarray) -> np.ndarray:
     batch = x[None, :] if single else x
     if batch.shape[1] != model.input_width:
         raise ValueError(f"input width {batch.shape[1]} != model input width {model.input_width}")
-    out = _forward_trace(model, batch)[0][-1]
+    out = _forward_trace(model, batch)[-1]
     return out[0] if single else out
 
 
 def distance(model: SiameseModel, x1: np.ndarray, x2: np.ndarray) -> float:
     """Euclidean distance between the twin embeddings of x1 and x2."""
     return float(np.linalg.norm(embed(model, x1) - embed(model, x2)))
-
-
-def _target_values(targets) -> np.ndarray:
-    if isinstance(targets, Similarity):
-        targets = [targets]
-    if isinstance(targets, np.ndarray) and targets.dtype != object:
-        return targets.astype(float)
-    return np.array([1.0 if t is Similarity.SIMILAR else 0.0 for t in targets])
-
-
-def contrastive_loss(d, targets, margin: float = 1.0):
-    """Per-pair contrastive terms: y*d^2 + (1-y)*max(margin-d, 0)^2.
-
-    Accepts scalars or arrays; the batch loss is the sum of these terms.
-    """
-    scalar = np.ndim(d) == 0
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    y = _target_values(targets)
-    slack = np.maximum(margin - d, 0.0)
-    out = y * d**2 + (1.0 - y) * slack**2
-    return float(out[0]) if scalar else out
-
-
-def regularized_log_loss(mapped, targets, l2: float, model: SiameseModel) -> float:
-    """Negated log-likelihood of mapped similarities plus L2 weight penalty.
-
-    `mapped` must already be similarity values in (0, 1); values at the
-    boundaries are clamped to [CLAMP_EPS, 1 - CLAMP_EPS]. The penalty
-    l2 * sum(w^2) is added once per batch (weights only, not biases).
-    """
-    s = np.clip(np.atleast_1d(np.asarray(mapped, dtype=float)), CLAMP_EPS, 1.0 - CLAMP_EPS)
-    y = _target_values(targets)
-    nll = -np.sum(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))
-    return float(nll + l2 * sum(float(np.sum(w**2)) for w in model.weights))
 
 
 @dataclass
@@ -205,13 +170,6 @@ class Gradients:
     def max_abs(self) -> float:
         parts = self.d_weights + self.d_biases
         return max(float(np.max(np.abs(g))) for g in parts)
-
-
-def _zero_gradients(model: SiameseModel) -> Gradients:
-    return Gradients(
-        [np.zeros_like(w) for w in model.weights],
-        [np.zeros_like(b) for b in model.biases],
-    )
 
 
 def _pair_terms(d: np.ndarray, y: np.ndarray, loss: LossConfig, model: SiameseModel):
@@ -236,21 +194,34 @@ def _pair_terms(d: np.ndarray, y: np.ndarray, loss: LossConfig, model: SiameseMo
     return losses, coeff, penalty
 
 
-def _backprop(model: SiameseModel, acts, pres, upstream, grads: Gradients) -> None:
+def _twin_pass(model: SiameseModel, batch: PairBatch):
+    """One forward trace over the stacked [left; right] rows of a batch.
+
+    Returns the trace and the embedding differences e_left - e_right.
+    """
+    rows = np.concatenate((batch.left_idx, batch.right_idx))
+    acts = _forward_trace(model, batch.dataset.matrix[rows])
+    n = len(batch)
+    return acts, acts[-1][:n] - acts[-1][n:]
+
+
+def _backprop(model: SiameseModel, acts: list[np.ndarray], upstream: np.ndarray) -> Gradients:
+    """Parameter gradients from dL/d(output) for every traced row."""
     _, act_deriv = _ACTIVATIONS[model.activation]
+    d_weights, d_biases = [], []
     delta = upstream
     for k in range(model.n_layers - 1, -1, -1):
-        grads.d_weights[k] += acts[k].T @ delta
-        grads.d_biases[k] += delta.sum(axis=0)
+        d_weights.append(acts[k].T @ delta)
+        d_biases.append(delta.sum(axis=0))
         if k > 0:
-            delta = (delta @ model.weights[k].T) * act_deriv(pres[k - 1])
+            delta = (delta @ model.weights[k].T) * act_deriv(acts[k])
+    return Gradients(d_weights[::-1], d_biases[::-1])
 
 
 def batch_loss(model: SiameseModel, batch: PairBatch, loss: LossConfig) -> float:
     """Batch loss only (sum over pairs, plus penalty for regularized_log)."""
-    e1 = embed(model, batch.left_features)
-    e2 = embed(model, batch.right_features)
-    d = np.linalg.norm(e1 - e2, axis=1)
+    _, diff = _twin_pass(model, batch)
+    d = np.linalg.norm(diff, axis=1)
     losses, _, penalty = _pair_terms(d, batch.target_values(), loss, model)
     return float(np.sum(losses) + penalty)
 
@@ -260,21 +231,16 @@ def batch_gradients(
 ) -> tuple[Gradients, float]:
     """Exact gradients of the batch loss for every weight and bias.
 
-    Both twins backpropagate into the same parameter set. Returns the
-    gradients together with the batch loss value.
+    Both twins backpropagate into the same parameter set in one pass.
+    Returns the gradients together with the batch loss value.
     """
     if len(batch) == 0:
         raise ValueError("batch is empty")
-    acts1, pres1 = _forward_trace(model, batch.left_features)
-    acts2, pres2 = _forward_trace(model, batch.right_features)
-    diff = acts1[-1] - acts2[-1]
+    acts, diff = _twin_pass(model, batch)
     d = np.linalg.norm(diff, axis=1)
     losses, coeff, penalty = _pair_terms(d, batch.target_values(), loss, model)
     upstream = coeff[:, None] * diff
-
-    grads = _zero_gradients(model)
-    _backprop(model, acts1, pres1, upstream, grads)
-    _backprop(model, acts2, pres2, -upstream, grads)
+    grads = _backprop(model, acts, np.concatenate((upstream, -upstream)))
     if loss.kind == REGULARIZED_LOG and loss.l2 > 0:
         for k, w in enumerate(model.weights):
             grads.d_weights[k] += 2.0 * loss.l2 * w

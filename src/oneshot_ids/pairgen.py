@@ -7,15 +7,17 @@ an instance with itself, and are drawn exclusively from training pools.
 Classes too small to fill their quota contribute every unique pair they
 have; the remainder is redistributed round-robin over the other buckets so
 the half-half contract survives heavy class imbalance.
+
+A pair's target is its entry in the batch's bool `similar` mask; the
+losses read it as 1.0 (similar) or 0.0 (dissimilar).
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -27,23 +29,8 @@ FAILURE_CAP_FACTOR = 100
 _DRAW_CHUNK = 256
 
 
-class Similarity(enum.Enum):
-    SIMILAR = "similar"
-    DISSIMILAR = "dissimilar"
-
-
 class PairGenerationError(ValueError):
     """Requested batch cannot be satisfied; message reports the achievable maximum."""
-
-
-class Pair(NamedTuple):
-    left: np.ndarray
-    right: np.ndarray
-    left_idx: int
-    right_idx: int
-    left_class: int
-    right_class: int
-    target: Similarity
 
 
 @dataclass
@@ -59,18 +46,6 @@ class PairBatch:
 
     def __len__(self) -> int:
         return len(self.left_idx)
-
-    @property
-    def targets(self) -> tuple[Similarity, ...]:
-        return tuple(Similarity.SIMILAR if s else Similarity.DISSIMILAR for s in self.similar)
-
-    @property
-    def left_features(self) -> np.ndarray:
-        return self.dataset.matrix[self.left_idx]
-
-    @property
-    def right_features(self) -> np.ndarray:
-        return self.dataset.matrix[self.right_idx]
 
     def target_values(self) -> np.ndarray:
         """Numeric targets for the losses: similar -> 1.0, dissimilar -> 0.0."""
@@ -90,25 +65,13 @@ class PairBatch:
         for start in range(0, len(self), size):
             yield self.subset(start, start + size)
 
-    def iter_pairs(self) -> Iterator[Pair]:
-        for k in range(len(self)):
-            yield Pair(
-                self.dataset.matrix[self.left_idx[k]],
-                self.dataset.matrix[self.right_idx[k]],
-                int(self.left_idx[k]),
-                int(self.right_idx[k]),
-                int(self.left_class[k]),
-                int(self.right_class[k]),
-                Similarity.SIMILAR if self.similar[k] else Similarity.DISSIMILAR,
-            )
-
     def dump(self, path: str | Path) -> None:
         """Audit dump: one ``left_idx,right_idx,target`` line per pair."""
         with Path(path).open("w", encoding="utf-8") as fh:
             fh.write("left_idx,right_idx,target\n")
-            for k in range(len(self)):
-                target = Similarity.SIMILAR if self.similar[k] else Similarity.DISSIMILAR
-                fh.write(f"{self.left_idx[k]},{self.right_idx[k]},{target.value}\n")
+            for left, right, similar in zip(self.left_idx, self.right_idx, self.similar):
+                target = "similar" if similar else "dissimilar"
+                fh.write(f"{left},{right},{target}\n")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Training orchestration: split, pair batch, epoch loop, telemetry.
+"""Training orchestration: pair batch, epoch loop, telemetry.
 
 By default one pair batch is generated up front and swept repeatedly, in
 minibatch chunks with one optimizer step per chunk; `fresh_batch_per_epoch`
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from .dataset import EncodedDataset, ExperimentSplit, make_split
+from .dataset import ExperimentSplit
 from .network import (
     LossConfig,
     SiameseModel,
@@ -23,7 +23,7 @@ from .network import (
     init_momentum_state,
 )
 from .pairgen import PairBatch, generate_training_batch
-from .seeding import INIT_STREAM, PAIR_STREAM, SPLIT_STREAM, stream_rng
+from .seeding import INIT_STREAM, PAIR_STREAM, stream_rng
 
 DEFAULT_ARCHITECTURE = (64, 32, 16)   # hidden widths then embedding width
 
@@ -76,28 +76,21 @@ class TrainingTrace:
 
 
 def run_training(
-    ds: EncodedDataset,
-    excluded_class: int,
+    split: ExperimentSplit,
     cfg: TrainingConfig,
-    split: ExperimentSplit | None = None,
     on_batch: Callable[[PairBatch], None] | None = None,
-) -> tuple[SiameseModel, ExperimentSplit, TrainingTrace]:
-    """Train a twin network with class `excluded_class` withheld.
+) -> tuple[SiameseModel, TrainingTrace]:
+    """Train a twin network on `split`, whose excluded class is withheld.
 
-    `split` short-circuits split construction (e.g. when the encoder was
-    fitted against a pre-built split); otherwise one is derived from the
-    config seed. `on_batch` observes every generated pair batch, which is
-    how exclusion audits and batch dumps hook in.
+    `on_batch` observes every generated pair batch, which is how exclusion
+    audits and batch dumps hook in.
     """
+    ds = split.dataset
     if ds.n_classes < 3:
         raise ValueError(
             f"dataset has {ds.n_classes} classes; similarity training requires at least "
             "3 classes (with fewer, the model degenerates to a coin-flip similarity)"
         )
-    if split is None:
-        split = make_split(ds, excluded_class, stream_rng(cfg.seed, SPLIT_STREAM))
-    elif split.excluded_class != excluded_class:
-        raise ValueError("provided split excludes a different class")
 
     model = init_model(
         (ds.width, *cfg.architecture), cfg.activation, stream_rng(cfg.seed, INIT_STREAM)
@@ -129,4 +122,4 @@ def run_training(
             trace.steps += 1
         trace.losses.append(epoch_loss / len(batch))
         trace.seconds.append(time.perf_counter() - started)
-    return model, split, trace
+    return model, trace

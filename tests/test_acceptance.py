@@ -60,9 +60,7 @@ def trained(tmp_path_factory) -> TrainedFixture:
     fixture = TrainedFixture(ds=ds, split=split, model=None, trace=None)
     cfg = TrainingConfig(n_epochs=200, seed=RUN_SEED)
     started = time.perf_counter()
-    model, split, trace = run_training(
-        ds, split.excluded_class, cfg, split=split, on_batch=fixture.batches.append
-    )
+    model, trace = run_training(split, cfg, on_batch=fixture.batches.append)
     fixture.train_seconds = time.perf_counter() - started
     started = time.perf_counter()
     fixture.sweep_rows = vote_sweep(model, split, 30000, (1, 5), seed=RUN_SEED)

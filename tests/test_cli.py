@@ -236,6 +236,26 @@ class TestSeedReport:
         assert payload["mean"] == pytest.approx(sum(payload["overall_accuracies"]) / 2)
         assert payload["max"] >= payload["mean"] >= payload["min"]
 
+    def test_matches_run_for_same_seed(self, synthetic_files, tmp_path, capsys):
+        csv_path, schema_path = synthetic_files
+        out = tmp_path / "out"
+        manifest = write_manifest(
+            tmp_path, csv_path, schema_path, out, exclude="attack1", epochs=2
+        )
+        report_path = tmp_path / "seeds.json"
+        assert (
+            run_cli(
+                "seed-report", "--manifest", str(manifest),
+                "--seeds", "3,4", "--report-out", str(report_path),
+            )
+            == 0
+        )
+        printed = capsys.readouterr().out
+        assert run_cli("run", "--manifest", str(manifest), "--seed", "3") == 0
+        accuracy = float((out / "summary.csv").read_text().splitlines()[1].split(",")[3])
+        assert json.loads(report_path.read_text())["overall_accuracies"][0] == accuracy
+        assert f"seed 3: overall accuracy {100.0 * accuracy:.2f}%" in printed
+
     def test_identical_seeds_zero_spread(self, synthetic_files, tmp_path):
         csv_path, schema_path = synthetic_files
         manifest = write_manifest(
@@ -293,7 +313,50 @@ class TestSynthCommand:
         assert "error" in capsys.readouterr().err
 
 
+def build(tmp_path, synthetic_files, *flags, **overrides):
+    """ExperimentManifest from a written manifest file plus `flags`."""
+    csv_path, schema_path = synthetic_files
+    path = write_manifest(tmp_path, csv_path, schema_path, tmp_path / "out", **overrides)
+    args = cli.build_parser().parse_args(["run", "--manifest", str(path), *flags])
+    return cli.build_manifest(args)
+
+
 class TestManifestParsing:
+    @pytest.mark.parametrize(
+        "flags, read",
+        [
+            (("--momentum", "0"), lambda cfg: cfg.momentum),
+            (("--lambda", "0"), lambda cfg: cfg.loss.l2),
+        ],
+        ids=["momentum", "lambda"],
+    )
+    def test_explicit_zero_kept(self, synthetic_files, tmp_path, flags, read):
+        assert read(build(tmp_path, synthetic_files, *flags).training) == 0.0
+
+    def test_zero_margin_rejected(self, synthetic_files, tmp_path):
+        with pytest.raises(cli.ManifestError, match="margin > 0"):
+            build(tmp_path, synthetic_files, "--margin", "0")
+
+    def test_unknown_key_names_key_and_line(self, synthetic_files, tmp_path):
+        # the setting is 'epochs'
+        with pytest.raises(cli.ManifestError, match=r"run\.manifest:10: unknown setting 'epoch'"):
+            build(tmp_path, synthetic_files, epoch=5)
+
+    @pytest.mark.parametrize(
+        "key, read",
+        [
+            ("fresh_batch", lambda manifest: manifest.training.fresh_batch_per_epoch),
+            ("dump_batch", lambda manifest: manifest.dump_batch),
+        ],
+        ids=["fresh_batch", "dump_batch"],
+    )
+    def test_boolean_settings(self, synthetic_files, tmp_path, key, read):
+        assert read(build(tmp_path, synthetic_files, **{key: "true"})) is True
+        assert read(build(tmp_path, synthetic_files, **{key: "false"})) is False
+        for text in ("True", "yes", "1"):
+            with pytest.raises(cli.ManifestError, match=f"{key}: expected true or false"):
+                build(tmp_path, synthetic_files, **{key: text})
+
     def test_bad_votes_value(self, synthetic_files, tmp_path):
         csv_path, schema_path = synthetic_files
         manifest = write_manifest(

@@ -7,24 +7,24 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oneshot_ids import network
 from oneshot_ids.network import (
     CONTRASTIVE,
     REGULARIZED_LOG,
     LossConfig,
     SiameseModel,
+    _pair_terms,
     apply_update,
     batch_gradients,
     batch_loss,
-    contrastive_loss,
     distance,
     embed,
     init_model,
     init_momentum_state,
     load_model,
-    regularized_log_loss,
     save_model,
 )
-from oneshot_ids.pairgen import PairBatch, Similarity
+from oneshot_ids.pairgen import PairBatch
 
 
 def forward_oracle(model, x):
@@ -51,12 +51,12 @@ def forward_oracle(model, x):
     return np.array(a)
 
 
-def make_batch(x1, x2, targets):
+def make_batch(x1, x2, similar):
     """PairBatch over an ad-hoc matrix; rows of x1 pair with rows of x2."""
     x1, x2 = np.atleast_2d(x1), np.atleast_2d(x2)
     matrix = np.vstack([x1, x2])
     n = len(x1)
-    similar = np.array([t is Similarity.SIMILAR for t in targets])
+    similar = np.asarray(similar, dtype=bool)
     return PairBatch(
         SimpleNamespace(matrix=matrix),
         np.arange(n, dtype=np.int64),
@@ -70,11 +70,80 @@ def make_batch(x1, x2, targets):
 def random_batch(rng, width, n_pairs):
     x1 = rng.random((n_pairs, width))
     x2 = rng.random((n_pairs, width))
-    targets = [
-        Similarity.SIMILAR if rng.random() < 0.5 else Similarity.DISSIMILAR
-        for _ in range(n_pairs)
-    ]
-    return make_batch(x1, x2, targets)
+    similar = [rng.random() < 0.5 for _ in range(n_pairs)]
+    return make_batch(x1, x2, similar)
+
+
+def features(batch):
+    """Left and right feature rows of a batch."""
+    return batch.dataset.matrix[batch.left_idx], batch.dataset.matrix[batch.right_idx]
+
+
+def pair_losses(d, similar, model=None, **loss):
+    """Per-pair losses and batch penalty from `_pair_terms` at distances d."""
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    y = np.atleast_1d(np.asarray(similar, dtype=float))
+    losses, _, penalty = _pair_terms(d, y, LossConfig(**loss), model)
+    return losses, penalty
+
+
+def log_loss(s, similar, l2, model):
+    """Regularized log batch loss at mapped similarities s, i.e. d = -ln s."""
+    with np.errstate(divide="ignore"):
+        d = -np.log(np.atleast_1d(np.asarray(s, dtype=float)))
+    losses, penalty = pair_losses(d, similar, model, kind=REGULARIZED_LOG, l2=l2)
+    return float(np.sum(losses) + penalty)
+
+
+# The unfused step, kept as the reference for the stacked twin pass: one
+# forward trace and one backprop per twin, each activation derivative
+# recomputed from its pre-activation.
+_REFERENCE_ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(float)),
+    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "sigmoid": (
+        lambda z: 1.0 / (1.0 + np.exp(-z)),
+        lambda z: (s := 1.0 / (1.0 + np.exp(-z))) * (1.0 - s),
+    ),
+    "linear": (lambda z: z, np.ones_like),
+}
+
+
+def unfused_gradients(model, batch, loss_cfg):
+    """Weight gradients, bias gradients and batch loss, one twin at a time."""
+    act_fn, act_deriv = _REFERENCE_ACTIVATIONS[model.activation]
+    d_weights = [np.zeros_like(w) for w in model.weights]
+    d_biases = [np.zeros_like(b) for b in model.biases]
+
+    def trace(x):
+        acts, pres = [x], []
+        for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+            pres.append(acts[-1] @ w + b)
+            acts.append(pres[-1] if k == model.n_layers - 1 else act_fn(pres[-1]))
+        return acts, pres
+
+    def backprop(acts, pres, upstream):
+        delta = upstream
+        for k in range(model.n_layers - 1, -1, -1):
+            d_weights[k] += acts[k].T @ delta
+            d_biases[k] += delta.sum(axis=0)
+            if k > 0:
+                delta = (delta @ model.weights[k].T) * act_deriv(pres[k - 1])
+
+    x1, x2 = features(batch)
+    acts1, pres1 = trace(x1)
+    acts2, pres2 = trace(x2)
+    diff = acts1[-1] - acts2[-1]
+    losses, coeff, penalty = _pair_terms(
+        np.linalg.norm(diff, axis=1), batch.similar.astype(float), loss_cfg, model
+    )
+    upstream = coeff[:, None] * diff
+    backprop(acts1, pres1, upstream)
+    backprop(acts2, pres2, -upstream)
+    if loss_cfg.kind == REGULARIZED_LOG:
+        for k, w in enumerate(model.weights):
+            d_weights[k] += 2.0 * loss_cfg.l2 * w
+    return d_weights, d_biases, float(np.sum(losses) + penalty)
 
 
 def fd_gradients(model, batch, loss_cfg, step=1e-5):
@@ -214,13 +283,16 @@ class TestDistance:
 
 class TestContrastiveLoss:
     def test_similar_zero_distance(self):
-        assert contrastive_loss(0.0, Similarity.SIMILAR) == 0.0
+        losses, _ = pair_losses(0.0, True)
+        assert losses[0] == 0.0
 
     def test_dissimilar_beyond_margin(self):
-        assert contrastive_loss(1.5, Similarity.DISSIMILAR, margin=1.0) == 0.0
+        losses, _ = pair_losses(1.5, False, margin=1.0)
+        assert losses[0] == 0.0
 
     def test_dissimilar_inside_margin(self):
-        assert contrastive_loss(0.4, Similarity.DISSIMILAR, margin=1.0) == pytest.approx(0.36)
+        losses, _ = pair_losses(0.4, False, margin=1.0)
+        assert losses[0] == pytest.approx(0.36)
 
     @given(
         d=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
@@ -228,8 +300,9 @@ class TestContrastiveLoss:
         margin=st.floats(0.01, 5.0),
     )
     def test_nonnegative_and_zero_set(self, d, similar, margin):
-        target = Similarity.SIMILAR if similar else Similarity.DISSIMILAR
-        value = contrastive_loss(d, target, margin)
+        losses, penalty = pair_losses(d, similar, margin=margin)
+        value = losses[0]
+        assert penalty == 0.0
         assert value >= 0.0
         if (similar and d == 0.0) or (not similar and d >= margin):
             assert value == 0.0
@@ -239,7 +312,8 @@ class TestContrastiveLoss:
     def test_vectorized(self):
         d = np.array([0.0, 0.4, 2.0])
         t = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(contrastive_loss(d, t, 1.0), [0.0, 0.36, 0.0])
+        losses, _ = pair_losses(d, t, margin=1.0)
+        np.testing.assert_allclose(losses, [0.0, 0.36, 0.0])
 
     def test_margin_validation(self):
         with pytest.raises(ValueError, match="margin"):
@@ -249,33 +323,30 @@ class TestContrastiveLoss:
 class TestRegularizedLogLoss:
     def test_perfect_similar_prediction(self):
         model = init_model([3, 2], rng=0)
-        value = regularized_log_loss(1.0 - 1e-12, Similarity.SIMILAR, l2=0.0, model=model)
+        value = log_loss(1.0 - 1e-12, True, l2=0.0, model=model)
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_half_similarity_is_log2_per_pair(self):
         model = init_model([3, 2], rng=0)
-        for target in (Similarity.SIMILAR, Similarity.DISSIMILAR):
-            assert regularized_log_loss(0.5, target, 0.0, model) == pytest.approx(math.log(2))
-        both = regularized_log_loss(
-            [0.5, 0.5], [Similarity.SIMILAR, Similarity.DISSIMILAR], 0.0, model
-        )
+        for similar in (True, False):
+            assert log_loss(0.5, similar, 0.0, model) == pytest.approx(math.log(2))
+        both = log_loss([0.5, 0.5], [True, False], 0.0, model)
         assert both == pytest.approx(2 * math.log(2))
 
     def test_zero_weights_no_penalty(self):
         model = SiameseModel((3, 2), [np.zeros((3, 2))], [np.zeros(2)], "sigmoid")
-        assert regularized_log_loss(0.5, Similarity.SIMILAR, l2=5.0, model=model) == pytest.approx(
-            math.log(2)
-        )
+        assert log_loss(0.5, True, l2=5.0, model=model) == pytest.approx(math.log(2))
 
     def test_penalty_added_once(self):
         model = identity_model(2)  # sum of squared weights = 2
-        value = regularized_log_loss(0.5, Similarity.SIMILAR, l2=0.1, model=model)
+        batch = make_batch(np.zeros(2), np.array([math.log(2), 0.0]), [True])  # d = ln 2
+        value = batch_loss(model, batch, LossConfig(kind=REGULARIZED_LOG, l2=0.1))
         assert value == pytest.approx(math.log(2) + 0.2)
 
     def test_boundary_values_clamped_finite(self):
         model = init_model([3, 2], rng=0)
-        assert np.isfinite(regularized_log_loss(0.0, Similarity.SIMILAR, 0.0, model))
-        assert np.isfinite(regularized_log_loss(1.0, Similarity.DISSIMILAR, 0.0, model))
+        assert np.isfinite(log_loss(0.0, True, 0.0, model))
+        assert np.isfinite(log_loss(1.0, False, 0.0, model))
 
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="loss kind"):
@@ -296,7 +367,7 @@ class TestGradients:
         batch = make_batch(
             np.array([[0.0, 0.0], [5.0, 0.0]]),
             np.array([[3.0, 4.0], [0.0, 0.0]]),
-            [Similarity.DISSIMILAR, Similarity.DISSIMILAR],
+            [False, False],
         )  # distances 5 > margin 1
         grads, loss = batch_gradients(model, batch, LossConfig(kind=CONTRASTIVE, margin=1.0))
         assert loss == 0.0
@@ -315,14 +386,49 @@ class TestGradients:
         assert max_relative_error(grads.d_biases, fd_b) < 1e-4
         assert loss == pytest.approx(batch_loss(model, batch, cfg), rel=1e-12)
 
+    @pytest.mark.parametrize("kind", [CONTRASTIVE, REGULARIZED_LOG])
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu", "tanh", "linear"])
+    def test_matches_unfused_reference(self, kind, activation):
+        # Only the float64 summation order differs from the reference, so
+        # the tolerance is 1e-12 relative. It is taken against the largest
+        # component: the output-layer bias gradient is a sum whose twin
+        # halves cancel, exactly 0 in one order and ~1e-15 in another.
+        rng = np.random.default_rng(31)
+        model = init_model([5, 6, 4, 3], activation=activation, rng=rng)
+        batch = random_batch(rng, 5, 40)
+        cfg = LossConfig(kind=kind)
+        grads, loss = batch_gradients(model, batch, cfg)
+        ref_w, ref_b, ref_loss = unfused_gradients(model, batch, cfg)
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+        scale = max(float(np.max(np.abs(g))) for g in ref_w + ref_b)
+        for got, want in zip(grads.d_weights + grads.d_biases, ref_w + ref_b):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_one_trace_and_one_backprop_per_step(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(network, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("_forward_trace", "_backprop"):
+            monkeypatch.setattr(network, name, counted(name))
+        rng = np.random.default_rng(5)
+        model = init_model([4, 3, 2], rng=rng)
+        batch_gradients(model, random_batch(rng, 4, 6), LossConfig())
+        assert calls == ["_forward_trace", "_backprop"]
+
     def test_duplicated_batch_doubles_everything(self):
         rng = np.random.default_rng(4)
         model = init_model([4, 3, 2], rng=rng)
         batch = random_batch(rng, 4, 6)
+        left, right = features(batch)
         doubled = make_batch(
-            np.vstack([batch.left_features, batch.left_features]),
-            np.vstack([batch.right_features, batch.right_features]),
-            list(batch.targets) * 2,
+            np.vstack([left, left]), np.vstack([right, right]), np.tile(batch.similar, 2)
         )
         cfg = LossConfig(kind=CONTRASTIVE)
         g1, l1 = batch_gradients(model, batch, cfg)
@@ -335,9 +441,8 @@ class TestGradients:
         rng = np.random.default_rng(12)
         model = init_model([4, 3, 2], rng=rng)
         batch = random_batch(rng, 4, 6)
-        swapped = make_batch(
-            batch.right_features, batch.left_features, list(batch.targets)
-        )
+        left, right = features(batch)
+        swapped = make_batch(right, left, batch.similar)
         cfg = LossConfig(kind=CONTRASTIVE)
         g1, l1 = batch_gradients(model, batch, cfg)
         g2, l2 = batch_gradients(model, swapped, cfg)
@@ -358,7 +463,7 @@ class TestGradients:
             [np.zeros(2), np.zeros(2)],
             activation="linear",
         )
-        batch = make_batch(np.ones((1, 2)), np.zeros((1, 2)), [Similarity.SIMILAR])
+        batch = make_batch(np.ones((1, 2)), np.zeros((1, 2)), [True])
         with pytest.raises(FloatingPointError, match="numerical overflow in layer 1"):
             batch_gradients(model, batch, LossConfig())
 
@@ -369,7 +474,7 @@ class TestOptimizer:
         before = [w.copy() for w in model.weights]
         grads, _ = batch_gradients(
             model,
-            make_batch(np.ones((1, 3)), np.ones((1, 3)), [Similarity.SIMILAR]),
+            make_batch(np.ones((1, 3)), np.ones((1, 3)), [True]),
             LossConfig(),
         )
         state = init_momentum_state(model, momentum=0.9)
@@ -407,8 +512,7 @@ class TestOptimizer:
         b = rng.normal(0.8, 0.02, size=(16, 2))
         x1 = np.vstack([a[:8], a[8:]])
         x2 = np.vstack([a[8:], b[:8]])
-        targets = [Similarity.SIMILAR] * 8 + [Similarity.DISSIMILAR] * 8
-        batch = make_batch(x1, x2, targets)
+        batch = make_batch(x1, x2, [True] * 8 + [False] * 8)
         cfg = LossConfig(kind=CONTRASTIVE)
         state = init_momentum_state(model, momentum=0.9)
         initial = batch_loss(model, batch, cfg)

@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from oneshot_ids.network import LossConfig, batch_loss, init_model
 from oneshot_ids.pairgen import (
     PairBatch,
     PairGenerationError,
-    Similarity,
     generate_training_batch,
     pair_counts,
 )
@@ -160,10 +160,9 @@ class TestPairBatchApi:
         assert counts.total == 0
         assert counts.similar_by_class == {}
 
-    def test_targets_are_symbolic(self):
+    def test_target_values_follow_similar_mask(self):
         split = build_split({0: 10, 1: 10}, excluded_class=2, labelled=2, unlabelled=2)
         batch = generate_training_batch(split, 8, rng=0)
-        assert set(batch.targets) <= {Similarity.SIMILAR, Similarity.DISSIMILAR}
         values = batch.target_values()
         assert set(values.tolist()) <= {0.0, 1.0}
         assert np.array_equal(values == 1.0, batch.similar)
@@ -171,7 +170,12 @@ class TestPairBatchApi:
     def test_features_resolve_through_dataset(self):
         split = build_split({0: 10, 1: 10}, excluded_class=2, labelled=2, unlabelled=2)
         batch = generate_training_batch(split, 8, rng=0)
-        assert np.array_equal(batch.left_features, split.dataset.matrix[batch.left_idx])
+        model = init_model([split.dataset.width, 3], activation="linear", rng=0)
+        left = split.dataset.matrix[batch.left_idx] @ model.weights[0]
+        right = split.dataset.matrix[batch.right_idx] @ model.weights[0]
+        d = np.linalg.norm(left - right, axis=1)
+        expected = np.sum(np.where(batch.similar, d**2, np.maximum(1.0 - d, 0.0) ** 2))
+        assert batch_loss(model, batch, LossConfig()) == pytest.approx(expected, rel=1e-12)
 
     def test_chunks_cover_batch(self):
         split = build_split({0: 20, 1: 20}, excluded_class=2, labelled=2, unlabelled=2)
@@ -179,15 +183,6 @@ class TestPairBatchApi:
         chunks = list(batch.chunks(16))
         assert [len(c) for c in chunks] == [16, 16, 16, 2]
         assert np.array_equal(np.concatenate([c.left_idx for c in chunks]), batch.left_idx)
-
-    def test_iter_pairs(self):
-        split = build_split({0: 10, 1: 10}, excluded_class=2, labelled=2, unlabelled=2)
-        batch = generate_training_batch(split, 6, rng=4)
-        pairs = list(batch.iter_pairs())
-        assert len(pairs) == 6
-        p = pairs[0]
-        assert np.array_equal(p.left, split.dataset.matrix[p.left_idx])
-        assert p.target in (Similarity.SIMILAR, Similarity.DISSIMILAR)
 
     def test_dump_format(self, tmp_path):
         split = build_split({0: 10, 1: 10}, excluded_class=2, labelled=2, unlabelled=2)
@@ -197,6 +192,6 @@ class TestPairBatchApi:
         lines = path.read_text().splitlines()
         assert lines[0] == "left_idx,right_idx,target"
         assert len(lines) == 11
-        left, right, target = lines[1].split(",")
-        assert target in ("similar", "dissimilar")
-        assert int(left) != int(right)
+        for k, line in enumerate(lines[1:]):
+            target = "similar" if batch.similar[k] else "dissimilar"
+            assert line == f"{batch.left_idx[k]},{batch.right_idx[k]},{target}"

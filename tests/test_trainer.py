@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oneshot_ids import TrainingConfig, prepare_experiment, run_training
+from oneshot_ids import TrainingConfig, make_split, prepare_experiment, run_training
 from oneshot_ids.synthetic import make_raw
 
 from conftest import build_encoded
@@ -37,22 +37,22 @@ def test_default_config_values():
 
 class TestStepArithmetic:
     def test_single_step(self, small_experiment):
-        ds, split = small_experiment
+        _, split = small_experiment
         cfg = quick_cfg(n_epochs=1, train_batch_size=100, minibatch_size=100)
-        _, _, trace = run_training(ds, split.excluded_class, cfg, split=split)
+        _, trace = run_training(split, cfg)
         assert trace.steps == 1
         assert len(trace) == 1
 
     def test_chunked_steps(self, small_experiment):
-        ds, split = small_experiment
+        _, split = small_experiment
         cfg = quick_cfg(n_epochs=3, train_batch_size=100, minibatch_size=32)
-        _, _, trace = run_training(ds, split.excluded_class, cfg, split=split)
+        _, trace = run_training(split, cfg)
         assert trace.steps == 4 * 3  # ceil(100/32) per epoch
         assert len(trace) == 3
 
     def test_trace_epoch_count_and_timings(self, small_experiment):
-        ds, split = small_experiment
-        _, _, trace = run_training(ds, split.excluded_class, quick_cfg(n_epochs=5), split=split)
+        _, split = small_experiment
+        _, trace = run_training(split, quick_cfg(n_epochs=5))
         assert len(trace.losses) == 5
         assert len(trace.seconds) == 5
         assert trace.final_loss == trace.losses[-1]
@@ -60,9 +60,9 @@ class TestStepArithmetic:
 
 class TestDeterminism:
     def test_identical_runs(self, small_experiment):
-        ds, split = small_experiment
-        m1, _, t1 = run_training(ds, split.excluded_class, quick_cfg(), split=split)
-        m2, _, t2 = run_training(ds, split.excluded_class, quick_cfg(), split=split)
+        _, split = small_experiment
+        m1, t1 = run_training(split, quick_cfg())
+        m2, t2 = run_training(split, quick_cfg())
         assert t1.losses == t2.losses
         for w1, w2 in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2)
@@ -70,28 +70,18 @@ class TestDeterminism:
             assert np.array_equal(b1, b2)
 
     def test_seed_changes_outcome(self, small_experiment):
-        ds, split = small_experiment
-        m1, _, _ = run_training(ds, split.excluded_class, quick_cfg(seed=4), split=split)
-        m2, _, _ = run_training(ds, split.excluded_class, quick_cfg(seed=5), split=split)
+        _, split = small_experiment
+        m1, _ = run_training(split, quick_cfg(seed=4))
+        m2, _ = run_training(split, quick_cfg(seed=5))
         assert not np.array_equal(m1.weights[0], m2.weights[0])
-
-    def test_builds_same_split_without_one(self, small_experiment):
-        ds, split = small_experiment
-        _, built, _ = run_training(ds, split.excluded_class, quick_cfg())
-        for c in split.training_pools:
-            assert np.array_equal(built.training_pools[c], split.training_pools[c])
 
 
 class TestValidation:
     def test_requires_three_classes(self):
         ds = build_encoded({0: 20, 1: 20})
+        split = make_split(ds, 1, rng=0)
         with pytest.raises(ValueError, match="at least 3 classes"):
-            run_training(ds, 1, quick_cfg())
-
-    def test_split_exclusion_mismatch(self, small_experiment):
-        ds, split = small_experiment
-        with pytest.raises(ValueError, match="different class"):
-            run_training(ds, split.excluded_class + 1, quick_cfg(), split=split)
+            run_training(split, quick_cfg())
 
     def test_config_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError, match="n_epochs"):
@@ -106,7 +96,7 @@ class TestBatchUsage:
     def test_excluded_class_never_in_training_pairs(self, small_experiment):
         ds, split = small_experiment
         seen = []
-        run_training(ds, split.excluded_class, quick_cfg(), split=split, on_batch=seen.append)
+        run_training(split, quick_cfg(), on_batch=seen.append)
         assert len(seen) == 1
         excluded = set(np.flatnonzero(ds.labels == split.excluded_class).tolist())
         for batch in seen:
@@ -114,31 +104,31 @@ class TestBatchUsage:
             assert not used & excluded
 
     def test_fresh_batch_per_epoch(self, small_experiment):
-        ds, split = small_experiment
+        _, split = small_experiment
         seen = []
         cfg = quick_cfg(n_epochs=3, fresh_batch_per_epoch=True)
-        run_training(ds, split.excluded_class, cfg, split=split, on_batch=seen.append)
+        run_training(split, cfg, on_batch=seen.append)
         assert len(seen) == 3
         assert not np.array_equal(seen[0].left_idx, seen[1].left_idx)
         # regeneration is still deterministic
         seen2 = []
-        run_training(ds, split.excluded_class, cfg, split=split, on_batch=seen2.append)
+        run_training(split, cfg, on_batch=seen2.append)
         for b1, b2 in zip(seen, seen2):
             assert np.array_equal(b1.left_idx, b2.left_idx)
 
 
 class TestLossCurve:
     def test_smoothed_loss_non_increasing(self, small_experiment):
-        ds, split = small_experiment
+        _, split = small_experiment
         cfg = TrainingConfig(n_epochs=60, train_batch_size=400, minibatch_size=64, seed=4)
-        _, _, trace = run_training(ds, split.excluded_class, cfg, split=split)
+        _, trace = run_training(split, cfg)
         smooth = np.convolve(np.array(trace.losses), np.ones(10) / 10, mode="valid")
         assert np.all(np.diff(smooth) <= 1e-12)
         assert smooth[-1] < smooth[0]
 
     def test_trace_csv(self, small_experiment, tmp_path):
-        ds, split = small_experiment
-        _, _, trace = run_training(ds, split.excluded_class, quick_cfg(n_epochs=3), split=split)
+        _, split = small_experiment
+        _, trace = run_training(split, quick_cfg(n_epochs=3))
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().splitlines()
