@@ -106,6 +106,7 @@ def _parse_manifest_file(path: Path) -> dict[str, str]:
     if not path.exists():
         raise ManifestError(f"manifest file {path} not found")
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -120,7 +121,12 @@ def _parse_manifest_file(path: Path) -> dict[str, str]:
             raise ManifestError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         if key not in _MANIFEST_KEYS:
             raise ManifestError(f"{path}:{lineno}: unknown setting {key!r}")
+        if key in first_line:
+            raise ManifestError(
+                f"{path}:{lineno}: setting {key!r} repeated (first set on line {first_line[key]})"
+            )
         values[key] = value
+        first_line[key] = lineno
     return values
 
 

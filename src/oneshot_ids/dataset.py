@@ -1,11 +1,14 @@
 """Dataset ingestion, feature encoding, and experiment splits.
 
 CSV files are described by a small schema descriptor (see `load_schema`).
-Categorical features are one-hot encoded, numeric features min-max scaled
-to [0, 1]. Encoding statistics are fitted on a caller-chosen subset of rows
-so that held-out and excluded-class instances cannot influence the feature
-space; `prepare_experiment` wires this up for the leave-one-attack-out
-protocol.
+A loaded dataset is stored by column: one float64 array per numeric
+feature and one str array per categorical feature. Encoding works a whole
+column at a time: categorical features are one-hot encoded, numeric
+features min-max scaled to [0, 1]. Encoding statistics are fitted on a
+caller-chosen subset of rows so that held-out and excluded-class instances
+cannot influence the feature space. `prepare_experiment` is the only
+builder of an `ExperimentSplit`: it splits every class first and fits the
+encoder on the training pools, for the leave-one-attack-out protocol.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +52,11 @@ class Column:
             raise SchemaError(f"column {self.name!r}: unknown kind {self.kind!r}")
         if self.values and self.kind != CATEGORICAL:
             raise SchemaError(f"column {self.name!r}: only categorical columns take values")
+        if "" in self.values:
+            raise SchemaError(f"column {self.name!r}: empty category value")
+        repeated = [v for i, v in enumerate(self.values) if v in self.values[:i]]
+        if repeated:
+            raise SchemaError(f"column {self.name!r}: duplicated category value {repeated[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -114,12 +122,13 @@ def load_schema(path: str | Path) -> Schema:
         parts = line.split()
         key = parts[0]
         if key == "column":
-            if len(parts) == 3:
-                columns.append(Column(parts[1], parts[2]))
-            elif len(parts) == 4:
-                columns.append(Column(parts[1], parts[2], tuple(parts[3].split("|"))))
-            else:
+            if len(parts) not in (3, 4):
                 raise SchemaError(f"{path}:{lineno}: expected 'column <name> <kind> [values]'")
+            values = tuple(parts[3].split("|")) if len(parts) == 4 else ()
+            try:
+                columns.append(Column(parts[1], parts[2], values))
+            except SchemaError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
         elif key == "normal" and len(parts) == 2:
             normal = parts[1]
         elif key == "map" and len(parts) == 3:
@@ -133,86 +142,111 @@ def load_schema(path: str | Path) -> Schema:
 
 @dataclass
 class RawDataset:
-    """Parsed rows in file order: feature tuples plus mapped class labels."""
+    """A parsed dataset in file order, stored by column.
+
+    `columns` holds one array per schema feature column, in schema feature
+    order: float64 for a numeric column, str for a categorical one.
+    `labels` holds each row's class name, after the schema's `label_map`.
+    """
 
     schema: Schema
-    rows: list[tuple]          # feature values only, schema feature order
-    labels: list[str]          # class name per row, post label_map
+    columns: tuple[np.ndarray, ...]
+    labels: np.ndarray
+
+    def __post_init__(self):
+        features = self.schema.feature_columns
+        self.columns = tuple(
+            np.asarray(values, dtype=np.float64 if col.kind == NUMERIC else np.str_)
+            for col, values in zip(features, self.columns, strict=True)
+        )
+        self.labels = np.asarray(self.labels, dtype=np.str_)
+        if any(len(values) != len(self.labels) for values in self.columns):
+            raise DatasetError("every feature column needs one value per label")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.labels)
 
     @property
     def classes(self) -> tuple[str, ...]:
         """Observed class inventory, benign class first then alphabetical."""
-        return _ordered_classes(set(self.labels), self.schema.normal_label)
+        return self.class_labels()[0]
+
+    def class_labels(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The class inventory (see `classes`) and each row's int64 index into it."""
+        observed, inverse = np.unique(self.labels, return_inverse=True)
+        # a stable sort on "is not benign" keeps the attack classes alphabetical
+        order = np.argsort(observed != self.schema.normal_label, kind="stable")
+        return tuple(observed[order].tolist()), np.argsort(order)[inverse]
 
     def class_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for lab in self.labels:
-            counts[lab] = counts.get(lab, 0) + 1
-        return counts
-
-
-def _ordered_classes(observed: set[str], normal: str | None) -> tuple[str, ...]:
-    if normal is not None and normal in observed:
-        return (normal, *sorted(observed - {normal}))
-    return tuple(sorted(observed))
+        names, counts = np.unique(self.labels, return_counts=True)
+        return dict(zip(names.tolist(), counts.tolist()))
 
 
 def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
-    """Read a comma-separated dataset file.
+    """Read a comma-separated dataset file into columns.
 
     Row order is preserved. A first line whose numeric fields fail to parse
-    is treated as a header and skipped; any later malformed row is an error
-    naming its line number.
+    is treated as a header and skipped; any later malformed row, and any
+    non-finite numeric cell (``inf``, ``nan``), is an error naming its line
+    number and column.
     """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"{path}: file not found")
     numeric_cols = [i for i, c in enumerate(schema.columns) if c.kind == NUMERIC]
-    feature_cols = [(i, c) for i, c in enumerate(schema.columns) if c.kind in (NUMERIC, CATEGORICAL)]
+    categorical_cols = [i for i, c in enumerate(schema.columns) if c.kind == CATEGORICAL]
     label_col = schema.label_index
     width = len(schema.columns)
 
-    rows: list[tuple] = []
+    # cells in row-major order; they become column arrays once the file is read
+    numbers: list[float] = []
+    words: list[str] = []
     labels: list[str] = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for lineno, record in enumerate(reader, start=1):
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
-            record = [f.strip() for f in record]
             if len(record) != width:
                 raise DatasetError(
                     f"{path}: row {lineno}: expected {width} fields, got {len(record)}"
                 )
             try:
-                parsed = tuple(
-                    float(record[i]) if col.kind == NUMERIC else record[i]
-                    for i, col in feature_cols
-                )
+                # float() ignores the blanks around a field
+                parsed = [float(record[i]) for i in numeric_cols]
+                # a finite sum proves every cell finite; only an overflowing
+                # sum needs the test per cell
+                finite = math.isfinite(sum(parsed)) or all(map(math.isfinite, parsed))
             except ValueError:
-                if lineno == 1 and not rows:
+                if lineno == 1 and not labels:
                     continue  # header line
-                bad = next(i for i in numeric_cols if not _is_float(record[i]))
+                finite = False
+            if not finite:
+                bad = next(i for i in numeric_cols if not _is_finite(record[i]))
                 raise DatasetError(
                     f"{path}: row {lineno}: column {schema.columns[bad].name!r}: "
-                    f"could not parse {record[bad]!r} as numeric"
-                ) from None
-            rows.append(parsed)
-            labels.append(schema.map_label(record[label_col]))
-    if not rows:
+                    f"{record[bad].strip()!r} is not a finite number"
+                )
+            numbers.extend(parsed)
+            words.extend([record[i].strip() for i in categorical_cols])
+            labels.append(schema.map_label(record[label_col].strip()))
+    if not labels:
         raise DatasetError(f"{path}: no records")
-    return RawDataset(schema, rows, labels)
+    n = len(labels)
+    numeric = iter(np.array(numbers, dtype=np.float64).reshape(n, len(numeric_cols)).T.copy())
+    categorical = iter(np.array(words, dtype=np.str_).reshape(n, len(categorical_cols)).T.copy())
+    columns = tuple(
+        next(numeric if col.kind == NUMERIC else categorical) for col in schema.feature_columns
+    )
+    return RawDataset(schema, columns, labels)
 
 
-def _is_float(text: str) -> bool:
+def _is_finite(text: str) -> bool:
     try:
-        float(text)
+        return math.isfinite(float(text))
     except ValueError:
         return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -257,28 +291,20 @@ class Encoder:
                 names.extend(f"{c.name}={v}" for v in c.values)
         return names
 
-    def transform_row(self, row: Sequence) -> np.ndarray:
-        out = np.zeros(self.width)
+    def transform(self, columns: Sequence[np.ndarray]) -> np.ndarray:
+        """Encode feature columns, in schema feature order, into an (n, width) matrix."""
+        out = np.zeros((len(columns[0]), self.width))
         offset = 0
-        for value, col in zip(row, self.columns):
+        for col, values in zip(self.columns, columns, strict=True):
             if col.kind == NUMERIC:
+                # a constant feature encodes as 0.0
                 if col.hi > col.lo:
-                    out[offset] = min(max((value - col.lo) / (col.hi - col.lo), 0.0), 1.0)
-                # constant feature encodes as 0.0
-                offset += 1
+                    out[:, offset] = np.clip((values - col.lo) / (col.hi - col.lo), 0.0, 1.0)
             else:
-                try:
-                    out[offset + col.values.index(value)] = 1.0
-                except ValueError:
-                    pass  # unseen category: all-zeros group
-                offset += len(col.values)
+                # an unseen category encodes as an all-zeros group
+                out[:, offset:offset + col.width] = values[:, None] == np.array(col.values)
+            offset += col.width
         return out
-
-    def transform(self, rows: Iterable[Sequence]) -> np.ndarray:
-        encoded = [self.transform_row(r) for r in rows]
-        if not encoded:
-            return np.zeros((0, self.width))
-        return np.vstack(encoded)
 
 
 def fit_encoder(raw: RawDataset, fit_rows: Sequence[int]) -> Encoder:
@@ -289,16 +315,17 @@ def fit_encoder(raw: RawDataset, fit_rows: Sequence[int]) -> Encoder:
     """
     if len(fit_rows) == 0:
         raise DatasetError("fit_encoder: fit_rows is empty")
+    fit_rows = np.asarray(fit_rows)
     fitted: list[FittedColumn] = []
-    for j, col in enumerate(raw.schema.feature_columns):
+    for col, values in zip(raw.schema.feature_columns, raw.columns):
         if col.kind == NUMERIC:
-            values = [raw.rows[i][j] for i in fit_rows]
-            fitted.append(FittedColumn(col.name, NUMERIC, lo=min(values), hi=max(values)))
+            lo, hi = float(values[fit_rows].min()), float(values[fit_rows].max())
+            fitted.append(FittedColumn(col.name, NUMERIC, lo=lo, hi=hi))
         elif col.values:
             fitted.append(FittedColumn(col.name, CATEGORICAL, values=col.values))
         else:
-            seen = sorted({raw.rows[i][j] for i in fit_rows})
-            fitted.append(FittedColumn(col.name, CATEGORICAL, values=tuple(seen)))
+            seen = tuple(np.unique(values[fit_rows]).tolist())
+            fitted.append(FittedColumn(col.name, CATEGORICAL, values=seen))
     return Encoder(tuple(fitted))
 
 
@@ -343,14 +370,12 @@ def encode(raw: RawDataset, encoder: Encoder) -> EncodedDataset:
     """Transform every row of `raw` with a fitted encoder."""
     if raw.schema.normal_label is None:
         raise DatasetError("schema does not designate the benign class (missing 'normal' directive)")
-    if raw.schema.normal_label not in set(raw.labels):
+    class_names, labels = raw.class_labels()
+    if raw.schema.normal_label not in class_names:
         raise DatasetError(f"benign class {raw.schema.normal_label!r} has no instances")
-    class_names = raw.classes
-    index = {name: i for i, name in enumerate(class_names)}
-    matrix = encoder.transform(raw.rows)
+    matrix = encoder.transform(raw.columns)
     if not np.all(np.isfinite(matrix)):
         raise DatasetError("encoding produced non-finite values")
-    labels = np.fromiter((index[lab] for lab in raw.labels), dtype=np.int64, count=len(raw))
     return EncodedDataset(matrix, labels, class_names, encoder)
 
 
@@ -396,12 +421,6 @@ class ExperimentSplit:
         return np.concatenate([self.training_pools[c] for c in self.training_classes])
 
 
-def _as_rng(rng: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _halve(indices: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     # odd counts: the extra instance goes to the first (training/labelled) half
     perm = rng.permutation(indices)
@@ -409,57 +428,19 @@ def _halve(indices: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, n
     return perm[:cut], perm[cut:]
 
 
-def _split_pools(
-    labels: np.ndarray,
-    class_names: Sequence[str],
-    excluded_class: int,
-    rng: np.random.Generator,
-):
-    n_classes = len(class_names)
-    if not 0 <= excluded_class < n_classes:
-        raise DatasetError(f"excluded class index {excluded_class} out of range")
-    if excluded_class == EncodedDataset.NORMAL_CLASS:
-        raise DatasetError("cannot exclude benign class")
-    training, testing = {}, {}
-    labelled = unlabelled = None
-    for c in range(n_classes):
-        members = np.flatnonzero(labels == c)
-        if len(members) < 2:
-            raise DatasetError(
-                f"class {class_names[c]!r} has {len(members)} instance(s); need at least 2 to split"
-            )
-        first, second = _halve(members, rng)
-        if c == excluded_class:
-            labelled, unlabelled = first, second
-        else:
-            training[c], testing[c] = first, second
-    return training, testing, labelled, unlabelled
-
-
-def make_split(
-    ds: EncodedDataset,
-    excluded_class: int,
-    rng: int | np.random.Generator,
-) -> ExperimentSplit:
-    """Shuffle and halve every class; deterministic given the seed."""
-    training, testing, labelled, unlabelled = _split_pools(
-        ds.labels, ds.class_names, excluded_class, _as_rng(rng)
-    )
-    return ExperimentSplit(ds, excluded_class, training, testing, labelled, unlabelled)
-
-
 def prepare_experiment(
     raw: RawDataset,
     excluded_class: int | str,
     seed: int,
 ) -> tuple[EncodedDataset, ExperimentSplit]:
-    """Split first, then fit the encoder on training pools only.
+    """Shuffle and halve every class, then fit the encoder on training pools only.
 
     This is the leakage-free path: encoding statistics are computed from
     the union of the retained classes' training pools, so neither testing
-    rows nor any excluded-class row can influence the feature space.
+    rows nor any excluded-class row can influence the feature space. The
+    split is deterministic given the seed.
     """
-    class_names = raw.classes
+    class_names, labels = raw.class_labels()
     if isinstance(excluded_class, str):
         try:
             excluded_class = class_names.index(excluded_class)
@@ -467,12 +448,23 @@ def prepare_experiment(
             raise DatasetError(
                 f"unknown class {excluded_class!r}; have {list(class_names)}"
             ) from None
-    index = {name: i for i, name in enumerate(class_names)}
-    labels = np.fromiter((index[lab] for lab in raw.labels), dtype=np.int64, count=len(raw))
+    if not 0 <= excluded_class < len(class_names):
+        raise DatasetError(f"excluded class index {excluded_class} out of range")
+    if excluded_class == EncodedDataset.NORMAL_CLASS:
+        raise DatasetError("cannot exclude benign class")
     rng = stream_rng(seed, SPLIT_STREAM)
-    training, testing, labelled, unlabelled = _split_pools(
-        labels, class_names, excluded_class, rng
-    )
+    training, testing = {}, {}
+    for c, name in enumerate(class_names):
+        members = np.flatnonzero(labels == c)
+        if len(members) < 2:
+            raise DatasetError(
+                f"class {name!r} has {len(members)} instance(s); need at least 2 to split"
+            )
+        first, second = _halve(members, rng)
+        if c == excluded_class:
+            labelled, unlabelled = first, second
+        else:
+            training[c], testing[c] = first, second
     fit_rows = np.sort(np.concatenate([training[c] for c in sorted(training)]))
     encoder = fit_encoder(raw, fit_rows)
     ds = encode(raw, encoder)

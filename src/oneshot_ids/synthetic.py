@@ -76,7 +76,7 @@ def make_raw(
 ) -> RawDataset:
     """In-memory RawDataset, bypassing the CSV round trip."""
     rows, labels = gaussian_clusters(n_classes, per_class, n_features, separation, seed)
-    return RawDataset(make_schema(n_features), [tuple(r) for r in rows], labels)
+    return RawDataset(make_schema(n_features), tuple(rows.T.copy()), labels)
 
 
 def write_files(

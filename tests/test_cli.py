@@ -342,6 +342,15 @@ class TestManifestParsing:
         with pytest.raises(cli.ManifestError, match=r"run\.manifest:10: unknown setting 'epoch'"):
             build(tmp_path, synthetic_files, epoch=5)
 
+    def test_repeated_key_names_key_and_both_lines(self, synthetic_files, tmp_path):
+        csv_path, schema_path = synthetic_files
+        path = write_manifest(tmp_path, csv_path, schema_path, tmp_path / "out", epochs=5)
+        path.write_text(path.read_text(encoding="utf-8") + "epochs = 7\n", encoding="utf-8")
+        args = cli.build_parser().parse_args(["run", "--manifest", str(path)])
+        expected = r"run\.manifest:10: setting 'epochs' repeated \(first set on line 5\)"
+        with pytest.raises(cli.ManifestError, match=expected):
+            cli.build_manifest(args)
+
     @pytest.mark.parametrize(
         "key, read",
         [

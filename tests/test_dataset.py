@@ -9,6 +9,7 @@ from oneshot_ids.dataset import (
     NUMERIC,
     Column,
     DatasetError,
+    RawDataset,
     Schema,
     SchemaError,
     bundled_schema_path,
@@ -16,7 +17,6 @@ from oneshot_ids.dataset import (
     fit_encoder,
     load_dataset,
     load_schema,
-    make_split,
     prepare_experiment,
 )
 from oneshot_ids.synthetic import make_raw
@@ -41,8 +41,8 @@ class TestLoad:
         raw = load_dataset(path, two_feature_schema())
         assert len(raw) == 3
         assert raw.classes == ("normal", "attack")
-        assert raw.rows[1] == (3.0, 4.0)
-        assert raw.labels == ["normal", "attack", "normal"]
+        assert [values[1] for values in raw.columns] == [3.0, 4.0]
+        assert raw.labels.tolist() == ["normal", "attack", "normal"]
 
     def test_empty_file_errors(self, tmp_path):
         path = write_csv(tmp_path, "")
@@ -67,6 +67,13 @@ class TestLoad:
     def test_unparsable_numeric_names_row_and_column(self, tmp_path):
         path = write_csv(tmp_path, "1.0,2.0,normal\n3.0,oops,attack\n")
         with pytest.raises(DatasetError, match="row 2.*'y'.*'oops'"):
+            load_dataset(path, two_feature_schema())
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "nan"])
+    def test_non_finite_cell_names_file_row_column_and_value(self, tmp_path, cell):
+        path = write_csv(tmp_path, f"1.0,2.0,normal\n3.0,{cell},attack\n")
+        expected = rf"data\.csv: row 2: column 'y': '{cell}' is not a finite number"
+        with pytest.raises(DatasetError, match=expected):
             load_dataset(path, two_feature_schema())
 
     def test_missing_file(self, tmp_path):
@@ -96,7 +103,7 @@ class TestLoad:
     def test_row_order_preserved(self, tmp_path):
         path = write_csv(tmp_path, "\n".join(f"{i},0,normal" for i in range(20)) + "\n")
         raw = load_dataset(path, two_feature_schema())
-        assert [r[0] for r in raw.rows] == [float(i) for i in range(20)]
+        assert raw.columns[0].tolist() == [float(i) for i in range(20)]
 
 
 class TestSchema:
@@ -127,6 +134,20 @@ class TestSchema:
         path = tmp_path / "s.schema"
         path.write_text("column x numeric\nwhatever\n", encoding="utf-8")
         with pytest.raises(SchemaError, match="unrecognised directive"):
+            load_schema(path)
+
+    @pytest.mark.parametrize(
+        "values, problem",
+        [("tcp|udp|tcp", "duplicated category value 'tcp'"), ("tcp||udp", "empty category value")],
+        ids=["duplicated", "empty"],
+    )
+    def test_category_values_distinct_and_nonempty(self, tmp_path, values, problem):
+        path = tmp_path / "s.schema"
+        path.write_text(
+            f"column size numeric\ncolumn proto categorical {values}\ncolumn label label\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(SchemaError, match=rf"s\.schema:2: column 'proto': {problem}"):
             load_schema(path)
 
     def test_unknown_kind(self):
@@ -181,63 +202,98 @@ def kdd_like_fixture(tmp_path, n_rows=100):
     return load_dataset(path, schema)
 
 
+def encode_one(encoder, *values):
+    """Encoded vector of a single row given as one value per feature column."""
+    return encoder.transform([np.array([v]) for v in values])[0]
+
+
+def reference_transform(encoder, columns):
+    """The per-cell loop that `Encoder.transform` replaced, kept as its reference."""
+
+    def transform_row(row):
+        out = np.zeros(encoder.width)
+        offset = 0
+        for value, col in zip(row, encoder.columns):
+            if col.kind == NUMERIC:
+                if col.hi > col.lo:
+                    out[offset] = min(max((value - col.lo) / (col.hi - col.lo), 0.0), 1.0)
+                # constant feature encodes as 0.0
+                offset += 1
+            else:
+                try:
+                    out[offset + col.values.index(value)] = 1.0
+                except ValueError:
+                    pass  # unseen category: all-zeros group
+                offset += len(col.values)
+        return out
+
+    return np.vstack([transform_row(row) for row in zip(*(c.tolist() for c in columns))])
+
+
 class TestEncoder:
     def test_minmax_midpoint(self):
-        from oneshot_ids.dataset import RawDataset
-
         schema = Schema((Column("x", NUMERIC), Column("label", LABEL)), normal_label="n")
-        raw = RawDataset(schema, [(2.0,), (4.0,), (6.0,)], ["n", "a", "n"])
+        raw = RawDataset(schema, [[2.0, 4.0, 6.0]], ["n", "a", "n"])
         enc = fit_encoder(raw, [0, 1, 2])
         assert enc.columns[0].lo == 2.0
         assert enc.columns[0].hi == 6.0
-        assert enc.transform_row((4.0,))[0] == pytest.approx(0.5)
+        assert encode_one(enc, 4.0)[0] == pytest.approx(0.5)
 
     def test_constant_feature_encodes_zero(self):
-        from oneshot_ids.dataset import RawDataset
-
         schema = Schema((Column("x", NUMERIC), Column("label", LABEL)), normal_label="n")
-        raw = RawDataset(schema, [(3.0,), (3.0,)], ["n", "a"])
+        raw = RawDataset(schema, [[3.0, 3.0]], ["n", "a"])
         enc = fit_encoder(raw, [0, 1])
-        assert enc.transform_row((3.0,))[0] == 0.0
-        assert enc.transform_row((99.0,))[0] == 0.0
+        assert encode_one(enc, 3.0)[0] == 0.0
+        assert encode_one(enc, 99.0)[0] == 0.0
 
     def test_learned_vocab_and_unseen_value(self):
-        from oneshot_ids.dataset import RawDataset
-
         schema = Schema((Column("c", CATEGORICAL), Column("label", LABEL)), normal_label="n")
-        raw = RawDataset(schema, [("b",), ("a",), ("c",), ("d",)], ["n", "a", "n", "a"])
+        raw = RawDataset(schema, [["b", "a", "c", "d"]], ["n", "a", "n", "a"])
         enc = fit_encoder(raw, [0, 1, 2])
         assert enc.columns[0].values == ("a", "b", "c")  # sorted, fit rows only
         # hand-derived one-hot transforms
-        assert enc.transform_row(("a",)).tolist() == [1.0, 0.0, 0.0]
-        assert enc.transform_row(("b",)).tolist() == [0.0, 1.0, 0.0]
+        assert encode_one(enc, "a").tolist() == [1.0, 0.0, 0.0]
+        assert encode_one(enc, "b").tolist() == [0.0, 1.0, 0.0]
         # held-out row with the unfitted value encodes to an all-zeros group
-        assert enc.transform_row(("d",)).tolist() == [0.0, 0.0, 0.0]
+        assert encode_one(enc, "d").tolist() == [0.0, 0.0, 0.0]
 
     def test_fit_ignores_rows_outside_fit_set(self):
-        from oneshot_ids.dataset import RawDataset
-
         schema = Schema((Column("x", NUMERIC), Column("label", LABEL)), normal_label="n")
-        raw = RawDataset(schema, [(1.0,), (2.0,), (100.0,)], ["n", "a", "n"])
+        raw = RawDataset(schema, [[1.0, 2.0, 100.0]], ["n", "a", "n"])
         enc = fit_encoder(raw, [0, 1])
         assert enc.columns[0].hi == 2.0
 
     def test_fit_requires_rows(self):
-        from oneshot_ids.dataset import RawDataset
-
         schema = Schema((Column("x", NUMERIC), Column("label", LABEL)), normal_label="n")
-        raw = RawDataset(schema, [(1.0,)], ["n"])
+        raw = RawDataset(schema, [[1.0]], ["n"])
         with pytest.raises(DatasetError, match="fit_rows is empty"):
             fit_encoder(raw, [])
 
     def test_out_of_range_clamped(self):
-        from oneshot_ids.dataset import RawDataset
-
         schema = Schema((Column("x", NUMERIC), Column("label", LABEL)), normal_label="n")
-        raw = RawDataset(schema, [(0.0,), (10.0,)], ["n", "a"])
+        raw = RawDataset(schema, [[0.0, 10.0]], ["n", "a"])
         enc = fit_encoder(raw, [0, 1])
-        assert enc.transform_row((20.0,))[0] == 1.0
-        assert enc.transform_row((-5.0,))[0] == 0.0
+        assert encode_one(enc, 20.0)[0] == 1.0
+        assert encode_one(enc, -5.0)[0] == 0.0
+
+    @pytest.mark.parametrize("vocabulary", ["declared", "learned"])
+    def test_transform_matches_per_cell_reference(self, tmp_path, vocabulary):
+        raw = kdd_like_fixture(tmp_path, n_rows=100)
+        if vocabulary == "learned":
+            columns = tuple(Column(c.name, c.kind) for c in raw.schema.columns)
+            raw = RawDataset(Schema(columns, normal_label="normal"), raw.columns, raw.labels)
+        fit_rows = np.arange(0, 100, 5)  # every fit row has service svc00
+        raw.columns[5][fit_rows] = 0.25  # constant over the fit rows only
+        enc = fit_encoder(raw, fit_rows)
+        expected = reference_transform(enc, raw.columns)
+        assert np.array_equal(enc.transform(raw.columns), expected)
+        # the fit subset makes the reference meet every special case
+        numeric = [(c, v) for c, v in zip(enc.columns, raw.columns) if c.kind == NUMERIC]
+        assert any(c.hi == c.lo for c, _ in numeric)
+        assert any(np.any((v < c.lo) | (v > c.hi)) for c, v in numeric)
+        if vocabulary == "learned":
+            _, _, start, stop = enc.groups()[2]
+            assert np.any(expected[:, start:stop].sum(axis=1) == 0.0)
 
     def test_kdd_style_width_118(self, tmp_path):
         raw = kdd_like_fixture(tmp_path, n_rows=100)
@@ -261,60 +317,49 @@ class TestEncoder:
         assert np.all(np.isfinite(ds.matrix))
 
     def test_encode_requires_benign_designation(self):
-        from oneshot_ids.dataset import RawDataset
-
         schema = Schema((Column("x", NUMERIC), Column("label", LABEL)))
-        raw = RawDataset(schema, [(1.0,), (2.0,)], ["a", "b"])
+        raw = RawDataset(schema, [[1.0, 2.0]], ["a", "b"])
         with pytest.raises(DatasetError, match="benign"):
             encode(raw, fit_encoder(raw, [0, 1]))
 
     def test_class_order_normal_first(self):
-        from oneshot_ids.dataset import RawDataset
-
         schema = Schema((Column("x", NUMERIC), Column("label", LABEL)), normal_label="zz_normal")
-        raw = RawDataset(schema, [(1.0,), (2.0,), (3.0,)], ["b_att", "zz_normal", "a_att"])
+        raw = RawDataset(schema, [[1.0, 2.0, 3.0]], ["b_att", "zz_normal", "a_att"])
         ds = encode(raw, fit_encoder(raw, [0, 1, 2]))
         assert ds.class_names == ("zz_normal", "a_att", "b_att")
         assert ds.labels.tolist() == [2, 0, 1]
 
 
 class TestSplit:
-    def make_ds(self, sizes: dict[str, int]):
-        from oneshot_ids.dataset import RawDataset
-
+    def make_raw(self, sizes: dict[str, int]):
         schema = Schema((Column("x", NUMERIC), Column("label", LABEL)), normal_label="normal")
-        rows, labels = [], []
-        for name, n in sizes.items():
-            for i in range(n):
-                rows.append((float(len(rows)),))
-                labels.append(name)
-        raw = RawDataset(schema, rows, labels)
-        return encode(raw, fit_encoder(raw, range(len(rows))))
+        labels = [name for name, n in sizes.items() for _ in range(n)]
+        return RawDataset(schema, [np.arange(len(labels), dtype=np.float64)], labels)
 
     def test_even_class_halves(self):
-        ds = self.make_ds({"normal": 10, "r2l": 52, "dos": 8})
-        split = make_split(ds, ds.class_index("dos"), rng=0)
+        raw = self.make_raw({"normal": 10, "r2l": 52, "dos": 8})
+        ds, split = prepare_experiment(raw, "dos", seed=0)
         r2l = ds.class_index("r2l")
         assert len(split.training_pools[r2l]) == 26
         assert len(split.testing_pools[r2l]) == 26
 
     def test_odd_count_extra_to_first_pool(self):
-        ds = self.make_ds({"normal": 10, "a": 5, "b": 8})
-        split = make_split(ds, ds.class_index("b"), rng=0)
+        raw = self.make_raw({"normal": 10, "a": 5, "b": 8})
+        ds, split = prepare_experiment(raw, "b", seed=0)
         a = ds.class_index("a")
         assert len(split.training_pools[a]) == 3
         assert len(split.testing_pools[a]) == 2
 
     def test_excluded_pools_halved(self):
-        ds = self.make_ds({"normal": 10, "a": 9, "b": 8})
-        split = make_split(ds, ds.class_index("a"), rng=0)
+        raw = self.make_raw({"normal": 10, "a": 9, "b": 8})
+        _, split = prepare_experiment(raw, "a", seed=0)
         assert len(split.excluded_labelled) == 5
         assert len(split.excluded_unlabelled) == 4
 
     def test_deterministic(self):
-        ds = self.make_ds({"normal": 30, "a": 21, "b": 17})
-        s1 = make_split(ds, 1, rng=42)
-        s2 = make_split(ds, 1, rng=42)
+        raw = self.make_raw({"normal": 30, "a": 21, "b": 17})
+        _, s1 = prepare_experiment(raw, 1, seed=42)
+        _, s2 = prepare_experiment(raw, 1, seed=42)
         for c in s1.training_pools:
             assert np.array_equal(s1.training_pools[c], s2.training_pools[c])
             assert np.array_equal(s1.testing_pools[c], s2.testing_pools[c])
@@ -322,9 +367,9 @@ class TestSplit:
         assert np.array_equal(s1.excluded_unlabelled, s2.excluded_unlabelled)
 
     def test_partition_property(self):
-        ds = self.make_ds({"normal": 13, "a": 29, "b": 6, "c": 17})
+        raw = self.make_raw({"normal": 13, "a": 29, "b": 6, "c": 17})
         for seed in range(5):
-            split = make_split(ds, 2, rng=seed)
+            ds, split = prepare_experiment(raw, 2, seed=seed)
             for c in split.training_pools:
                 train = set(split.training_pools[c].tolist())
                 test = set(split.testing_pools[c].tolist())
@@ -337,19 +382,19 @@ class TestSplit:
             assert lab | unlab == set(ds.instances_of(2).tolist())
 
     def test_cannot_exclude_benign(self):
-        ds = self.make_ds({"normal": 10, "a": 10, "b": 10})
+        raw = self.make_raw({"normal": 10, "a": 10, "b": 10})
         with pytest.raises(DatasetError, match="cannot exclude benign class"):
-            make_split(ds, 0, rng=0)
+            prepare_experiment(raw, 0, seed=0)
 
     def test_small_class_error_names_class(self):
-        ds = self.make_ds({"normal": 10, "tiny": 1, "b": 10})
+        raw = self.make_raw({"normal": 10, "tiny": 1, "b": 10})
         with pytest.raises(DatasetError, match="'tiny'"):
-            make_split(ds, ds.class_index("b"), rng=0)
+            prepare_experiment(raw, "b", seed=0)
 
     def test_out_of_range_class(self):
-        ds = self.make_ds({"normal": 10, "a": 10, "b": 10})
+        raw = self.make_raw({"normal": 10, "a": 10, "b": 10})
         with pytest.raises(DatasetError, match="out of range"):
-            make_split(ds, 7, rng=0)
+            prepare_experiment(raw, 7, seed=0)
 
 
 class TestPrepareExperiment:
@@ -358,9 +403,10 @@ class TestPrepareExperiment:
         ds1, split1 = prepare_experiment(raw, "attack1", seed=3)
         # mutate one testing-pool row and every excluded-class row
         victim = int(split1.testing_pools[0][0])
-        raw.rows[victim] = tuple(v + 500.0 for v in raw.rows[victim])
-        for idx in (*split1.excluded_labelled, *split1.excluded_unlabelled):
-            raw.rows[int(idx)] = tuple(v - 300.0 for v in raw.rows[int(idx)])
+        excluded = np.concatenate([split1.excluded_labelled, split1.excluded_unlabelled])
+        for values in raw.columns:
+            values[victim] += 500.0
+            values[excluded] -= 300.0
         ds2, split2 = prepare_experiment(raw, "attack1", seed=3)
         assert ds1.encoder == ds2.encoder
 
@@ -368,19 +414,10 @@ class TestPrepareExperiment:
         raw = make_raw(n_classes=3, per_class=20, n_features=4, seed=5)
         ds1, split1 = prepare_experiment(raw, "attack1", seed=3)
         victim = int(split1.training_pools[0][0])
-        raw.rows[victim] = tuple(v + 500.0 for v in raw.rows[victim])
+        for values in raw.columns:
+            values[victim] += 500.0
         ds2, _ = prepare_experiment(raw, "attack1", seed=3)
         assert ds1.encoder != ds2.encoder
-
-    def test_matches_make_split_for_same_seed(self):
-        from oneshot_ids.seeding import SPLIT_STREAM, stream_rng
-
-        raw = make_raw(n_classes=3, per_class=12, n_features=4, seed=5)
-        ds, split = prepare_experiment(raw, "attack2", seed=77)
-        again = make_split(ds, split.excluded_class, stream_rng(77, SPLIT_STREAM))
-        for c in split.training_pools:
-            assert np.array_equal(split.training_pools[c], again.training_pools[c])
-        assert np.array_equal(split.excluded_labelled, again.excluded_labelled)
 
     def test_unknown_class_name(self):
         raw = make_raw(n_classes=3, per_class=10, n_features=4)

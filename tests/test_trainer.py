@@ -3,10 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oneshot_ids import TrainingConfig, make_split, prepare_experiment, run_training
+from oneshot_ids import TrainingConfig, prepare_experiment, run_training
 from oneshot_ids.synthetic import make_raw
-
-from conftest import build_encoded
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +76,7 @@ class TestDeterminism:
 
 class TestValidation:
     def test_requires_three_classes(self):
-        ds = build_encoded({0: 20, 1: 20})
-        split = make_split(ds, 1, rng=0)
+        _, split = prepare_experiment(make_raw(n_classes=2, per_class=20, n_features=4), 1, seed=0)
         with pytest.raises(ValueError, match="at least 3 classes"):
             run_training(split, quick_cfg())
 
