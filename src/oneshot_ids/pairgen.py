@@ -8,6 +8,11 @@ Classes too small to fill their quota contribute every unique pair they
 have; the remainder is redistributed round-robin over the other buckets so
 the half-half contract survives heavy class imbalance.
 
+Sampling is exact: a bucket (one class for similar pairs, one class
+combination for dissimilar pairs) numbers its unique pairs and draws its
+quota of pair numbers once, without replacement. There is no rejection
+and no failure cap, so every quota is met on the first draw.
+
 A pair's target is its entry in the batch's bool `similar` mask; the
 losses read it as 1.0 (similar) or 0.0 (dissimilar).
 """
@@ -22,12 +27,6 @@ from typing import Iterator
 import numpy as np
 
 from .dataset import ExperimentSplit
-
-# Draws that hit the seen-set (or a self-pair) count as failures; a bucket
-# is declared exhausted after 100 failures per requested pair.
-FAILURE_CAP_FACTOR = 100
-_DRAW_CHUNK = 256
-
 
 class PairGenerationError(ValueError):
     """Requested batch cannot be satisfied; message reports the achievable maximum."""
@@ -131,76 +130,27 @@ def _spread(total: int, caps: list[int]) -> list[int]:
     return quotas
 
 
-def _draw_pairs(
+def _draw_bucket(
     rng: np.random.Generator,
     pool_a: np.ndarray,
     pool_b: np.ndarray,
     quota: int,
-    seen: set[tuple[int, int]],
-) -> list[tuple[int, int]]:
-    """Rejection-sample `quota` unique unordered pairs (pool_a x pool_b).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw `quota` distinct pairs from one bucket, without replacement.
 
-    Self-pairs and seen-set hits count as failed draws; gives up after
-    FAILURE_CAP_FACTOR * quota failures and returns what it has.
+    A similar bucket passes one pool twice. Its n(n-1)/2 unordered pairs
+    are numbered by cyclic offset: k -> (i, (i + 1 + k // n) % n) with
+    i = k % n, which covers offsets 1 .. floor((n-1)/2) from every i and,
+    for even n, offset n/2 from the first n/2 positions. A dissimilar
+    bucket numbers pool_a x pool_b row-major.
     """
-    got: list[tuple[int, int]] = []
-    if quota <= 0:
-        return got
-    failures = 0
-    cap = FAILURE_CAP_FACTOR * quota
-    while len(got) < quota and failures <= cap:
-        aa = rng.integers(0, len(pool_a), size=_DRAW_CHUNK)
-        bb = rng.integers(0, len(pool_b), size=_DRAW_CHUNK)
-        for ka, kb in zip(aa, bb):
-            i, j = int(pool_a[ka]), int(pool_b[kb])
-            if i == j:
-                failures += 1
-                continue
-            key = (i, j) if i < j else (j, i)
-            if key in seen:
-                failures += 1
-                if failures > cap:
-                    break
-                continue
-            seen.add(key)
-            got.append((i, j))
-            if len(got) == quota:
-                break
-    return got
-
-
-def _fill_side(
-    rng: np.random.Generator,
-    buckets: list[tuple[np.ndarray, np.ndarray]],
-    caps: list[int],
-    total: int,
-    seen: set[tuple[int, int]],
-) -> list[list[tuple[int, int]]]:
-    """Fill one side (similar or dissimilar) to exactly `total` pairs,
-    redistributing shortfalls over buckets with spare capacity."""
-    quotas = _spread(total, caps)
-    results = [
-        _draw_pairs(rng, a, b, q, seen) for (a, b), q in zip(buckets, quotas)
-    ]
-    dead: set[int] = {i for i, (res, q) in enumerate(zip(results, quotas)) if len(res) < q}
-    missing = total - sum(len(r) for r in results)
-    while missing > 0:
-        live = [
-            i for i in range(len(buckets))
-            if i not in dead and len(results[i]) < caps[i]
-        ]
-        if not live:
-            raise PairGenerationError(
-                f"pair generation exhausted at {total - missing} of {total} pairs for one side"
-            )
-        extras = _spread(missing, [caps[i] - len(results[i]) for i in live])
-        for i, extra in zip(live, extras):
-            more = _draw_pairs(rng, *buckets[i], extra, seen)
-            results[i].extend(more)
-            if len(more) < extra:
-                dead.add(i)
-        missing = total - sum(len(r) for r in results)
-    return results
+    if pool_a is pool_b:
+        n = len(pool_a)
+        k = rng.choice(n * (n - 1) // 2, quota, replace=False)
+        i = k % n
+        return pool_a[i], pool_a[(i + 1 + k // n) % n]
+    k = rng.choice(len(pool_a) * len(pool_b), quota, replace=False)
+    return pool_a[k // len(pool_b)], pool_b[k % len(pool_b)]
 
 
 def generate_training_batch(
@@ -227,10 +177,8 @@ def generate_training_batch(
     n_similar = batch_size // 2
     n_dissimilar = batch_size - n_similar
 
-    sim_buckets = [(pools[c], pools[c]) for c in classes]
-    sim_caps = [len(pools[c]) * (len(pools[c]) - 1) // 2 for c in classes]
     combos = list(itertools.combinations(classes, 2))
-    dis_buckets = [(pools[a], pools[b]) for a, b in combos]
+    sim_caps = [len(pools[c]) * (len(pools[c]) - 1) // 2 for c in classes]
     dis_caps = [len(pools[a]) * len(pools[b]) for a, b in combos]
 
     sim_cap, dis_cap = sum(sim_caps), sum(dis_caps)
@@ -241,25 +189,16 @@ def generate_training_batch(
             f"({sim_cap} unique similar, {dis_cap} unique dissimilar)"
         )
 
-    seen: set[tuple[int, int]] = set()
-    sim_results = _fill_side(rng, sim_buckets, sim_caps, n_similar, seen)
-    dis_results = _fill_side(rng, dis_buckets, dis_caps, n_dissimilar, seen)
-
-    left, right, lcls, rcls, similar = [], [], [], [], []
-    for c, pairs in zip(classes, sim_results):
-        for i, j in pairs:
-            left.append(i)
-            right.append(j)
-            lcls.append(c)
-            rcls.append(c)
-            similar.append(True)
-    for (a, b), pairs in zip(combos, dis_results):
-        for i, j in pairs:
-            left.append(i)
-            right.append(j)
-            lcls.append(a)
-            rcls.append(b)
-            similar.append(False)
+    # buckets are disjoint, so pairs distinct within each bucket are
+    # distinct across the batch; _spread keeps every quota within capacity
+    buckets = [(c, c) for c in classes] + combos
+    quotas = _spread(n_similar, sim_caps) + _spread(n_dissimilar, dis_caps)
+    drawn = [_draw_bucket(rng, pools[a], pools[b], q) for (a, b), q in zip(buckets, quotas)]
+    left = np.concatenate([pair[0] for pair in drawn])
+    right = np.concatenate([pair[1] for pair in drawn])
+    lcls = np.repeat([a for a, _ in buckets], quotas)
+    rcls = np.repeat([b for _, b in buckets], quotas)
+    similar = np.arange(batch_size) < n_similar
 
     order = rng.permutation(batch_size)
     return PairBatch(
@@ -268,5 +207,5 @@ def generate_training_batch(
         np.asarray(right, dtype=np.int64)[order],
         np.asarray(lcls, dtype=np.int64)[order],
         np.asarray(rcls, dtype=np.int64)[order],
-        np.asarray(similar, dtype=bool)[order],
+        similar[order],
     )

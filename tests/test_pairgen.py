@@ -79,6 +79,19 @@ class TestQuotas:
         assert drawn == all_unique_pairs(small_pool)
 
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_full_similar_quota_draws_every_pair_once(self, n):
+        # similar capacity 2 * C(n,2) = n(n-1): both classes give up every pair
+        split = build_split({0: n, 1: n}, excluded_class=2, labelled=2, unlabelled=2)
+        batch = generate_training_batch(split, 2 * n * (n - 1), rng=n)
+        keys = batch_pair_keys(batch)
+        for c in (0, 1):
+            drawn = sorted(
+                key for key, cls, sim in zip(keys, batch.left_class, batch.similar)
+                if sim and cls == c
+            )
+            assert drawn == sorted(all_unique_pairs(split.training_pools[c]))
+
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(6))
     def test_uniqueness_provenance_balance(self, seed):
@@ -99,6 +112,23 @@ class TestInvariants:
         assert counts.n_dissimilar == b - b // 2
         excluded = set(split.excluded_labelled.tolist()) | set(split.excluded_unlabelled.tolist())
         assert not (set(batch.left_idx.tolist()) | set(batch.right_idx.tolist())) & excluded
+
+    def test_large_pools_sparse_draw(self):
+        # 20k-row pools: each bucket draws a few thousand of ~2e8 pair numbers
+        sizes = {0: 20000, 1: 20000, 3: 20000}
+        split = build_split(sizes, excluded_class=2, labelled=2, unlabelled=2,
+                            testing_sizes={c: 1 for c in sizes}, n_features=2)
+        batch = generate_training_batch(split, 30000, rng=17)
+        keys = batch_pair_keys(batch)
+        assert len(set(keys)) == len(keys) == 30000
+        assert all(a != b for a, b in keys)
+        for idx, cls in ((batch.left_idx, batch.left_class), (batch.right_idx, batch.right_class)):
+            assert np.array_equal(split.dataset.labels[idx], cls)   # provenance
+        allowed = set(split.training_indices().tolist())
+        assert set(batch.left_idx.tolist()) | set(batch.right_idx.tolist()) <= allowed
+        counts = pair_counts(batch)
+        assert counts.similar_by_class == {0: 5000, 1: 5000, 3: 5000}
+        assert counts.dissimilar_by_combination == {(0, 1): 5000, (0, 3): 5000, (1, 3): 5000}
 
     def test_similarity_matches_classes(self):
         split = build_split({0: 20, 1: 20, 3: 20}, excluded_class=2)
