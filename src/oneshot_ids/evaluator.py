@@ -2,7 +2,7 @@
 
 Each voting round pairs the instance under test with one random reference
 per class (retained classes reference their testing pools, the excluded
-class its labelled pool) and votes for the class at minimum embedding
+class its labelled pool; an instance is never its own reference) and votes for the class at minimum embedding
 distance. The modal class over j rounds wins; vote ties fall back to the
 lowest cumulative distance across rounds, then the lowest class index.
 
@@ -217,18 +217,26 @@ def _vote_rounds(
     j: int,
     rng: np.random.Generator,
     all_emb: np.ndarray,
+    own: tuple[int, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Classify a block of embedded instances with j voting rounds each.
 
     Reference draws consume the rng class by class so results are a pure
-    function of (split, j, seed).
+    function of (split, j, seed). `own` = (class, positions) names where
+    each instance sits in that class's reference pool; its references for
+    that class are drawn from the other rows of the pool, never itself.
     """
     q = len(x_emb)
     n = split.n_classes
     ref_idx = np.empty((q, j, n), dtype=np.int64)
     for c in range(n):
         pool = split.reference_pool(c)
-        ref_idx[:, :, c] = pool[rng.integers(0, len(pool), size=(q, j))]
+        if own is not None and own[0] == c:
+            positions = rng.integers(0, len(pool) - 1, size=(q, j))
+            positions += positions >= own[1][:, None]
+        else:
+            positions = rng.integers(0, len(pool), size=(q, j))
+        ref_idx[:, :, c] = pool[positions]
     predictions = np.empty(q, dtype=np.int64)
     for start in range(0, q, _CLASSIFY_CHUNK):
         stop = min(start + _CLASSIFY_CHUNK, q)
@@ -271,7 +279,10 @@ def evaluate(
     """Confusion matrix over floor(test_batch_size / N) instances per class.
 
     Evaluation instances are drawn with replacement: retained classes from
-    their testing pools, the excluded class from its unlabelled pool.
+    their testing pools, the excluded class from its unlabelled pool. A
+    retained class's testing pool is also its reference pool, so an
+    instance's own-class references come from the pool's other rows; the
+    pool needs at least 2.
     """
     _pool_check(split)
     if rng is None:
@@ -283,14 +294,20 @@ def evaluate(
     per_class = test_batch_size // n
     if per_class < 1:
         raise EvaluationError(f"test_batch_size {test_batch_size} too small for {n} classes")
+    for c in range(n):
+        need = 1 if c == split.excluded_class else 2
+        if len(split.evaluation_pool(c)) < need:
+            raise EvaluationError(
+                f"evaluation pool for class {ds.class_names[c]!r} has "
+                f"{len(split.evaluation_pool(c))} row(s); need at least {need}"
+            )
     all_emb = _embed_all(model, ds.matrix)
     counts = np.zeros((n, n), dtype=np.int64)
     for c in range(n):
         pool = split.evaluation_pool(c)
-        if len(pool) == 0:
-            raise EvaluationError(f"empty evaluation pool for class {ds.class_names[c]!r}")
-        instances = pool[rng.integers(0, len(pool), size=per_class)]
-        preds = _vote_rounds(all_emb[instances], split, vote.j, rng, all_emb)
+        positions = rng.integers(0, len(pool), size=per_class)
+        own = None if c == split.excluded_class else (c, positions)
+        preds = _vote_rounds(all_emb[pool[positions]], split, vote.j, rng, all_emb, own)
         counts[c] = np.bincount(preds, minlength=n)
     return ConfusionMatrix(counts, ds.class_names)
 

@@ -260,6 +260,26 @@ class TestEvaluate:
         assert np.array_equal(cm1.counts, cm2.counts)
 
 
+    def test_instance_never_its_own_reference(self):
+        # class 0's two testing rows sit 1.0 apart and 0.5 from class 1's
+        # references: only a self-reference (distance 0) could vote class 0
+        split = separated_split(n_classes=3, excluded=2, pool=2)
+        matrix = split.dataset.matrix
+        matrix[:] = 10.0
+        matrix[split.testing_pools[0], 0] = [0.0, 1.0]
+        matrix[split.testing_pools[1], 0] = 0.5
+        cm = evaluate(identity_model(matrix.shape[1]), split, 300, VoteConfig(1), rng=0)
+        assert cm.counts[0].tolist() == [0, 100, 0]
+
+    def test_single_row_testing_pool_rejected_before_any_draw(self):
+        split = separated_split(n_classes=3, excluded=2, pool=2)
+        split.testing_pools[1] = split.testing_pools[1][:1]
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(EvaluationError, match="'attack1' has 1 row"):
+            evaluate(identity_model(split.dataset.width), split, 30, VoteConfig(1), rng=rng)
+        assert rng.bit_generator.state == state
+
 class TestVoteSweep:
     def test_single_j(self):
         split = separated_split()
