@@ -170,8 +170,10 @@ def build_manifest(args: argparse.Namespace, need_out: bool = True) -> Experimen
     if isinstance(exclude, str):
         exclude = [v.strip() for v in exclude.split(",") if v.strip()]
 
-    votes = pick("votes")
-    votes = _parse_int_list(votes, "votes") if votes is not None else DEFAULT_VOTE_SWEEP
+    votes_text = pick("votes")
+    votes = DEFAULT_VOTE_SWEEP if votes_text is None else _parse_int_list(votes_text, "votes")
+    if not votes or min(votes) < 1 or len(set(votes)) < len(votes):
+        raise ManifestError(f"votes: expected distinct positive integers, got {votes_text!r}")
 
     try:
         loss = LossConfig(**settings(_LOSS_SETTINGS))

@@ -30,6 +30,10 @@ IGNORE = "ignore"
 
 _COLUMN_KINDS = (NUMERIC, CATEGORICAL, LABEL, IGNORE)
 
+# `load_dataset` turns parsed feature cells into arrays every this many rows,
+# which bounds the Python objects alive at once
+_LOAD_BLOCK_ROWS = 4096
+
 
 class SchemaError(ValueError):
     """Raised for malformed schema descriptor files."""
@@ -199,8 +203,8 @@ def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
     label_col = schema.label_index
     width = len(schema.columns)
 
-    # cells in row-major order; they become column arrays once the file is read
-    numbers: list[float] = []
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []
+    numbers: list[float] = []       # the current block's cells, row-major
     words: list[str] = []
     labels: list[str] = []
     with path.open(newline="", encoding="utf-8") as fh:
@@ -219,7 +223,7 @@ def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
                 # sum needs the test per cell
                 finite = math.isfinite(sum(parsed)) or all(map(math.isfinite, parsed))
             except ValueError:
-                if lineno == 1 and not labels:
+                if lineno == 1:
                     continue  # header line
                 finite = False
             if not finite:
@@ -231,15 +235,27 @@ def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
             numbers.extend(parsed)
             words.extend([record[i].strip() for i in categorical_cols])
             labels.append(schema.map_label(record[label_col].strip()))
+            if len(labels) % _LOAD_BLOCK_ROWS == 0:
+                blocks.append(_block_arrays(numbers, words, _LOAD_BLOCK_ROWS))
+                numbers, words = [], []
     if not labels:
         raise DatasetError(f"{path}: no records")
-    n = len(labels)
-    numeric = iter(np.array(numbers, dtype=np.float64).reshape(n, len(numeric_cols)).T.copy())
-    categorical = iter(np.array(words, dtype=np.str_).reshape(n, len(categorical_cols)).T.copy())
+    if len(labels) % _LOAD_BLOCK_ROWS:
+        blocks.append(_block_arrays(numbers, words, len(labels) % _LOAD_BLOCK_ROWS))
+    numeric, categorical = (iter(np.concatenate(part, axis=1)) for part in zip(*blocks))
     columns = tuple(
         next(numeric if col.kind == NUMERIC else categorical) for col in schema.feature_columns
     )
     return RawDataset(schema, columns, labels)
+
+
+def _block_arrays(numbers: list[float], words: list[str], rows: int) -> tuple[np.ndarray, ...]:
+    """A block's numeric and categorical cells as (columns, rows) arrays, in
+    C order so that each column is contiguous."""
+    return tuple(
+        np.ascontiguousarray(np.array(cells, dtype=dtype).reshape(rows, -1).T)
+        for cells, dtype in ((numbers, np.float64), (words, np.str_))
+    )
 
 
 def _is_finite(text: str) -> bool:

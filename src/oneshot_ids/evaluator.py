@@ -2,9 +2,10 @@
 
 Each voting round pairs the instance under test with one random reference
 per class (retained classes reference their testing pools, the excluded
-class its labelled pool; an instance is never its own reference) and votes for the class at minimum embedding
-distance. The modal class over j rounds wins; vote ties fall back to the
-lowest cumulative distance across rounds, then the lowest class index.
+class its labelled pool; an instance is never its own reference) and
+votes for the class at minimum embedding distance. The modal class over j
+rounds wins; vote ties fall back to the lowest cumulative distance across
+rounds, then the lowest class index.
 
 The confusion matrix puts the benign class in row/column 0 followed by the
 attack classes. Derived rates use full-row denominators: per attack class,
@@ -260,10 +261,7 @@ def classify_instance(
 ) -> int:
     """Predict the class of one feature vector by nearest-pair voting."""
     _pool_check(split)
-    if rng is None:
-        rng = np.random.default_rng(vote.seed)
-    elif isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(vote.seed if rng is None else rng)
     x_emb = embed(model, np.asarray(x, dtype=float))[None, :]
     all_emb = _embed_all(model, split.dataset.matrix)
     return int(_vote_rounds(x_emb, split, vote.j, rng, all_emb)[0])
@@ -285,21 +283,18 @@ def evaluate(
     pool needs at least 2.
     """
     _pool_check(split)
-    if rng is None:
-        rng = np.random.default_rng(vote.seed)
-    elif isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(vote.seed if rng is None else rng)
     ds = split.dataset
     n = split.n_classes
     per_class = test_batch_size // n
     if per_class < 1:
         raise EvaluationError(f"test_batch_size {test_batch_size} too small for {n} classes")
     for c in range(n):
+        size = len(split.evaluation_pool(c))
         need = 1 if c == split.excluded_class else 2
-        if len(split.evaluation_pool(c)) < need:
+        if size < need:
             raise EvaluationError(
-                f"evaluation pool for class {ds.class_names[c]!r} has "
-                f"{len(split.evaluation_pool(c))} row(s); need at least {need}"
+                f"evaluation pool for class {ds.class_names[c]!r} has {size} row(s); need {need}"
             )
     all_emb = _embed_all(model, ds.matrix)
     counts = np.zeros((n, n), dtype=np.int64)

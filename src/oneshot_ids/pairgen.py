@@ -4,14 +4,12 @@ A batch of size B holds floor(B/2) similar pairs (split evenly across the
 training classes) and ceil(B/2) dissimilar pairs (split evenly across all
 unordered class combinations). Pairs are unique within a batch, never pair
 an instance with itself, and are drawn exclusively from training pools.
-Classes too small to fill their quota contribute every unique pair they
-have; the remainder is redistributed round-robin over the other buckets so
-the half-half contract survives heavy class imbalance.
-
-Sampling is exact: a bucket (one class for similar pairs, one class
-combination for dissimilar pairs) numbers its unique pairs and draws its
-quota of pair numbers once, without replacement. There is no rejection
-and no failure cap, so every quota is met on the first draw.
+Sampling is exact: each bucket (a class, or a class combination) draws its
+quota once, without replacement, from its numbered unique pairs, so there
+is no rejection and no failure cap. Classes too small to fill their quota
+contribute every unique pair they have; the remainder is redistributed
+round-robin over the other buckets so the half-half contract survives
+heavy class imbalance.
 
 A pair's target is its entry in the batch's bool `similar` mask; the
 losses read it as 1.0 (similar) or 0.0 (dissimilar).
@@ -138,11 +136,10 @@ def _draw_bucket(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw `quota` distinct pairs from one bucket, without replacement.
 
-    A similar bucket passes one pool twice. Its n(n-1)/2 unordered pairs
-    are numbered by cyclic offset: k -> (i, (i + 1 + k // n) % n) with
-    i = k % n, which covers offsets 1 .. floor((n-1)/2) from every i and,
-    for even n, offset n/2 from the first n/2 positions. A dissimilar
-    bucket numbers pool_a x pool_b row-major.
+    A similar bucket passes one pool twice; pair k of its n(n-1)/2 is
+    (i, (i + 1 + k // n) % n) with i = k % n: every offset below n/2 from
+    each i, then for even n offset n/2 from the first n/2 positions. A
+    dissimilar bucket numbers pool_a x pool_b row-major.
     """
     if pool_a is pool_b:
         n = len(pool_a)
@@ -164,8 +161,7 @@ def generate_training_batch(
     built first, then the dissimilar block, then the assembled batch is
     shuffled once.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)   # a Generator passes through unchanged
     classes = split.training_classes
     k = len(classes)
     if k < 2:
@@ -194,10 +190,8 @@ def generate_training_batch(
     buckets = [(c, c) for c in classes] + combos
     quotas = _spread(n_similar, sim_caps) + _spread(n_dissimilar, dis_caps)
     drawn = [_draw_bucket(rng, pools[a], pools[b], q) for (a, b), q in zip(buckets, quotas)]
-    left = np.concatenate([pair[0] for pair in drawn])
-    right = np.concatenate([pair[1] for pair in drawn])
-    lcls = np.repeat([a for a, _ in buckets], quotas)
-    rcls = np.repeat([b for _, b in buckets], quotas)
+    left, right = (np.concatenate(side) for side in zip(*drawn))
+    lcls, rcls = (np.repeat(side, quotas) for side in zip(*buckets))
     similar = np.arange(batch_size) < n_similar
 
     order = rng.permutation(batch_size)

@@ -8,6 +8,7 @@ given the config seed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -48,6 +49,10 @@ class TrainingConfig:
                 raise ValueError(f"{name} must be positive")
         if self.minibatch_size > self.train_batch_size:
             raise ValueError("minibatch_size cannot exceed train_batch_size")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
 
     def with_overrides(self, **kwargs) -> "TrainingConfig":
         return replace(self, **kwargs)

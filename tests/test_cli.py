@@ -366,12 +366,16 @@ class TestManifestParsing:
             with pytest.raises(cli.ManifestError, match=f"{key}: expected true or false"):
                 build(tmp_path, synthetic_files, **{key: text})
 
-    def test_bad_votes_value(self, synthetic_files, tmp_path):
+    def test_bad_votes_value(self, synthetic_files, tmp_path, capsys):
         csv_path, schema_path = synthetic_files
-        manifest = write_manifest(
-            tmp_path, csv_path, schema_path, tmp_path / "out", votes="1;5"
-        )
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, csv_path, schema_path, out, votes="1;5")
         assert run_cli("run", "--manifest", str(manifest)) == 2
+        # empty, non-positive or repeated j values stop the run before training
+        for votes in (",", "0,5", "-1", "5,5"):
+            assert run_cli("run", "--manifest", str(manifest), "--votes", votes) == 2
+            assert "votes" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_reference_rejected(self, synthetic_files, tmp_path):
         csv_path, schema_path = synthetic_files

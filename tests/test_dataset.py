@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oneshot_ids import dataset
 from oneshot_ids.dataset import (
     CATEGORICAL,
     LABEL,
@@ -104,6 +105,32 @@ class TestLoad:
         path = write_csv(tmp_path, "\n".join(f"{i},0,normal" for i in range(20)) + "\n")
         raw = load_dataset(path, two_feature_schema())
         assert raw.columns[0].tolist() == [float(i) for i in range(20)]
+
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    @pytest.mark.parametrize("numeric", [True, False], ids=["mixed", "no-numeric"])
+    def test_block_boundaries_change_nothing(self, tmp_path, monkeypatch, block_rows, numeric):
+        # category widths grow across blocks, so the blocks' str dtypes
+        # differ and must widen when joined
+        columns = [Column("proto", CATEGORICAL), Column("label", LABEL)]
+        if numeric:
+            columns = [Column("x", NUMERIC), *columns, Column("y", NUMERIC)]
+        schema = Schema(tuple(columns), normal_label="normal")
+        lines = []
+        for i in range(10):
+            cells = {"proto": "p" * (1 + i), "label": "normal" if i % 2 else "attack" + "k" * i}
+            lines.append(",".join(cells.get(c.name, f"{i}.5") for c in columns))
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        whole = load_dataset(path, schema)
+        monkeypatch.setattr(dataset, "_LOAD_BLOCK_ROWS", block_rows)
+        blocked = load_dataset(path, schema)
+        assert len(blocked.columns) == len(whole.columns)
+        for got, expected in zip((*blocked.columns, blocked.labels), (*whole.columns, whole.labels)):
+            assert got.dtype == expected.dtype and got.flags.c_contiguous
+            assert np.array_equal(got, expected)
+        if numeric:
+            path.write_text(path.read_text().replace("8.5", "oops"), encoding="utf-8")
+            with pytest.raises(DatasetError, match="row 9: column 'x': 'oops'"):
+                load_dataset(path, schema)
 
 
 class TestSchema:

@@ -84,6 +84,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="n_epochs"):
             TrainingConfig(n_epochs=0)
 
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            ({"learning_rate": 0.0}, "learning_rate"),
+            ({"learning_rate": -0.01}, "learning_rate"),
+            ({"learning_rate": float("inf")}, "learning_rate"),
+            ({"learning_rate": float("nan")}, "learning_rate"),
+            ({"momentum": 1.0}, "momentum"),
+            ({"momentum": -0.1}, "momentum"),
+        ],
+        ids=["lr-zero", "lr-negative", "lr-inf", "lr-nan", "momentum-one", "momentum-negative"],
+    )
+    def test_config_rejects_bad_step_settings(self, overrides, name):
+        with pytest.raises(ValueError, match=name):
+            TrainingConfig(**overrides)
+
     def test_config_rejects_oversized_minibatch(self):
         with pytest.raises(ValueError, match="minibatch_size"):
             TrainingConfig(train_batch_size=100, minibatch_size=200)
