@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .dataset import DatasetError, SchemaError, load_dataset, load_schema, prepare_experiment
@@ -389,7 +389,7 @@ def cmd_seed_report(args: argparse.Namespace) -> int:
     report_j = _report_j(manifest.votes)
     accuracies = []
     for seed in seeds:
-        cfg = manifest.training.with_overrides(seed=seed)
+        cfg = replace(manifest.training, seed=seed)
         _, _, rows = _train_and_sweep(raw, excluded, cfg, (report_j,))
         accuracies.append(rows[0].report.overall_accuracy)
         print(f"seed {seed}: overall accuracy {100.0 * accuracies[-1]:.2f}%")

@@ -190,10 +190,10 @@ class RawDataset:
 def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
     """Read a comma-separated dataset file into columns.
 
-    Row order is preserved. A first line whose numeric fields fail to parse
-    is treated as a header and skipped; any later malformed row, and any
-    non-finite numeric cell (``inf``, ``nan``), is an error naming its line
-    number and column.
+    Row order is preserved. A first line whose numeric fields fail to parse,
+    or whose fields are the schema's column names in order, is treated as a
+    header and skipped; any later malformed row, and any non-finite numeric
+    cell (``inf``, ``nan``), is an error naming its line number and column.
     """
     path = Path(path)
     if not path.exists():
@@ -201,7 +201,8 @@ def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
     numeric_cols = [i for i, c in enumerate(schema.columns) if c.kind == NUMERIC]
     categorical_cols = [i for i, c in enumerate(schema.columns) if c.kind == CATEGORICAL]
     label_col = schema.label_index
-    width = len(schema.columns)
+    names = [c.name for c in schema.columns]
+    width = len(names)
 
     blocks: list[tuple[np.ndarray, np.ndarray]] = []
     numbers: list[float] = []       # the current block's cells, row-major
@@ -216,6 +217,8 @@ def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
                 raise DatasetError(
                     f"{path}: row {lineno}: expected {width} fields, got {len(record)}"
                 )
+            if lineno == 1 and [f.strip() for f in record] == names:
+                continue  # header line, even without a numeric column
             try:
                 # float() ignores the blanks around a field
                 parsed = [float(record[i]) for i in numeric_cols]
@@ -298,15 +301,6 @@ class Encoder:
             offset += c.width
         return out
 
-    def feature_names(self) -> list[str]:
-        names = []
-        for c in self.columns:
-            if c.kind == NUMERIC:
-                names.append(c.name)
-            else:
-                names.extend(f"{c.name}={v}" for v in c.values)
-        return names
-
     def transform(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         """Encode feature columns, in schema feature order, into an (n, width) matrix."""
         out = np.zeros((len(columns[0]), self.width))
@@ -367,10 +361,6 @@ class EncodedDataset:
     @property
     def width(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def attack_classes(self) -> tuple[int, ...]:
-        return tuple(range(1, self.n_classes))
 
     def instances_of(self, class_index: int) -> np.ndarray:
         return np.flatnonzero(self.labels == class_index)
@@ -468,15 +458,18 @@ def prepare_experiment(
         raise DatasetError(f"excluded class index {excluded_class} out of range")
     if excluded_class == EncodedDataset.NORMAL_CLASS:
         raise DatasetError("cannot exclude benign class")
+    # a retained class's testing pool needs 2 rows (an instance is never its
+    # own reference), the excluded class's unlabelled pool 1
+    for c, count in enumerate(np.bincount(labels, minlength=len(class_names))):
+        need = 2 if c == excluded_class else 4
+        if count < need:
+            raise DatasetError(
+                f"class {class_names[c]!r} has {count} instance(s); need at least {need}"
+            )
     rng = stream_rng(seed, SPLIT_STREAM)
     training, testing = {}, {}
-    for c, name in enumerate(class_names):
-        members = np.flatnonzero(labels == c)
-        if len(members) < 2:
-            raise DatasetError(
-                f"class {name!r} has {len(members)} instance(s); need at least 2 to split"
-            )
-        first, second = _halve(members, rng)
+    for c in range(len(class_names)):
+        first, second = _halve(np.flatnonzero(labels == c), rng)
         if c == excluded_class:
             labelled, unlabelled = first, second
         else:

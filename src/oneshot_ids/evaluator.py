@@ -37,7 +37,6 @@ class EvaluationError(ValueError):
 @dataclass(frozen=True)
 class VoteConfig:
     j: int = 5
-    seed: int | None = None
 
     def __post_init__(self):
         if self.j < 1:
@@ -189,20 +188,25 @@ def metrics(cm: ConfusionMatrix, excluded_class: int | str | None = None) -> Met
     )
 
 
-def _pool_check(split: ExperimentSplit) -> None:
-    for c in range(split.n_classes):
-        if len(split.reference_pool(c)) == 0:
-            raise EvaluationError(
-                f"empty reference pool for class {split.dataset.class_names[c]!r}"
-            )
-
-
 def _embed_all(model: SiameseModel, matrix: np.ndarray) -> np.ndarray:
     parts = [
         embed(model, matrix[start:start + _EMBED_CHUNK])
         for start in range(0, len(matrix), _EMBED_CHUNK)
     ]
     return np.vstack(parts)
+
+
+def _reference_embeddings(model: SiameseModel, split: ExperimentSplit) -> list[np.ndarray]:
+    """Each class's reference pool embedded once, in pool order."""
+    refs = []
+    for c in range(split.n_classes):
+        pool = split.reference_pool(c)
+        if len(pool) == 0:
+            raise EvaluationError(
+                f"empty reference pool for class {split.dataset.class_names[c]!r}"
+            )
+        refs.append(_embed_all(model, split.dataset.matrix[pool]))
+    return refs
 
 
 def _majority_winner(votes: np.ndarray, cumdist: np.ndarray) -> np.ndarray:
@@ -214,41 +218,39 @@ def _majority_winner(votes: np.ndarray, cumdist: np.ndarray) -> np.ndarray:
 
 def _vote_rounds(
     x_emb: np.ndarray,
-    split: ExperimentSplit,
+    refs: list[np.ndarray],
     j: int,
     rng: np.random.Generator,
-    all_emb: np.ndarray,
     own: tuple[int, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Classify a block of embedded instances with j voting rounds each.
 
-    Reference draws consume the rng class by class so results are a pure
-    function of (split, j, seed). `own` = (class, positions) names where
-    each instance sits in that class's reference pool; its references for
-    that class are drawn from the other rows of the pool, never itself.
+    `refs[c]` holds class c's embedded reference pool. Reference draws
+    consume the rng class by class so results are a pure function of
+    (split, j, seed). `own` = (class, positions) names where each instance
+    sits in that class's reference pool; its references for that class
+    are drawn from the other rows of the pool, never itself.
     """
     q = len(x_emb)
-    n = split.n_classes
-    ref_idx = np.empty((q, j, n), dtype=np.int64)
-    for c in range(n):
-        pool = split.reference_pool(c)
+    n = len(refs)
+    drawn = []
+    for c, pool in enumerate(refs):
         if own is not None and own[0] == c:
             positions = rng.integers(0, len(pool) - 1, size=(q, j))
             positions += positions >= own[1][:, None]
         else:
             positions = rng.integers(0, len(pool), size=(q, j))
-        ref_idx[:, :, c] = pool[positions]
+        drawn.append(positions)
     predictions = np.empty(q, dtype=np.int64)
     for start in range(0, q, _CLASSIFY_CHUNK):
-        stop = min(start + _CLASSIFY_CHUNK, q)
-        refs = all_emb[ref_idx[start:stop]]              # (b, j, n, E)
-        diffs = refs - x_emb[start:stop, None, None, :]
-        dist = np.linalg.norm(diffs, axis=-1)            # (b, j, n)
-        nearest = np.argmin(dist, axis=-1)               # (b, j)
-        votes = np.zeros((stop - start, n), dtype=np.int64)
-        for c in range(n):
-            votes[:, c] = np.sum(nearest == c, axis=1)
-        predictions[start:stop] = _majority_winner(votes, dist.sum(axis=1))
+        block = slice(start, start + _CLASSIFY_CHUNK)
+        x = x_emb[block, None, :]
+        dist = np.stack(                                 # (b, j, n)
+            [np.linalg.norm(pool[p[block]] - x, axis=-1) for pool, p in zip(refs, drawn)],
+            axis=-1,
+        )
+        votes = np.sum(np.argmin(dist, axis=-1)[..., None] == np.arange(n), axis=1)
+        predictions[block] = _majority_winner(votes, dist.sum(axis=1))
     return predictions
 
 
@@ -257,14 +259,12 @@ def classify_instance(
     x: np.ndarray,
     split: ExperimentSplit,
     vote: VoteConfig,
-    rng: int | np.random.Generator | None = None,
+    rng: int | np.random.Generator,
 ) -> int:
     """Predict the class of one feature vector by nearest-pair voting."""
-    _pool_check(split)
-    rng = np.random.default_rng(vote.seed if rng is None else rng)
+    refs = _reference_embeddings(model, split)
     x_emb = embed(model, np.asarray(x, dtype=float))[None, :]
-    all_emb = _embed_all(model, split.dataset.matrix)
-    return int(_vote_rounds(x_emb, split, vote.j, rng, all_emb)[0])
+    return int(_vote_rounds(x_emb, refs, vote.j, np.random.default_rng(rng))[0])
 
 
 def evaluate(
@@ -272,7 +272,7 @@ def evaluate(
     split: ExperimentSplit,
     test_batch_size: int,
     vote: VoteConfig,
-    rng: int | np.random.Generator | None = None,
+    rng: int | np.random.Generator,
 ) -> ConfusionMatrix:
     """Confusion matrix over floor(test_batch_size / N) instances per class.
 
@@ -280,10 +280,11 @@ def evaluate(
     their testing pools, the excluded class from its unlabelled pool. A
     retained class's testing pool is also its reference pool, so an
     instance's own-class references come from the pool's other rows; the
-    pool needs at least 2.
+    pool needs at least 2. Only the reference pools and the excluded
+    class's unlabelled pool are embedded, each once.
     """
-    _pool_check(split)
-    rng = np.random.default_rng(vote.seed if rng is None else rng)
+    refs = _reference_embeddings(model, split)
+    rng = np.random.default_rng(rng)
     ds = split.dataset
     n = split.n_classes
     per_class = test_batch_size // n
@@ -296,13 +297,14 @@ def evaluate(
             raise EvaluationError(
                 f"evaluation pool for class {ds.class_names[c]!r} has {size} row(s); need {need}"
             )
-    all_emb = _embed_all(model, ds.matrix)
     counts = np.zeros((n, n), dtype=np.int64)
     for c in range(n):
-        pool = split.evaluation_pool(c)
-        positions = rng.integers(0, len(pool), size=per_class)
-        own = None if c == split.excluded_class else (c, positions)
-        preds = _vote_rounds(all_emb[pool[positions]], split, vote.j, rng, all_emb, own)
+        retained = c != split.excluded_class
+        # a retained class's evaluation pool is its reference pool
+        pool_emb = refs[c] if retained else _embed_all(model, ds.matrix[split.evaluation_pool(c)])
+        positions = rng.integers(0, len(pool_emb), size=per_class)
+        own = (c, positions) if retained else None
+        preds = _vote_rounds(pool_emb[positions], refs, vote.j, rng, own)
         counts[c] = np.bincount(preds, minlength=n)
     return ConfusionMatrix(counts, ds.class_names)
 

@@ -15,8 +15,8 @@ Activation derivatives are read from the stored activations.
 
 * contrastive: similar pairs contribute d^2, dissimilar pairs
   max(margin - d, 0)^2; the batch loss is the sum over pairs.
-* regularized_log: the distance is mapped to a similarity s in (0, 1)
-  (default exp(-d)), the batch loss is the negated log-likelihood
+* regularized_log: the distance is mapped to a similarity s = exp(-d)
+  in (0, 1], the batch loss is the negated log-likelihood
   -sum(y log s + (1-y) log(1-s)) plus an L2 weight penalty added once
   per batch.
 
@@ -49,18 +49,12 @@ _ACTIVATIONS = {
     "linear": (lambda z: z, np.ones_like),
 }
 
-# distance -> similarity maps for the regularized log loss: (f, df/dd)
-_SIMILARITY_MAPS = {
-    "exp_neg": (lambda d: np.exp(-d), lambda d: -np.exp(-d)),
-}
-
 
 @dataclass(frozen=True)
 class LossConfig:
     kind: str = CONTRASTIVE
     margin: float = 1.0
     l2: float = 1e-4
-    similarity_map: str = "exp_neg"
 
     def __post_init__(self):
         if self.kind not in (CONTRASTIVE, REGULARIZED_LOG):
@@ -69,8 +63,6 @@ class LossConfig:
             raise ValueError("contrastive loss requires margin > 0")
         if self.l2 < 0:
             raise ValueError("l2 coefficient must be nonnegative")
-        if self.similarity_map not in _SIMILARITY_MAPS:
-            raise ValueError(f"unknown similarity map {self.similarity_map!r}")
 
 
 @dataclass
@@ -181,13 +173,12 @@ def _pair_terms(d: np.ndarray, y: np.ndarray, loss: LossConfig, model: SiameseMo
             repel = np.where(d > 0.0, slack / d, 0.0)
         coeff = 2.0 * y - 2.0 * (1.0 - y) * repel
         return losses, coeff, 0.0
-    sim_map, sim_map_deriv = _SIMILARITY_MAPS[loss.similarity_map]
-    raw = sim_map(d)
+    raw = np.exp(-d)
     s = np.clip(raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
     losses = -(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))
     clamped = (raw <= CLAMP_EPS) | (raw >= 1.0 - CLAMP_EPS)
     dl_ds = np.where(clamped, 0.0, -(y / s - (1.0 - y) / (1.0 - s)))
-    dl_dd = dl_ds * sim_map_deriv(d)
+    dl_dd = dl_ds * -raw
     with np.errstate(divide="ignore", invalid="ignore"):
         coeff = np.where(d > 0.0, dl_dd / d, 0.0)
     penalty = loss.l2 * sum(float(np.sum(w**2)) for w in model.weights)

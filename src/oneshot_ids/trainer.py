@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -53,9 +53,6 @@ class TrainingConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
-
-    def with_overrides(self, **kwargs) -> "TrainingConfig":
-        return replace(self, **kwargs)
 
 
 @dataclass

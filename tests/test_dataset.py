@@ -60,6 +60,13 @@ class TestLoad:
         raw = load_dataset(path, two_feature_schema())
         assert len(raw) == 2
 
+    def test_header_of_column_names_skipped_without_numeric_column(self, tmp_path):
+        schema = Schema((Column("proto", CATEGORICAL), Column("label", LABEL)), normal_label="normal")
+        path = write_csv(tmp_path, " proto , label\ntcp,normal\nproto,label\n")
+        raw = load_dataset(path, schema)
+        assert raw.labels.tolist() == ["normal", "label"]  # only line 1 can be a header
+        assert raw.columns[0].tolist() == ["tcp", "proto"]
+
     def test_wrong_arity_names_row(self, tmp_path):
         path = write_csv(tmp_path, "1.0,2.0,normal\n3.0,attack\n")
         with pytest.raises(DatasetError, match="row 2.*expected 3 fields, got 2"):
@@ -417,6 +424,20 @@ class TestSplit:
         raw = self.make_raw({"normal": 10, "tiny": 1, "b": 10})
         with pytest.raises(DatasetError, match="'tiny'"):
             prepare_experiment(raw, "b", seed=0)
+
+    @pytest.mark.parametrize("size, excluded, need", [(2, "b", 4), (3, "b", 4), (1, "tiny", 2)])
+    def test_too_small_class_rejected_with_count_and_need(self, size, excluded, need):
+        # a retained class of 2 or 3 rows would leave a 1-row testing pool
+        raw = self.make_raw({"normal": 10, "tiny": size, "b": 10})
+        message = f"class 'tiny' has {size} instance\\(s\\); need at least {need}"
+        with pytest.raises(DatasetError, match=message):
+            prepare_experiment(raw, excluded, seed=0)
+
+    def test_smallest_classes_accepted(self):
+        raw = self.make_raw({"normal": 4, "a": 4, "tiny": 2})
+        _, split = prepare_experiment(raw, "tiny", seed=0)
+        assert [len(p) for p in split.testing_pools.values()] == [2, 2]
+        assert len(split.excluded_unlabelled) == 1
 
     def test_out_of_range_class(self):
         raw = self.make_raw({"normal": 10, "a": 10, "b": 10})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oneshot_ids import evaluator
 from oneshot_ids.evaluator import (
     ConfusionMatrix,
     EvaluationError,
@@ -32,6 +33,59 @@ def published_cm(fixture):
 def separated_split(n_classes=4, excluded=1, pool=12):
     sizes = {c: pool for c in range(n_classes) if c != excluded}
     return build_split(sizes, excluded_class=excluded, labelled=pool, unlabelled=pool)
+
+
+def whole_dataset_vote_rounds(x_emb, split, j, rng, all_emb, own=None):
+    """Voting as it was done before the reference pools were embedded on
+    their own: references are looked up in an embedding of every dataset
+    row through a (q, j, n) table of row indices."""
+    q, n = len(x_emb), split.n_classes
+    ref_idx = np.empty((q, j, n), dtype=np.int64)
+    for c in range(n):
+        pool = split.reference_pool(c)
+        if own is not None and own[0] == c:
+            positions = rng.integers(0, len(pool) - 1, size=(q, j))
+            positions += positions >= own[1][:, None]
+        else:
+            positions = rng.integers(0, len(pool), size=(q, j))
+        ref_idx[:, :, c] = pool[positions]
+    dist = np.linalg.norm(all_emb[ref_idx] - x_emb[:, None, None, :], axis=-1)   # (q, j, n)
+    nearest = np.argmin(dist, axis=-1)
+    votes = np.zeros((q, n), dtype=np.int64)
+    for c in range(n):
+        votes[:, c] = np.sum(nearest == c, axis=1)
+    return _majority_winner(votes, dist.sum(axis=1))
+
+
+def whole_dataset_evaluate(model, split, test_batch_size, j, rng):
+    """Confusion counts from `whole_dataset_vote_rounds`, drawing in
+    `evaluate`'s order."""
+    rng = np.random.default_rng(rng)
+    n = split.n_classes
+    all_emb = embed(model, split.dataset.matrix)
+    counts = np.zeros((n, n), dtype=np.int64)
+    for c in range(n):
+        pool = split.evaluation_pool(c)
+        positions = rng.integers(0, len(pool), size=test_batch_size // n)
+        own = None if c == split.excluded_class else (c, positions)
+        preds = whole_dataset_vote_rounds(all_emb[pool[positions]], split, j, rng, all_emb, own)
+        counts[c] = np.bincount(preds, minlength=n)
+    return counts
+
+
+def record_embedded_rows(monkeypatch, ds):
+    """Dataset row index of every row the evaluator embeds, in call order
+    (-1 for a vector that is no dataset row)."""
+    row_of = {row.tobytes(): i for i, row in enumerate(ds.matrix)}
+    assert len(row_of) == len(ds.matrix)
+    embedded = []
+
+    def recording_embed(model, x):
+        embedded.extend(row_of.get(row.tobytes(), -1) for row in np.atleast_2d(x))
+        return embed(model, x)
+
+    monkeypatch.setattr(evaluator, "embed", recording_embed)
+    return embedded
 
 
 class TestMetrics:
@@ -206,14 +260,25 @@ class TestClassify:
         with pytest.raises(ValueError, match="at least 1"):
             VoteConfig(0)
 
-    def test_vote_config_seed_fallback(self):
+    def test_int_seed_and_generator_agree(self):
         split = separated_split()
         ds = split.dataset
         model = init_model([ds.width, 4, 3], rng=2)
-        vote = VoteConfig(3, seed=55)
-        first = classify_instance(model, ds.matrix[0], split, vote)
-        second = classify_instance(model, ds.matrix[0], split, vote)
-        assert first == second
+        for i in range(6):
+            first = classify_instance(model, ds.matrix[i], split, VoteConfig(3), rng=55)
+            second = classify_instance(
+                model, ds.matrix[i], split, VoteConfig(3), rng=np.random.default_rng(55)
+            )
+            assert first == second
+
+    def test_embeds_reference_pools_only(self, monkeypatch):
+        split = separated_split(excluded=2)
+        ds = split.dataset
+        embedded = record_embedded_rows(monkeypatch, ds)
+        x = np.full(ds.width, 0.5)
+        classify_instance(identity_model(ds.width), x, split, VoteConfig(5), rng=0)
+        references = np.concatenate([split.reference_pool(c) for c in range(split.n_classes)])
+        assert sorted(embedded) == [-1, *sorted(references)]
 
 
 class TestEvaluate:
@@ -279,6 +344,39 @@ class TestEvaluate:
         with pytest.raises(EvaluationError, match="'attack1' has 1 row"):
             evaluate(identity_model(split.dataset.width), split, 30, VoteConfig(1), rng=rng)
         assert rng.bit_generator.state == state
+
+    def test_empty_labelled_pool_error(self):
+        split = separated_split()
+        split.excluded_labelled = np.array([], dtype=np.int64)
+        with pytest.raises(EvaluationError, match="empty reference pool for class 'attack1'"):
+            evaluate(identity_model(split.dataset.width), split, 40, VoteConfig(1), rng=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("j", [1, 5, 30])
+    def test_matches_whole_dataset_reference(self, j, seed):
+        # attack2's testing pool has 2 rows, so each of its instances has
+        # exactly one own-class reference: the edge of the own-row shift
+        split = build_split(
+            {0: 6, 2: 5, 3: 4}, excluded_class=1, labelled=3, unlabelled=5,
+            testing_sizes={0: 7, 2: 2, 3: 5},
+        )
+        # rows without class structure, so every vote turns on which
+        # references were drawn
+        matrix = split.dataset.matrix
+        matrix[:] = np.random.default_rng(seed).uniform(size=matrix.shape)
+        model = init_model([split.dataset.width, 5, 3], rng=seed)
+        cm = evaluate(model, split, 400, VoteConfig(j), rng=seed)
+        assert np.array_equal(cm.counts, whole_dataset_evaluate(model, split, 400, j, seed))
+
+    def test_embeds_no_training_row_and_each_pool_row_once(self, monkeypatch):
+        split = separated_split(excluded=2)
+        ds = split.dataset
+        embedded = record_embedded_rows(monkeypatch, ds)
+        evaluate(identity_model(ds.width), split, 40, VoteConfig(5), rng=0)
+        counts = np.bincount(embedded, minlength=len(ds.matrix))
+        assert counts.max() == 1
+        assert not counts[split.training_indices()].any()
+
 
 class TestVoteSweep:
     def test_single_j(self):

@@ -352,10 +352,6 @@ class TestRegularizedLogLoss:
         with pytest.raises(ValueError, match="loss kind"):
             LossConfig(kind="hinge")
 
-    def test_similarity_map_validation(self):
-        with pytest.raises(ValueError, match="similarity map"):
-            LossConfig(kind=REGULARIZED_LOG, similarity_map="inverse")
-
     def test_negative_l2_rejected(self):
         with pytest.raises(ValueError, match="l2"):
             LossConfig(l2=-0.1)
