@@ -182,10 +182,6 @@ class RawDataset:
         order = np.argsort(observed != self.schema.normal_label, kind="stable")
         return tuple(observed[order].tolist()), np.argsort(order)[inverse]
 
-    def class_counts(self) -> dict[str, int]:
-        names, counts = np.unique(self.labels, return_counts=True)
-        return dict(zip(names.tolist(), counts.tolist()))
-
 
 def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
     """Read a comma-separated dataset file into columns.
@@ -311,8 +307,14 @@ class Encoder:
                 if col.hi > col.lo:
                     out[:, offset] = np.clip((values - col.lo) / (col.hi - col.lo), 0.0, 1.0)
             else:
-                # an unseen category encodes as an all-zeros group
-                out[:, offset:offset + col.width] = values[:, None] == np.array(col.values)
+                # a declared vocabulary need not be sorted; an unseen
+                # category encodes as an all-zeros group
+                vocabulary = np.array(col.values)
+                order = np.argsort(vocabulary)
+                at = np.searchsorted(vocabulary, values, sorter=order)
+                level = order[np.minimum(at, len(order) - 1)]
+                seen = np.flatnonzero(vocabulary[level] == values)
+                out[seen, offset + level[seen]] = 1.0
             offset += col.width
         return out
 
@@ -374,9 +376,15 @@ class EncodedDataset:
 
 def encode(raw: RawDataset, encoder: Encoder) -> EncodedDataset:
     """Transform every row of `raw` with a fitted encoder."""
+    return _encode(raw, encoder, *raw.class_labels())
+
+
+def _encode(
+    raw: RawDataset, encoder: Encoder, class_names: tuple[str, ...], labels: np.ndarray
+) -> EncodedDataset:
+    """`encode` with the class inventory and label codes of `raw.class_labels()`."""
     if raw.schema.normal_label is None:
         raise DatasetError("schema does not designate the benign class (missing 'normal' directive)")
-    class_names, labels = raw.class_labels()
     if raw.schema.normal_label not in class_names:
         raise DatasetError(f"benign class {raw.schema.normal_label!r} has no instances")
     matrix = encoder.transform(raw.columns)
@@ -476,6 +484,6 @@ def prepare_experiment(
             training[c], testing[c] = first, second
     fit_rows = np.sort(np.concatenate([training[c] for c in sorted(training)]))
     encoder = fit_encoder(raw, fit_rows)
-    ds = encode(raw, encoder)
+    ds = _encode(raw, encoder, class_names, labels)
     split = ExperimentSplit(ds, excluded_class, training, testing, labelled, unlabelled)
     return ds, split

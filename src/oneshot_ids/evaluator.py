@@ -263,7 +263,7 @@ def classify_instance(
 ) -> int:
     """Predict the class of one feature vector by nearest-pair voting."""
     refs = _reference_embeddings(model, split)
-    x_emb = embed(model, np.asarray(x, dtype=float))[None, :]
+    x_emb = embed(model, x)[None, :]
     return int(_vote_rounds(x_emb, refs, vote.j, np.random.default_rng(rng))[0])
 
 

@@ -11,6 +11,13 @@ pair gradient down as +g for the left half and -g for the right half, so
 both twins' contributions land in the shared parameters together.
 Activation derivatives are read from the stored activations.
 
+Every step and every embedding runs in the weights' dtype (the trainer
+uses float32; `init_model` draws float64): input rows are cast to it, and
+activations, gradients and momentum stay in it. Only `_pair_terms` works in
+float64, on the per-pair distance vector, because in float32
+1 - CLAMP_EPS rounds to 1. Activations are computed in place on the fresh
+pre-activation, and gradient scaling and the momentum update are in place.
+
 `_pair_terms` is the one loss formula, for two losses:
 
 * contrastive: similar pairs contribute d^2, dissimilar pairs
@@ -31,6 +38,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from .pairgen import PairBatch
 
@@ -41,11 +49,21 @@ CHECKPOINT_VERSION = 1
 CONTRASTIVE = "contrastive"
 REGULARIZED_LOG = "regularized_log"
 
-# (activation a = f(z), derivative f'(z) written in terms of a)
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), overwriting z."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
+
+
+# (activation a = f(z), overwriting z; derivative f'(z) written in terms of
+# a, in a's dtype)
 _ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0.0).astype(float)),
-    "tanh": (np.tanh, lambda a: 1.0 - a**2),
-    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda a: a * (1.0 - a)),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: (a > 0.0).astype(a.dtype)),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a**2),
+    "sigmoid": (_sigmoid, lambda a: a * (1.0 - a)),
     "linear": (lambda z: z, np.ones_like),
 }
 
@@ -83,14 +101,17 @@ class SiameseModel:
         return self.layer_sizes[0]
 
     @property
-    def embedding_width(self) -> int:
-        return self.layer_sizes[-1]
+    def dtype(self) -> np.dtype:
+        """The compute dtype: inputs are cast to it, every step runs in it."""
+        return self.weights[0].dtype
 
-    def copy(self) -> "SiameseModel":
+    def copy(self, dtype: DTypeLike = None) -> "SiameseModel":
+        """An independent copy, its parameters cast to `dtype` if given."""
+        dtype = self.dtype if dtype is None else dtype
         return SiameseModel(
             self.layer_sizes,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
+            [w.astype(dtype) for w in self.weights],
+            [b.astype(dtype) for b in self.biases],
             self.activation,
         )
 
@@ -100,7 +121,8 @@ def init_model(
     activation: str = "sigmoid",
     rng: int | np.random.Generator = 0,
 ) -> SiameseModel:
-    """Scaled-uniform weight init (bound sqrt(6/(fan_in+fan_out))), zero biases."""
+    """Scaled-uniform weight init (bound sqrt(6/(fan_in+fan_out))), zero biases,
+    in float64."""
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2:
         raise ValueError(f"need at least input and embedding widths, got {list(sizes)}")
@@ -123,18 +145,22 @@ def _forward_trace(model: SiameseModel, x: np.ndarray) -> list[np.ndarray]:
     act_fn, _ = _ACTIVATIONS[model.activation]
     last = model.n_layers - 1
     acts = [x]
-    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = acts[-1] @ w + b
-        if not np.all(np.isfinite(z)):
-            raise FloatingPointError(f"numerical overflow in layer {k}")
-        acts.append(z if k == last else act_fn(z))
+    # an overflowing pre-activation is caught below; a sigmoid's exp(-z) may
+    # overflow to inf, which gives 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+            z = acts[-1] @ w
+            z += b
+            if not np.all(np.isfinite(z)):
+                raise FloatingPointError(f"numerical overflow in layer {k}")
+            acts.append(z if k == last else act_fn(z))
     return acts
 
 
 def embed(model: SiameseModel, x: np.ndarray) -> np.ndarray:
-    """Embed one vector (1-D) or a batch (2-D); output layer is linear."""
-    x = np.asarray(x, dtype=float)
+    """Embed one vector (1-D) or a batch (2-D) in the model's dtype; the
+    output layer is linear."""
+    x = np.asarray(x, dtype=model.dtype)
     single = x.ndim == 1
     batch = x[None, :] if single else x
     if batch.shape[1] != model.input_width:
@@ -143,36 +169,33 @@ def embed(model: SiameseModel, x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def distance(model: SiameseModel, x1: np.ndarray, x2: np.ndarray) -> float:
-    """Euclidean distance between the twin embeddings of x1 and x2."""
-    return float(np.linalg.norm(embed(model, x1) - embed(model, x2)))
-
-
 @dataclass
 class Gradients:
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
 
-    def scaled(self, factor: float) -> "Gradients":
-        return Gradients(
-            [g * factor for g in self.d_weights],
-            [g * factor for g in self.d_biases],
-        )
-
-    def max_abs(self) -> float:
-        parts = self.d_weights + self.d_biases
-        return max(float(np.max(np.abs(g))) for g in parts)
+    def scale(self, factor: float) -> None:
+        """Multiply every gradient by `factor`, in place."""
+        for g in self.d_weights + self.d_biases:
+            g *= factor
 
 
 def _pair_terms(d: np.ndarray, y: np.ndarray, loss: LossConfig, model: SiameseModel):
-    """Per-pair losses and the coefficient c with dL/d(e1-e2) = c * (e1-e2)."""
+    """Per-pair losses and the coefficient c with dL/d(e1-e2) = c * (e1-e2).
+
+    Works in float64 whatever d's dtype: in float32, 1 - CLAMP_EPS rounds to
+    1, and a dissimilar pair at d = 0 would take log(0). The losses are
+    float64; c comes back in d's dtype.
+    """
+    dtype = d.dtype
+    d = d.astype(np.float64, copy=False)
     if loss.kind == CONTRASTIVE:
         slack = np.maximum(loss.margin - d, 0.0)
         losses = y * d**2 + (1.0 - y) * slack**2
         with np.errstate(divide="ignore", invalid="ignore"):
             repel = np.where(d > 0.0, slack / d, 0.0)
         coeff = 2.0 * y - 2.0 * (1.0 - y) * repel
-        return losses, coeff, 0.0
+        return losses, coeff.astype(dtype, copy=False), 0.0
     raw = np.exp(-d)
     s = np.clip(raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
     losses = -(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))
@@ -181,17 +204,20 @@ def _pair_terms(d: np.ndarray, y: np.ndarray, loss: LossConfig, model: SiameseMo
     dl_dd = dl_ds * -raw
     with np.errstate(divide="ignore", invalid="ignore"):
         coeff = np.where(d > 0.0, dl_dd / d, 0.0)
-    penalty = loss.l2 * sum(float(np.sum(w**2)) for w in model.weights)
-    return losses, coeff, penalty
+    penalty = loss.l2 * sum(
+        float(np.sum(np.square(w, dtype=np.float64))) for w in model.weights
+    )
+    return losses, coeff.astype(dtype, copy=False), penalty
 
 
 def _twin_pass(model: SiameseModel, batch: PairBatch):
-    """One forward trace over the stacked [left; right] rows of a batch.
+    """One forward trace over the stacked [left; right] rows of a batch, cast
+    to the model's dtype.
 
     Returns the trace and the embedding differences e_left - e_right.
     """
     rows = np.concatenate((batch.left_idx, batch.right_idx))
-    acts = _forward_trace(model, batch.dataset.matrix[rows])
+    acts = _forward_trace(model, batch.dataset.matrix[rows].astype(model.dtype, copy=False))
     n = len(batch)
     return acts, acts[-1][:n] - acts[-1][n:]
 
@@ -199,13 +225,17 @@ def _twin_pass(model: SiameseModel, batch: PairBatch):
 def _backprop(model: SiameseModel, acts: list[np.ndarray], upstream: np.ndarray) -> Gradients:
     """Parameter gradients from dL/d(output) for every traced row."""
     _, act_deriv = _ACTIVATIONS[model.activation]
+    # a bias gradient is a column sum; as a matrix-vector product it costs a
+    # fifth of delta.sum(axis=0) on these narrow blocks
+    ones = np.ones(len(upstream), dtype=upstream.dtype)
     d_weights, d_biases = [], []
     delta = upstream
     for k in range(model.n_layers - 1, -1, -1):
         d_weights.append(acts[k].T @ delta)
-        d_biases.append(delta.sum(axis=0))
+        d_biases.append(ones @ delta)
         if k > 0:
-            delta = (delta @ model.weights[k].T) * act_deriv(acts[k])
+            delta = delta @ model.weights[k].T
+            delta *= act_deriv(acts[k])
     return Gradients(d_weights[::-1], d_biases[::-1])
 
 
@@ -230,8 +260,11 @@ def batch_gradients(
     acts, diff = _twin_pass(model, batch)
     d = np.linalg.norm(diff, axis=1)
     losses, coeff, penalty = _pair_terms(d, batch.target_values(), loss, model)
-    upstream = coeff[:, None] * diff
-    grads = _backprop(model, acts, np.concatenate((upstream, -upstream)))
+    n = len(batch)
+    upstream = np.empty_like(acts[-1])   # [g; -g]: +g for the left rows, -g for the right
+    np.multiply(coeff[:, None], diff, out=upstream[:n])
+    np.negative(upstream[:n], out=upstream[n:])
+    grads = _backprop(model, acts, upstream)
     if loss.kind == REGULARIZED_LOG and loss.l2 > 0:
         for k, w in enumerate(model.weights):
             grads.d_weights[k] += 2.0 * loss.l2 * w
@@ -264,22 +297,25 @@ def apply_update(
     state: MomentumState,
     learning_rate: float,
 ) -> tuple[SiameseModel, MomentumState]:
-    """One momentum gradient-descent step, updating the model in place."""
-    for k in range(model.n_layers):
-        state.velocity_w[k] = state.momentum * state.velocity_w[k] + grads.d_weights[k]
-        state.velocity_b[k] = state.momentum * state.velocity_b[k] + grads.d_biases[k]
-        model.weights[k] -= learning_rate * state.velocity_w[k]
-        model.biases[k] -= learning_rate * state.velocity_b[k]
+    """One momentum gradient-descent step, updating the model and the
+    velocities in place."""
+    velocities = state.velocity_w + state.velocity_b
+    for v, g, p in zip(velocities, grads.d_weights + grads.d_biases, model.weights + model.biases):
+        v *= state.momentum
+        v += g
+        p -= learning_rate * v
     return model, state
 
 
 def save_model(model: SiameseModel, path: str | Path) -> None:
-    """Text checkpoint; float64 parameters round-trip exactly."""
+    """Text checkpoint; float32 and float64 parameters round-trip exactly,
+    in their dtype."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "layer_sizes": list(model.layer_sizes),
         "activation": model.activation,
+        "dtype": model.dtype.name,
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
     }
@@ -292,9 +328,13 @@ def load_model(path: str | Path) -> SiameseModel:
         raise ValueError(f"{path}: not a model checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
+    # a checkpoint written before the dtype was recorded holds float64
+    dtype = payload.get("dtype", "float64")
+    if dtype not in ("float32", "float64"):
+        raise ValueError(f"{path}: unsupported parameter dtype {dtype!r}")
     return SiameseModel(
         tuple(payload["layer_sizes"]),
-        [np.array(w, dtype=float) for w in payload["weights"]],
-        [np.array(b, dtype=float) for b in payload["biases"]],
+        [np.array(w, dtype=dtype) for w in payload["weights"]],
+        [np.array(b, dtype=dtype) for b in payload["biases"]],
         payload["activation"],
     )

@@ -3,7 +3,8 @@
 By default one pair batch is generated up front and swept repeatedly, in
 minibatch chunks with one optimizer step per chunk; `fresh_batch_per_epoch`
 regenerates the batch every epoch instead. Everything is deterministic
-given the config seed.
+given the config seed. The model trains, and is returned, in float32
+(`COMPUTE_DTYPE`): its float64 initial draws are rounded once.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from .dataset import ExperimentSplit
 from .network import (
@@ -27,6 +30,8 @@ from .pairgen import PairBatch, generate_training_batch
 from .seeding import INIT_STREAM, PAIR_STREAM, stream_rng
 
 DEFAULT_ARCHITECTURE = (64, 32, 16)   # hidden widths then embedding width
+# The dtype every training step and every embedding of a trained model runs in
+COMPUTE_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -63,10 +68,6 @@ class TrainingTrace:
     seconds: list[float] = field(default_factory=list)
     steps: int = 0
 
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1]
-
     def __len__(self) -> int:
         return len(self.losses)
 
@@ -96,7 +97,7 @@ def run_training(
 
     model = init_model(
         (ds.width, *cfg.architecture), cfg.activation, stream_rng(cfg.seed, INIT_STREAM)
-    )
+    ).copy(COMPUTE_DTYPE)
     state = init_momentum_state(model, cfg.momentum)
 
     batch = None
@@ -119,7 +120,8 @@ def run_training(
             grads, loss_value = batch_gradients(model, chunk, cfg.loss)
             # step on the per-pair mean so the step size is independent of
             # the minibatch size
-            apply_update(model, grads.scaled(1.0 / len(chunk)), state, cfg.learning_rate)
+            grads.scale(1.0 / len(chunk))
+            apply_update(model, grads, state, cfg.learning_rate)
             epoch_loss += loss_value
             trace.steps += 1
         trace.losses.append(epoch_loss / len(batch))

@@ -106,7 +106,8 @@ class TestLoad:
         )
         path = write_csv(tmp_path, "1,normal.\n2,smurf.\n3,neptune.\n4,smurf.\n")
         raw = load_dataset(path, schema)
-        assert raw.class_counts() == {"Normal": 1, "DoS": 3}
+        names, counts = np.unique(raw.labels, return_counts=True)
+        assert dict(zip(names.tolist(), counts.tolist())) == {"Normal": 1, "DoS": 3}
 
     def test_row_order_preserved(self, tmp_path):
         path = write_csv(tmp_path, "\n".join(f"{i},0,normal" for i in range(20)) + "\n")
@@ -328,6 +329,19 @@ class TestEncoder:
         if vocabulary == "learned":
             _, _, start, stop = enc.groups()[2]
             assert np.any(expected[:, start:stop].sum(axis=1) == 0.0)
+
+    def test_transform_unsorted_declared_vocabulary(self):
+        # unseen values sort before, between and after the declared levels
+        schema = Schema(
+            (Column("proto", CATEGORICAL, ("udp", "icmp", "tcp")), Column("label", LABEL)),
+            normal_label="n",
+        )
+        values = ["tcp", "aaa", "udp", "sctp", "icmp", "zzz", "udp"]
+        raw = RawDataset(schema, [values], ["n"] * len(values))
+        enc = fit_encoder(raw, range(len(values)))
+        got = enc.transform(raw.columns)
+        assert np.array_equal(got, reference_transform(enc, raw.columns))
+        assert got.sum(axis=1).tolist() == [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
 
     def test_kdd_style_width_118(self, tmp_path):
         raw = kdd_like_fixture(tmp_path, n_rows=100)

@@ -17,7 +17,6 @@ from oneshot_ids.network import (
     apply_update,
     batch_gradients,
     batch_loss,
-    distance,
     embed,
     init_model,
     init_momentum_state,
@@ -176,6 +175,11 @@ def max_relative_error(analytic, numeric):
         if np.any(mask):
             worst = max(worst, float(np.max(np.abs(a - f)[mask] / scale[mask])))
     return worst
+
+
+def distance(model, x1, x2):
+    """Euclidean distance between the twin embeddings of x1 and x2."""
+    return float(np.linalg.norm(embed(model, x1) - embed(model, x2)))
 
 
 def identity_model(width):
@@ -367,7 +371,7 @@ class TestGradients:
         )  # distances 5 > margin 1
         grads, loss = batch_gradients(model, batch, LossConfig(kind=CONTRASTIVE, margin=1.0))
         assert loss == 0.0
-        assert grads.max_abs() == 0.0
+        assert all(np.all(g == 0.0) for g in grads.d_weights + grads.d_biases)
 
     @pytest.mark.parametrize("kind", [CONTRASTIVE, REGULARIZED_LOG])
     @pytest.mark.parametrize("activation", ["sigmoid", "relu", "tanh"])
@@ -464,6 +468,78 @@ class TestGradients:
             batch_gradients(model, batch, LossConfig())
 
 
+class TestFloat32:
+    """A float32 model steps and embeds in float32. The float64 checks above
+    (finite differences at 1e-4, the unfused reference at 1e-12) keep their
+    tolerances; float32 is compared against float64 on the same weights."""
+
+    @pytest.mark.parametrize("kind", [CONTRASTIVE, REGULARIZED_LOG])
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu", "tanh", "linear"])
+    def test_step_stays_float32(self, kind, activation):
+        rng = np.random.default_rng(3)
+        model = init_model([5, 6, 4, 3], activation=activation, rng=rng).copy(np.float32)
+        batch = random_batch(rng, 5, 40)   # float64 feature rows
+        grads, _ = batch_gradients(model, batch, LossConfig(kind=kind))
+        state = init_momentum_state(model)
+        grads.scale(1.0 / len(batch))
+        apply_update(model, grads, state, learning_rate=0.01)
+        arrays = (
+            grads.d_weights + grads.d_biases + state.velocity_w + state.velocity_b
+            + model.weights + model.biases
+        )
+        assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu", "tanh", "linear"])
+    def test_activation_and_derivative_keep_dtype(self, activation):
+        act_fn, act_deriv = network._ACTIVATIONS[activation]
+        z = np.linspace(-2.0, 2.0, 9, dtype=np.float32)
+        assert act_fn(z).dtype == np.float32
+        assert act_deriv(z).dtype == np.float32
+
+    @pytest.mark.parametrize("kind", [CONTRASTIVE, REGULARIZED_LOG])
+    def test_pair_terms_hand_coeff_back_in_distance_dtype(self, kind):
+        d = np.array([0.0, 0.5, 2.0], dtype=np.float32)
+        y = np.array([1.0, 0.0, 0.0])    # float64 targets
+        model = init_model([3, 2], rng=0).copy(np.float32)
+        losses, coeff, _ = _pair_terms(d, y, LossConfig(kind=kind), model)
+        assert coeff.dtype == np.float32
+        assert losses.dtype == np.float64
+
+    @pytest.mark.parametrize("kind", [CONTRASTIVE, REGULARIZED_LOG])
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu", "tanh"])
+    def test_gradients_match_float64_on_same_weights(self, kind, activation):
+        # float32 rounding (eps 1.2e-7) over a 3-layer, 40-pair step: allow
+        # 1e-4 relative, against the largest component for cancelling sums
+        rng = np.random.default_rng(31)
+        model32 = init_model([5, 6, 4, 3], activation=activation, rng=rng).copy(np.float32)
+        model64 = model32.copy(np.float64)
+        batch = random_batch(rng, 5, 40)
+        cfg = LossConfig(kind=kind)
+        g32, loss32 = batch_gradients(model32, batch, cfg)
+        g64, loss64 = batch_gradients(model64, batch, cfg)
+        np.testing.assert_allclose(loss32, loss64, rtol=1e-4)
+        scale = max(float(np.max(np.abs(g))) for g in g64.d_weights + g64.d_biases)
+        for got, want in zip(g32.d_weights + g32.d_biases, g64.d_weights + g64.d_biases):
+            np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4 * scale)
+
+    def test_regularized_log_identical_dissimilar_pair_finite(self):
+        # in float32, 1 - CLAMP_EPS == 1: the clamp must happen in float64
+        model32 = init_model([3, 4, 2], rng=6).copy(np.float32)
+        x = np.array([0.2, 0.7, 0.1])
+        batch = make_batch(x, x, [False])
+        cfg = LossConfig(kind=REGULARIZED_LOG)
+        grads, loss32 = batch_gradients(model32, batch, cfg)
+        loss64 = batch_loss(model32.copy(np.float64), batch, cfg)
+        assert math.isfinite(loss32)
+        assert loss32 == loss64
+        assert all(np.all(np.isfinite(g)) for g in grads.d_weights + grads.d_biases)
+
+    def test_embed_casts_input_to_model_dtype(self):
+        model = init_model([4, 3, 2], rng=1).copy(np.float32)
+        assert embed(model, np.ones(4)).dtype == np.float32
+        assert embed(model, np.ones((3, 4), dtype=np.float64)).dtype == np.float32
+
+
 class TestOptimizer:
     def test_zero_gradient_no_change(self):
         model = init_model([3, 2], rng=1)
@@ -514,7 +590,8 @@ class TestOptimizer:
         initial = batch_loss(model, batch, cfg)
         for _ in range(100):
             grads, _ = batch_gradients(model, batch, cfg)
-            apply_update(model, grads.scaled(1.0 / len(batch)), state, learning_rate=0.01)
+            grads.scale(1.0 / len(batch))
+            apply_update(model, grads, state, learning_rate=0.01)
         assert batch_loss(model, batch, cfg) <= 0.5 * initial
 
 
@@ -530,6 +607,46 @@ class TestCheckpoint:
             assert np.array_equal(w1, w2)
         for b1, b2 in zip(model.biases, loaded.biases):
             assert np.array_equal(b1, b2)
+
+    def test_float32_roundtrip_embeds_identically(self, tmp_path, rng):
+        model = init_model([7, 5, 3], activation="sigmoid", rng=4).copy(np.float32)
+        batch = random_batch(rng, 7, 16)
+        state = init_momentum_state(model)
+        for _ in range(3):   # weights that are no longer rounded float64 draws
+            grads, _ = batch_gradients(model, batch, LossConfig())
+            apply_update(model, grads, state, learning_rate=0.05)
+        path = tmp_path / "checkpoint.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.dtype == np.float32
+        for a, b in zip(model.weights + model.biases, loaded.weights + loaded.biases):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        x = rng.random((10, 7))
+        assert np.array_equal(embed(loaded, x), embed(model, x))
+
+    def test_checkpoint_without_dtype_loads_float64(self, tmp_path):
+        import json
+
+        model = init_model([4, 3], rng=2)
+        path = tmp_path / "checkpoint.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        assert payload.pop("dtype") == "float64"
+        path.write_text(json.dumps(payload))
+        loaded = load_model(path)
+        assert loaded.dtype == np.float64
+        assert np.array_equal(loaded.weights[0], model.weights[0])
+
+    def test_rejects_unknown_dtype(self, tmp_path):
+        import json
+
+        path = tmp_path / "checkpoint.json"
+        save_model(init_model([3, 2], rng=0), path)
+        payload = json.loads(path.read_text())
+        payload["dtype"] = "int8"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="dtype 'int8'"):
+            load_model(path)
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from oneshot_ids import TrainingConfig, prepare_experiment, run_training
+from oneshot_ids import TrainingConfig, init_model, prepare_experiment, run_training, trainer
+from oneshot_ids.seeding import INIT_STREAM, stream_rng
 from oneshot_ids.synthetic import make_raw
 
 
@@ -53,7 +56,28 @@ class TestStepArithmetic:
         _, trace = run_training(split, quick_cfg(n_epochs=5))
         assert len(trace.losses) == 5
         assert len(trace.seconds) == 5
-        assert trace.final_loss == trace.losses[-1]
+        assert math.isfinite(trace.losses[-1])
+
+
+class TestComputeDtype:
+    def test_trained_model_is_float32(self, small_experiment):
+        _, split = small_experiment
+        model, _ = run_training(split, quick_cfg())
+        arrays = model.weights + model.biases
+        assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
+
+    def test_float32_rounds_the_float64_init_draws(self, small_experiment, monkeypatch):
+        _, split = small_experiment
+        cfg = quick_cfg()
+        drawn = init_model(
+            (split.dataset.width, *cfg.architecture), cfg.activation,
+            stream_rng(cfg.seed, INIT_STREAM),
+        )
+        # without updates the returned weights are the initial ones
+        monkeypatch.setattr(trainer, "apply_update", lambda *args: None)
+        model, _ = run_training(split, cfg)
+        for w64, w32 in zip(drawn.weights, model.weights):
+            assert np.array_equal(w64.astype(np.float32), w32)
 
 
 class TestDeterminism:
