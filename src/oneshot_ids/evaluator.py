@@ -28,6 +28,7 @@ from .seeding import EVAL_STREAM, stream_rng
 DEFAULT_VOTE_SWEEP = (1, 5, 10, 15, 20, 25, 30)
 _EMBED_CHUNK = 4096
 _CLASSIFY_CHUNK = 1024
+_TABLE_BLOCK = 32768    # pairs per block while building a distance table
 
 
 class EvaluationError(ValueError):
@@ -216,40 +217,144 @@ def _majority_winner(votes: np.ndarray, cumdist: np.ndarray) -> np.ndarray:
     return order[..., 0]
 
 
+def _pair_distances(
+    x: np.ndarray, pool: np.ndarray, positions: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """out[i, r] = ||pool[positions[i, r]] - x[i]||, written in place.
+
+    The same float operations as `np.linalg.norm(..., axis=-1)` (square,
+    pairwise sum over the contiguous last axis, square root), so the
+    distances are bit-identical to it, without its extra temporaries.
+    """
+    d = np.take(pool, positions, axis=0)
+    d -= x[:, None, :]
+    np.multiply(d, d, out=d)
+    return np.sqrt(np.add.reduce(d, axis=-1), out=out)
+
+
+def _distance_table(rows: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Distance from every row of `rows` to every row of `pool`, computed by
+    `_pair_distances` a block of at most `_TABLE_BLOCK` pairs at a time."""
+    table = np.empty((len(rows), len(pool)), dtype=pool.dtype)
+    every = np.arange(len(pool))
+    step = max(1, _TABLE_BLOCK // len(pool))
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        x = rows[block]
+        _pair_distances(x, pool, np.broadcast_to(every, (len(x), len(pool))), table[block])
+    return table
+
+
+@dataclass(frozen=True)
+class _EmbeddedPools:
+    """A split's pools embedded by one model, with the distance tables worth
+    building for the votes that will be drawn.
+
+    `refs[k]` is class k's embedded reference pool and `evals[c]` class c's
+    embedded evaluation pool (the same array as `refs[c]` for a retained
+    class). `tables[c][k]` holds the distance from every row of `evals[c]`
+    to every row of `refs[k]`, or is None where drawing distances on
+    demand evaluates fewer of them.
+    """
+
+    refs: list[np.ndarray]
+    evals: list[np.ndarray]
+    tables: list[list[np.ndarray | None]]
+
+
+def _instances_per_class(split: ExperimentSplit, test_batch_size: int) -> int:
+    """floor(test_batch_size / N), once every evaluation pool can supply it."""
+    n = split.n_classes
+    per_class = test_batch_size // n
+    if per_class < 1:
+        raise EvaluationError(f"test_batch_size {test_batch_size} too small for {n} classes")
+    for c in range(n):
+        size = len(split.evaluation_pool(c))
+        need = 1 if c == split.excluded_class else 2
+        if size < need:
+            raise EvaluationError(
+                f"evaluation pool for class {split.dataset.class_names[c]!r} has {size} row(s); "
+                f"need {need}"
+            )
+    return per_class
+
+
+def _embedded_pools(
+    model: SiameseModel, split: ExperimentSplit, test_batch_size: int, total_votes: int
+) -> _EmbeddedPools:
+    """Embed each pool once and build every distance table that costs no
+    more distances than the evaluations will draw.
+
+    `total_votes` is the number of votes per instance over all the
+    evaluations that will share the pools (the sum of their j). Each
+    instance draws that many references from each class, so class c's
+    instances draw `(test_batch_size // N) * total_votes` distances to
+    class k; the table (c, k) is built only when it has no more entries
+    than that, which also bounds its memory.
+    """
+    refs = _reference_embeddings(model, split)
+    per_class = _instances_per_class(split, test_batch_size)
+    ds = split.dataset
+    evals = [
+        refs[c] if c != split.excluded_class
+        else _embed_all(model, ds.matrix[split.evaluation_pool(c)])
+        for c in range(split.n_classes)
+    ]
+    budget = per_class * total_votes
+    tables = [
+        [_distance_table(rows, ref) if len(rows) * len(ref) <= budget else None for ref in refs]
+        for rows in evals
+    ]
+    return _EmbeddedPools(refs, evals, tables)
+
+
 def _vote_rounds(
-    x_emb: np.ndarray,
+    pool: np.ndarray,
+    positions: np.ndarray,
     refs: list[np.ndarray],
     j: int,
     rng: np.random.Generator,
-    own: tuple[int, np.ndarray] | None = None,
+    own: int | None = None,
+    tables: list[np.ndarray | None] | None = None,
 ) -> np.ndarray:
-    """Classify a block of embedded instances with j voting rounds each.
+    """Classify the embedded instances `pool[positions]` with j voting
+    rounds each.
 
-    `refs[c]` holds class c's embedded reference pool. Reference draws
+    `refs[k]` holds class k's embedded reference pool. Reference draws
     consume the rng class by class so results are a pure function of
-    (split, j, seed). `own` = (class, positions) names where each instance
-    sits in that class's reference pool; its references for that class
-    are drawn from the other rows of the pool, never itself.
+    (split, j, seed). `own` names the class whose reference pool `pool`
+    is: each instance's references for that class are drawn from the
+    pool's other rows, never itself. `tables[k]`, where not None, holds the
+    distance from every row of `pool` to every row of `refs[k]`; the
+    distances to other classes are computed on demand.
     """
-    q = len(x_emb)
+    q = len(positions)
     n = len(refs)
     drawn = []
-    for c, pool in enumerate(refs):
-        if own is not None and own[0] == c:
-            positions = rng.integers(0, len(pool) - 1, size=(q, j))
-            positions += positions >= own[1][:, None]
+    for k, ref in enumerate(refs):
+        if k == own:
+            drawn_k = rng.integers(0, len(ref) - 1, size=(q, j))
+            drawn_k += drawn_k >= positions[:, None]
         else:
-            positions = rng.integers(0, len(pool), size=(q, j))
-        drawn.append(positions)
+            drawn_k = rng.integers(0, len(ref), size=(q, j))
+        drawn.append(drawn_k)
+    tables = tables or [None] * n
     predictions = np.empty(q, dtype=np.int64)
+    buffer = np.empty((min(q, _CLASSIFY_CHUNK), j, n), dtype=pool.dtype)
     for start in range(0, q, _CLASSIFY_CHUNK):
         block = slice(start, start + _CLASSIFY_CHUNK)
-        x = x_emb[block, None, :]
-        dist = np.stack(                                 # (b, j, n)
-            [np.linalg.norm(pool[p[block]] - x, axis=-1) for pool, p in zip(refs, drawn)],
-            axis=-1,
-        )
-        votes = np.sum(np.argmin(dist, axis=-1)[..., None] == np.arange(n), axis=1)
+        rows = positions[block]
+        b = len(rows)
+        dist = buffer[:b]                                # (b, j, n)
+        x = pool[rows]
+        for k, (ref, drawn_k, table) in enumerate(zip(refs, drawn, tables)):
+            if table is None:
+                _pair_distances(x, ref, drawn_k[block], dist[:, :, k])
+            else:
+                # flat indices into the (len(pool), len(ref)) table
+                dist[:, :, k] = table.ravel()[rows[:, None] * len(ref) + drawn_k[block]]
+        nearest = np.argmin(dist, axis=-1) + n * np.arange(b)[:, None]
+        votes = np.bincount(nearest.ravel(), minlength=b * n).reshape(b, n)
         predictions[block] = _majority_winner(votes, dist.sum(axis=1))
     return predictions
 
@@ -263,8 +368,9 @@ def classify_instance(
 ) -> int:
     """Predict the class of one feature vector by nearest-pair voting."""
     refs = _reference_embeddings(model, split)
-    x_emb = embed(model, x)[None, :]
-    return int(_vote_rounds(x_emb, refs, vote.j, np.random.default_rng(rng))[0])
+    pool = embed(model, x)[None, :]
+    preds = _vote_rounds(pool, np.zeros(1, np.intp), refs, vote.j, np.random.default_rng(rng))
+    return int(preds[0])
 
 
 def evaluate(
@@ -273,6 +379,8 @@ def evaluate(
     test_batch_size: int,
     vote: VoteConfig,
     rng: int | np.random.Generator,
+    *,
+    pools: _EmbeddedPools | None = None,
 ) -> ConfusionMatrix:
     """Confusion matrix over floor(test_batch_size / N) instances per class.
 
@@ -282,31 +390,25 @@ def evaluate(
     instance's own-class references come from the pool's other rows; the
     pool needs at least 2. Only the reference pools and the excluded
     class's unlabelled pool are embedded, each once.
+
+    `pools` is what `_embedded_pools` built for this model, split and
+    test_batch_size, shared by the evaluations of a sweep; without it they
+    are built for this evaluation's j alone.
     """
-    refs = _reference_embeddings(model, split)
+    if pools is None:
+        pools = _embedded_pools(model, split, test_batch_size, vote.j)
     rng = np.random.default_rng(rng)
-    ds = split.dataset
     n = split.n_classes
     per_class = test_batch_size // n
-    if per_class < 1:
-        raise EvaluationError(f"test_batch_size {test_batch_size} too small for {n} classes")
-    for c in range(n):
-        size = len(split.evaluation_pool(c))
-        need = 1 if c == split.excluded_class else 2
-        if size < need:
-            raise EvaluationError(
-                f"evaluation pool for class {ds.class_names[c]!r} has {size} row(s); need {need}"
-            )
     counts = np.zeros((n, n), dtype=np.int64)
     for c in range(n):
-        retained = c != split.excluded_class
-        # a retained class's evaluation pool is its reference pool
-        pool_emb = refs[c] if retained else _embed_all(model, ds.matrix[split.evaluation_pool(c)])
-        positions = rng.integers(0, len(pool_emb), size=per_class)
-        own = (c, positions) if retained else None
-        preds = _vote_rounds(pool_emb[positions], refs, vote.j, rng, own)
+        positions = rng.integers(0, len(pools.evals[c]), size=per_class)
+        own = None if c == split.excluded_class else c
+        preds = _vote_rounds(
+            pools.evals[c], positions, pools.refs, vote.j, rng, own, pools.tables[c]
+        )
         counts[c] = np.bincount(preds, minlength=n)
-    return ConfusionMatrix(counts, ds.class_names)
+    return ConfusionMatrix(counts, split.dataset.class_names)
 
 
 @dataclass(frozen=True)
@@ -316,6 +418,20 @@ class SweepRow:
     report: MetricsReport
 
 
+def _checked_votes(j_values) -> tuple[int, ...]:
+    j_values = tuple(j_values)
+    if not j_values:
+        raise EvaluationError("j_values is empty")
+    for i, j in enumerate(j_values):
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+            raise EvaluationError(f"j_values: {j!r} is not an integer")
+        if j < 1:
+            raise EvaluationError(f"j_values: {j!r} is not positive")
+        if j in j_values[:i]:
+            raise EvaluationError(f"j_values: {j!r} is repeated")
+    return tuple(int(j) for j in j_values)
+
+
 def vote_sweep(
     model: SiameseModel,
     split: ExperimentSplit,
@@ -323,14 +439,15 @@ def vote_sweep(
     j_values=DEFAULT_VOTE_SWEEP,
     seed: int = 0,
 ) -> list[SweepRow]:
-    """One evaluation per j, each on its own stream of the same seed base."""
-    j_values = tuple(j_values)
-    if not j_values:
-        raise EvaluationError("j_values is empty")
+    """One evaluation per j, each on its own stream of the same seed base.
+    The pools are embedded, and the distance tables built, once for the
+    whole sweep."""
+    j_values = _checked_votes(j_values)
+    pools = _embedded_pools(model, split, test_batch_size, sum(j_values))
     rows = []
     for j in j_values:
         rng = stream_rng(seed, EVAL_STREAM, j)
-        cm = evaluate(model, split, test_batch_size, VoteConfig(j), rng)
+        cm = evaluate(model, split, test_batch_size, VoteConfig(j), rng, pools=pools)
         report = replace(metrics(cm, split.excluded_class), votes=j)
         rows.append(SweepRow(j, cm, report))
     return rows

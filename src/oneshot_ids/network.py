@@ -307,6 +307,13 @@ def apply_update(
     return model, state
 
 
+def _shortest_digits(a: np.ndarray) -> list:
+    """`a` as nested lists of Python floats, each printed by `json` in the
+    shortest digits that read back to the same value in `a`'s dtype (at
+    most 9 significant digits for float32, not its float64 repr)."""
+    return np.array([float(str(v)) for v in a.ravel()]).reshape(a.shape).tolist()
+
+
 def save_model(model: SiameseModel, path: str | Path) -> None:
     """Text checkpoint; float32 and float64 parameters round-trip exactly,
     in their dtype."""
@@ -316,8 +323,8 @@ def save_model(model: SiameseModel, path: str | Path) -> None:
         "layer_sizes": list(model.layer_sizes),
         "activation": model.activation,
         "dtype": model.dtype.name,
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
+        "weights": [_shortest_digits(w) for w in model.weights],
+        "biases": [_shortest_digits(b) for b in model.biases],
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 

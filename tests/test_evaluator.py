@@ -10,6 +10,7 @@ from oneshot_ids.evaluator import (
     EvaluationError,
     VoteConfig,
     _majority_winner,
+    _pair_distances,
     classify_instance,
     evaluate,
     metrics,
@@ -17,6 +18,7 @@ from oneshot_ids.evaluator import (
     vote_sweep,
 )
 from oneshot_ids.network import SiameseModel, embed, init_model
+from oneshot_ids.seeding import EVAL_STREAM, stream_rng
 
 from conftest import build_split
 from published_cms import ALL_PUBLISHED, KDD_DOS_EXCLUDED
@@ -86,6 +88,35 @@ def record_embedded_rows(monkeypatch, ds):
 
     monkeypatch.setattr(evaluator, "embed", recording_embed)
     return embedded
+
+
+def record_table_builds(monkeypatch):
+    """(evaluated rows, reference rows) of every distance table built."""
+    built = []
+
+    def recording_table(rows, pool):
+        built.append((len(rows), len(pool)))
+        return distance_table(rows, pool)
+
+    distance_table = evaluator._distance_table
+    monkeypatch.setattr(evaluator, "_distance_table", recording_table)
+    return built
+
+
+class TestPairDistances:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [3, 16, 20])
+    def test_bit_identical_to_norm(self, dtype, width):
+        rng = np.random.default_rng(width)
+        pool = rng.normal(size=(37, width)).astype(dtype)
+        x = rng.normal(size=(11, width)).astype(dtype)
+        positions = rng.integers(0, len(pool), size=(11, 7))
+        expected = np.linalg.norm(pool[positions] - x[:, None, :], axis=-1)
+        block = np.empty((11, 7, 3), dtype=dtype)   # write into one class's column
+        got = _pair_distances(x, pool, positions, block[:, :, 1])
+        assert got.dtype == expected.dtype == dtype
+        assert got.tobytes() == expected.tobytes()
+        assert block[:, :, 1].tobytes() == expected.tobytes()
 
 
 class TestMetrics:
@@ -353,20 +384,33 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("j", [1, 5, 30])
-    def test_matches_whole_dataset_reference(self, j, seed):
-        # attack2's testing pool has 2 rows, so each of its instances has
-        # exactly one own-class reference: the edge of the own-row shift
-        split = build_split(
+    def test_matches_whole_dataset_reference(self, j, seed, monkeypatch):
+        built = record_table_builds(monkeypatch)
+        # pools this small are cheaper as distance tables than as 100 * j
+        # draws per class; attack2's testing pool has 2 rows, so each of its
+        # instances has exactly one own-class reference: the edge of the
+        # own-row shift
+        small = build_split(
             {0: 6, 2: 5, 3: 4}, excluded_class=1, labelled=3, unlabelled=5,
             testing_sizes={0: 7, 2: 2, 3: 5},
         )
-        # rows without class structure, so every vote turns on which
-        # references were drawn
-        matrix = split.dataset.matrix
-        matrix[:] = np.random.default_rng(seed).uniform(size=matrix.shape)
-        model = init_model([split.dataset.width, 5, 3], rng=seed)
-        cm = evaluate(model, split, 400, VoteConfig(j), rng=seed)
-        assert np.array_equal(cm.counts, whole_dataset_evaluate(model, split, 400, j, seed))
+        # pools of 30+ rows cost more as tables (900+ entries) than 20 * j
+        # draws (at most 600), so every distance is computed on demand
+        large = build_split(
+            {0: 3, 2: 3, 3: 3}, excluded_class=1, labelled=31, unlabelled=30,
+            testing_sizes={0: 34, 2: 30, 3: 32},
+        )
+        for split, test_batch_size, tables in ((small, 400, 16), (large, 80, 0)):
+            # rows without class structure, so every vote turns on which
+            # references were drawn
+            matrix = split.dataset.matrix
+            matrix[:] = np.random.default_rng(seed).uniform(size=matrix.shape)
+            model = init_model([split.dataset.width, 5, 3], rng=seed)
+            built.clear()
+            cm = evaluate(model, split, test_batch_size, VoteConfig(j), rng=seed)
+            assert len(built) == tables
+            expected = whole_dataset_evaluate(model, split, test_batch_size, j, seed)
+            assert np.array_equal(cm.counts, expected)
 
     def test_embeds_no_training_row_and_each_pool_row_once(self, monkeypatch):
         split = separated_split(excluded=2)
@@ -407,6 +451,56 @@ class TestVoteSweep:
         r2 = vote_sweep(model, split, 40, (1, 5), seed=8)
         for a, b in zip(r1, r2):
             assert np.array_equal(a.cm.counts, b.cm.counts)
+
+    @pytest.mark.parametrize("test_batch_size", [40, 400])
+    def test_rows_equal_separate_evaluations(self, test_batch_size, monkeypatch):
+        built = record_table_builds(monkeypatch)
+        split = build_split(
+            {0: 6, 2: 5, 3: 4}, excluded_class=1, labelled=9, unlabelled=11,
+            testing_sizes={0: 20, 2: 2, 3: 15},
+        )
+        matrix = split.dataset.matrix
+        matrix[:] = np.random.default_rng(4).uniform(size=matrix.shape)
+        model = init_model([split.dataset.width, 5, 3], rng=4)
+        js = (1, 5, 12)
+        rows = vote_sweep(model, split, test_batch_size, js, seed=6)
+        # a sweep of 18 votes per instance tables some class pairs at 40
+        # instances and all 16 at 400
+        assert 0 < len(built) <= 16
+        assert len(built) == 16 or test_batch_size == 40
+        for row, j in zip(rows, js):
+            cm = evaluate(model, split, test_batch_size, VoteConfig(j), stream_rng(6, EVAL_STREAM, j))
+            assert row.votes == j
+            assert np.array_equal(row.cm.counts, cm.counts)
+
+    def test_embeds_each_pool_row_once_per_sweep(self, monkeypatch):
+        split = separated_split(excluded=2)
+        ds = split.dataset
+        embedded = record_embedded_rows(monkeypatch, ds)
+        vote_sweep(identity_model(ds.width), split, 40, (1, 5, 30), seed=0)
+        counts = np.bincount(embedded, minlength=len(ds.matrix))
+        assert counts.max() == 1
+        assert not counts[split.training_indices()].any()
+        pools = np.concatenate([split.reference_pool(c) for c in range(split.n_classes)])
+        assert np.array_equal(np.flatnonzero(counts), np.sort(np.append(pools, split.excluded_unlabelled)))
+
+    @pytest.mark.parametrize(
+        "j_values, message",
+        [
+            ((0,), "0 is not positive"),
+            ((5, -1), "-1 is not positive"),
+            ((2.5,), "2.5 is not an integer"),
+            (("3",), "'3' is not an integer"),
+            ((True,), "True is not an integer"),
+            ((1, 5, 5), "5 is repeated"),
+        ],
+    )
+    def test_bad_j_rejected_before_embedding(self, j_values, message, monkeypatch):
+        split = separated_split()
+        embedded = record_embedded_rows(monkeypatch, split.dataset)
+        with pytest.raises(EvaluationError, match=message):
+            vote_sweep(identity_model(split.dataset.width), split, 20, j_values, seed=0)
+        assert embedded == []
 
     def test_empty_j_values(self):
         split = separated_split()

@@ -624,6 +624,47 @@ class TestCheckpoint:
         x = rng.random((10, 7))
         assert np.array_equal(embed(loaded, x), embed(model, x))
 
+    def test_float32_written_in_shortest_digits(self, tmp_path):
+        import json
+
+        model = SiameseModel(
+            (2, 1), [np.array([[0.1], [1e-8]], dtype=np.float32)],
+            [np.array([1 / 3], dtype=np.float32)], "linear",
+        )
+        path = tmp_path / "checkpoint.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        assert payload["weights"] == [[[0.1], [1e-08]]]
+        assert payload["biases"] == [[0.33333334]]
+        assert '"weights": [[[0.1], [1e-08]]]' in path.read_text()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_any_finite_value_reloads_bit_identically(self, tmp_path, dtype):
+        # weights spread over every exponent the dtype has
+        rng = np.random.default_rng(8)
+        model = init_model([40, 30, 20], rng=1).copy(dtype)
+        uint = np.uint32 if dtype == np.float32 else np.uint64
+        for w in model.weights + model.biases:
+            bits = rng.integers(0, np.iinfo(uint).max, size=w.shape, dtype=uint, endpoint=True)
+            values = bits.view(dtype)
+            w[...] = np.where(np.isfinite(values), values, 0.5)
+        path = tmp_path / "checkpoint.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        for a, b in zip(model.weights + model.biases, loaded.weights + loaded.biases):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_float64_checkpoint_bytes_unchanged(self, tmp_path):
+        import json
+
+        model = init_model([7, 5, 3], rng=99)
+        path = tmp_path / "checkpoint.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        payload["weights"] = [w.tolist() for w in model.weights]
+        payload["biases"] = [b.tolist() for b in model.biases]
+        assert path.read_text() == json.dumps(payload)
+
     def test_checkpoint_without_dtype_loads_float64(self, tmp_path):
         import json
 
