@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .dataset import DatasetError, SchemaError, load_dataset, load_schema, prepare_experiment
-from .evaluator import DEFAULT_VOTE_SWEEP, ConfusionMatrix, metrics, sweep_to_csv, vote_sweep
+from .evaluator import (DEFAULT_VOTE_SWEEP, ConfusionMatrix, _checked_votes, _instances_per_class,
+                        metrics, sweep_to_csv, vote_sweep)
 from .network import LossConfig, save_model
 from .trainer import TrainingConfig, run_training
 
@@ -48,57 +49,94 @@ REFERENCE_OVERALL = {
         "ssh brute force": 81.28,
     },
 }
+_SCHEMA_HINTS = (("nsl", "nsl-kdd"), ("kdd", "kddcup99"), ("cicids", "cicids2017"))
 
 
 class ManifestError(ValueError):
     pass
 
 
+ALL_ATTACKS = "all-attacks"
+
+
 @dataclass
 class ExperimentManifest:
     dataset: Path
     schema: Path
-    out: Path
-    exclude: list[str] = field(default_factory=lambda: ["all-attacks"])
+    out: Path = Path(".")   # required by `run`; `seed-report` writes nothing there
+    exclude: list[str] = field(default_factory=lambda: [ALL_ATTACKS])
     votes: tuple[int, ...] = DEFAULT_VOTE_SWEEP
     training: TrainingConfig = field(default_factory=TrainingConfig)
     reference: str | None = None
     dump_batch: bool = False
 
 
-def _parse_bool(value: str | bool) -> bool:
-    if value not in (True, "true", "false"):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value != "false"
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
 
 
-def _parse_widths(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+def _parse_ints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-# Dataclass field -> (manifest key, parser); the flag is --<key>. A setting
-# absent from both manifest and flags keeps its dataclass default.
-_LOSS_SETTINGS = {
-    "kind": ("loss", lambda v: v.replace("-", "_")),
-    "margin": ("margin", float),
-    "l2": ("lambda", float),
-}
-_TRAINING_SETTINGS = {
-    "train_batch_size": ("batch_size", int),
-    "test_batch_size": ("test_batch_size", int),
-    "n_epochs": ("epochs", int),
-    "minibatch_size": ("minibatch", int),
-    "fresh_batch_per_epoch": ("fresh_batch", _parse_bool),
-    "architecture": ("arch", _parse_widths),
-    "activation": ("activation", str),
-    "learning_rate": ("lr", float),
-    "momentum": ("momentum", float),
-    "seed": ("seed", int),
-}
-_MANIFEST_SETTINGS = {"dump_batch": ("dump_batch", _parse_bool)}
-_MANIFEST_KEYS = {"dataset", "schema", "out", "exclude", "votes", "reference"} | {
-    key for table in (_LOSS_SETTINGS, _TRAINING_SETTINGS, _MANIFEST_SETTINGS)
-    for key, _ in table.values()
+def _existing_file(text: str) -> Path:
+    if not Path(text).exists():
+        raise ValueError(f"file {text} not found")
+    return Path(text)
+
+
+def _parse_exclude(value: str | list[str]) -> list[str]:
+    """A manifest line is comma-separated; each --exclude flag is one class."""
+    if isinstance(value, str):
+        value = [v.strip() for v in value.split(",") if v.strip()]
+    if not value:
+        raise ValueError("need at least one excluded class")
+    return list(value)
+
+
+def _parse_reference(text: str) -> str:
+    if text not in REFERENCE_OVERALL:
+        raise ValueError(f"unknown reference {text!r}; have {sorted(REFERENCE_OVERALL)}")
+    return text
+
+
+# Every `run` and `seed-report` setting: manifest key -> (config, field,
+# parser, help), where config names the dataclass holding the field. The flag
+# is --<key> with "-" for "_" and hands its raw string to the same parser as
+# the manifest line; a boolean's flag takes no value and means "true". A
+# setting given by neither keeps its dataclass default.
+_SETTINGS = {
+    "dataset": ("manifest", "dataset", _existing_file, "dataset CSV path"),
+    "schema": ("manifest", "schema", _existing_file, "schema descriptor path"),
+    "out": ("manifest", "out", Path, "output directory"),
+    "exclude": ("manifest", "exclude", _parse_exclude,
+                f"attack class to exclude (repeatable, or {ALL_ATTACKS!r})"),
+    "votes": ("manifest", "votes", lambda v: _checked_votes(_parse_ints(v)),
+              "comma-separated j values, e.g. 1,5,10"),
+    "reference": ("manifest", "reference", _parse_reference,
+                  "attach published benchmark accuracies to the summary"),
+    "dump_batch": ("manifest", "dump_batch", _parse_bool,
+                   "write each training pair batch to pairs.txt for audit"),
+    "epochs": ("training", "n_epochs", int, "training epochs"),
+    "batch_size": ("training", "train_batch_size", int, "pairs per training batch"),
+    "test_batch_size": ("training", "test_batch_size", int, "instances classified per j"),
+    "minibatch": ("training", "minibatch_size", int, "pairs per optimizer step"),
+    "fresh_batch": ("training", "fresh_batch_per_epoch", _parse_bool,
+                    "regenerate the pair batch every epoch"),
+    "arch": ("training", "architecture", _parse_ints,
+             "comma-separated widths: hidden layers then embedding"),
+    "activation": ("training", "activation", str, "hidden-layer activation"),
+    "lr": ("training", "learning_rate", float, "learning rate"),
+    "momentum": ("training", "momentum", float, "momentum coefficient"),
+    "seed": ("training", "seed", int, "experiment seed"),
+    "loss": ("loss", "kind", lambda v: v.replace("-", "_"), "contrastive or regularized-log"),
+    "margin": ("loss", "margin", float, "contrastive loss margin"),
+    "lambda": ("loss", "l2", float, "L2 coefficient for regularized-log"),
 }
 
 
@@ -119,7 +157,7 @@ def _parse_manifest_file(path: Path) -> dict[str, str]:
         value = value.strip()
         if not key or not value:
             raise ManifestError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        if key not in _MANIFEST_KEYS:
+        if key not in _SETTINGS:
             raise ManifestError(f"{path}:{lineno}: unknown setting {key!r}")
         if key in first_line:
             raise ManifestError(
@@ -130,88 +168,37 @@ def _parse_manifest_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
+def _parsed(key: str, parse, value):
     try:
-        return tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise ManifestError(f"{what}: expected comma-separated integers, got {text!r}") from None
+        return parse(value)
+    except ValueError as exc:
+        raise ManifestError(f"{key}: {exc}") from None
 
 
 def build_manifest(args: argparse.Namespace, need_out: bool = True) -> ExperimentManifest:
-    """Merge manifest file values and CLI flags (flags override)."""
+    """Merge manifest file values and CLI flags (flags override); each value
+    goes through its setting's parser, and an error names the key."""
     values = _parse_manifest_file(Path(args.manifest)) if args.manifest else {}
-
-    def pick(key: str):
-        flag_value = getattr(args, key)
-        return flag_value if flag_value is not None else values.get(key)
-
-    def settings(table: dict) -> dict:
-        picked = {}
-        for name, (key, parse) in table.items():
-            value = pick(key)
-            if value is not None:
-                try:
-                    picked[name] = parse(value)
-                except ValueError as exc:
-                    raise ManifestError(f"{key}: {exc}") from None
-        return picked
-
-    dataset = pick("dataset")
-    schema = pick("schema")
-    out = pick("out")
-    required = [("dataset", dataset), ("schema", schema)]
-    if need_out:
-        required.append(("out", out))
-    for name, value in required:
+    configs: dict[str, dict] = {"manifest": {}, "training": {}, "loss": {}}
+    for key, (config, name, parse, _) in _SETTINGS.items():
+        value = getattr(args, key)
         if value is None:
-            raise ManifestError(f"missing required setting {name!r}")
+            value = values.get(key)
+        if value is not None:
+            configs[config][name] = _parsed(key, parse, value)
 
-    exclude = args.exclude if args.exclude else values.get("exclude", "all-attacks")
-    if isinstance(exclude, str):
-        exclude = [v.strip() for v in exclude.split(",") if v.strip()]
-
-    votes_text = pick("votes")
-    votes = DEFAULT_VOTE_SWEEP if votes_text is None else _parse_int_list(votes_text, "votes")
-    if not votes or min(votes) < 1 or len(set(votes)) < len(votes):
-        raise ManifestError(f"votes: expected distinct positive integers, got {votes_text!r}")
-
+    fields = configs["manifest"]
+    for key in ("dataset", "schema", "out") if need_out else ("dataset", "schema"):
+        if key not in fields:
+            raise ManifestError(f"missing required setting {key!r}")
     try:
-        loss = LossConfig(**settings(_LOSS_SETTINGS))
-        cfg = TrainingConfig(loss=loss, **settings(_TRAINING_SETTINGS))
+        training = TrainingConfig(loss=LossConfig(**configs["loss"]), **configs["training"])
     except ValueError as exc:
         raise ManifestError(str(exc)) from None
-
-    reference = pick("reference")
-    if reference is None:
-        stem = Path(schema).stem.lower()
-        if "nsl" in stem:
-            reference = "nsl-kdd"
-        elif "kdd" in stem:
-            reference = "kddcup99"
-        elif "cicids" in stem:
-            reference = "cicids2017"
-    elif reference not in REFERENCE_OVERALL:
-        raise ManifestError(
-            f"unknown reference {reference!r}; have {sorted(REFERENCE_OVERALL)}"
-        )
-
-    manifest = ExperimentManifest(
-        dataset=Path(dataset),
-        schema=Path(schema),
-        out=Path(out) if out is not None else Path("."),
-        exclude=list(exclude),
-        votes=votes,
-        training=cfg,
-        reference=reference,
-        **settings(_MANIFEST_SETTINGS),
-    )
-    if not manifest.dataset.exists():
-        raise ManifestError(f"dataset file {manifest.dataset} not found")
-    if not manifest.schema.exists():
-        raise ManifestError(f"schema file {manifest.schema} not found")
-    if not manifest.exclude:
-        raise ManifestError("need at least one excluded class")
-    return manifest
+    if "reference" not in fields:   # the first hint in the schema's file name, if any
+        stem = fields["schema"].stem.lower()
+        fields["reference"] = next((ref for hint, ref in _SCHEMA_HINTS if hint in stem), None)
+    return ExperimentManifest(training=training, **fields)
 
 
 def _reference_overall(reference: str | None, class_name: str) -> float | None:
@@ -234,13 +221,13 @@ def _report_j(votes: tuple[int, ...]) -> int:
 
 
 def _resolve_excluded(manifest: ExperimentManifest, class_names: tuple[str, ...]) -> list[str]:
-    if manifest.exclude == ["all-attacks"]:
+    if manifest.exclude == [ALL_ATTACKS]:
         return list(class_names[1:])
     for name in manifest.exclude:
         if name not in class_names:
-            raise ManifestError(f"unknown class {name!r}; have {list(class_names)}")
+            raise ManifestError(f"exclude: unknown class {name!r}; have {list(class_names)}")
         if name == class_names[0]:
-            raise ManifestError("cannot exclude benign class")
+            raise ManifestError("exclude: cannot exclude benign class")
     return manifest.exclude
 
 
@@ -252,6 +239,7 @@ def _train_and_sweep(raw, excluded_name: str, cfg: TrainingConfig, votes, on_bat
     experiment, whichever command runs it.
     """
     _, split = prepare_experiment(raw, excluded_name, cfg.seed)
+    _instances_per_class(split, cfg.test_batch_size)   # fail before training, not after
     model, trace = run_training(split, cfg, on_batch)
     rows = vote_sweep(model, split, cfg.test_batch_size, votes, seed=cfg.seed)
     return model, trace, rows
@@ -376,7 +364,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def cmd_seed_report(args: argparse.Namespace) -> int:
     try:
         manifest = build_manifest(args, need_out=False)
-        seeds = _parse_int_list(args.seeds, "seeds")
+        seeds = _parsed("seeds", _parse_ints, args.seeds)
         if len(seeds) < 2:
             raise ManifestError("need at least 2 seeds")
         schema = load_schema(manifest.schema)
@@ -433,32 +421,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def _add_manifest_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--manifest", help="key-value manifest file; flags override it")
-    sub.add_argument("--dataset", help="dataset CSV path")
-    sub.add_argument("--schema", help="schema descriptor path")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument(
-        "--exclude", action="append",
-        help="attack class to exclude (repeatable, or 'all-attacks')",
-    )
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batch-size", type=int, dest="batch_size")
-    sub.add_argument("--test-batch-size", type=int, dest="test_batch_size")
-    sub.add_argument("--minibatch", type=int)
-    sub.add_argument("--votes", help="comma-separated j values, e.g. 1,5,10")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--arch", help="comma-separated widths: hidden layers then embedding")
-    sub.add_argument("--activation", choices=["sigmoid", "relu", "tanh", "linear"])
-    sub.add_argument("--loss", choices=["contrastive", "regularized-log"])
-    sub.add_argument("--margin", type=float)
-    sub.add_argument("--lambda", type=float, help="L2 coefficient for regularized-log")
-    sub.add_argument("--lr", type=float)
-    sub.add_argument("--momentum", type=float)
-    sub.add_argument("--fresh-batch", action="store_true", default=None, dest="fresh_batch",
-                     help="regenerate the pair batch every epoch")
-    sub.add_argument("--dump-batch", action="store_true", default=None, dest="dump_batch",
-                     help="write each training pair batch to pairs.txt for audit")
-    sub.add_argument("--reference", choices=sorted(REFERENCE_OVERALL),
-                     help="attach published benchmark accuracies to the summary")
+    for key, (_, _, parse, help_text) in _SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        if parse is _parse_bool:
+            sub.add_argument(flag, dest=key, action="store_const", const="true", help=help_text)
+        else:
+            action = "append" if key == "exclude" else "store"
+            sub.add_argument(flag, dest=key, action=action, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,13 +35,27 @@ class EvaluationError(ValueError):
     pass
 
 
+def _checked_votes(j_values) -> tuple[int, ...]:
+    """The j rule: a non-empty sequence of distinct positive integers."""
+    j_values = tuple(j_values)
+    if not j_values:
+        raise EvaluationError("the j values are empty")
+    for i, j in enumerate(j_values):
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+            raise EvaluationError(f"j {j!r} is not an integer")
+        if j < 1:
+            raise EvaluationError(f"j {j!r} is not positive: need at least 1 vote")
+        if j in j_values[:i]:
+            raise EvaluationError(f"j {j!r} is repeated")
+    return tuple(int(j) for j in j_values)
+
+
 @dataclass(frozen=True)
 class VoteConfig:
     j: int = 5
 
     def __post_init__(self):
-        if self.j < 1:
-            raise ValueError("need at least 1 vote per instance")
+        _checked_votes((self.j,))
 
 
 @dataclass
@@ -416,20 +430,6 @@ class SweepRow:
     votes: int
     cm: ConfusionMatrix
     report: MetricsReport
-
-
-def _checked_votes(j_values) -> tuple[int, ...]:
-    j_values = tuple(j_values)
-    if not j_values:
-        raise EvaluationError("j_values is empty")
-    for i, j in enumerate(j_values):
-        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
-            raise EvaluationError(f"j_values: {j!r} is not an integer")
-        if j < 1:
-            raise EvaluationError(f"j_values: {j!r} is not positive")
-        if j in j_values[:i]:
-            raise EvaluationError(f"j_values: {j!r} is repeated")
-    return tuple(int(j) for j in j_values)
 
 
 def vote_sweep(

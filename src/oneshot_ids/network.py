@@ -116,6 +116,16 @@ class SiameseModel:
         )
 
 
+def checked_layers(widths: Sequence[int], activation: str) -> tuple[int, ...]:
+    """`widths` as ints, once every one is positive and `activation` is known."""
+    sizes = tuple(int(s) for s in widths)
+    if any(s <= 0 for s in sizes):
+        raise ValueError(f"layer widths must be positive, got {list(sizes)}")
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}; have {sorted(_ACTIVATIONS)}")
+    return sizes
+
+
 def init_model(
     layer_sizes: Sequence[int],
     activation: str = "sigmoid",
@@ -123,13 +133,9 @@ def init_model(
 ) -> SiameseModel:
     """Scaled-uniform weight init (bound sqrt(6/(fan_in+fan_out))), zero biases,
     in float64."""
-    sizes = tuple(int(s) for s in layer_sizes)
+    sizes = checked_layers(layer_sizes, activation)
     if len(sizes) < 2:
         raise ValueError(f"need at least input and embedding widths, got {list(sizes)}")
-    if any(s <= 0 for s in sizes):
-        raise ValueError(f"layer widths must be positive, got {list(sizes)}")
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     weights, biases = [], []

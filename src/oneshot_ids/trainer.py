@@ -23,6 +23,7 @@ from .network import (
     SiameseModel,
     apply_update,
     batch_gradients,
+    checked_layers,
     init_model,
     init_momentum_state,
 )
@@ -58,6 +59,7 @@ class TrainingConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
+        checked_layers(self.architecture, self.activation)
 
 
 @dataclass

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,3 +393,144 @@ class TestManifestParsing:
 
     def test_missing_manifest_file(self, tmp_path):
         assert run_cli("run", "--manifest", str(tmp_path / "none.manifest")) == 2
+
+
+class TestEarlyRejection:
+    @pytest.mark.parametrize(
+        "flags, line, message",
+        [
+            ((), {"activation": "softplus"}, r"'linear', 'relu', 'sigmoid', 'tanh'"),
+            (("--arch", "8,-1,4"), {}, "positive"),
+        ],
+        ids=["activation-line", "arch-flag"],
+    )
+    def test_bad_layers_exit_2_before_loading(
+        self, synthetic_files, tmp_path, capsys, monkeypatch, flags, line, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(cli, "load_dataset", never)
+        csv_path, schema_path = synthetic_files
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, csv_path, schema_path, out, **line)
+        assert run_cli("run", "--manifest", str(manifest), *flags) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_small_test_batch_fails_before_training(self, synthetic_files, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(cli, "run_training", never)
+        csv_path, schema_path = synthetic_files
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, csv_path, schema_path, out, exclude="attack1")
+        assert run_cli("run", "--manifest", str(manifest), "--test-batch-size", "3") == 1
+        summary = (out / "summary.csv").read_text()
+        assert "test_batch_size 3 too small for 4 classes" in summary
+
+
+# One valid value per setting, each unlike the value `write_manifest` or the
+# defaults give it, and one malformed value where a setting has one.
+PARITY_VALUES = {
+    "dataset": "copy.csv", "schema": "copy.schema", "out": "elsewhere",
+    "exclude": "attack2", "votes": "1,10", "reference": "nsl-kdd", "dump_batch": "true",
+    "epochs": "4", "batch_size": "300", "test_batch_size": "40", "minibatch": "32",
+    "fresh_batch": "true", "arch": "8,4", "activation": "tanh", "lr": "0.05",
+    "momentum": "0.5", "seed": "4", "loss": "regularized-log", "margin": "2.5",
+    "lambda": "0.001",
+}
+MALFORMED_VALUES = {
+    "dataset": "nope.csv", "schema": "nope.schema", "exclude": "attack9", "votes": "1;5",
+    "reference": "unsw", "dump_batch": "yes", "epochs": "x", "batch_size": "x",
+    "test_batch_size": "1.5", "minibatch": "x", "fresh_batch": "1", "arch": "8,a",
+    "activation": "softplus", "lr": "fast", "momentum": "x", "seed": "x", "loss": "hinge",
+    "margin": "x", "lambda": "x",
+}
+
+
+def copy_inputs(tmp_path, synthetic_files):
+    """The inputs again as copy.csv and copy.schema, for PARITY_VALUES."""
+    csv_path, schema_path = synthetic_files
+    (tmp_path / "copy.csv").write_bytes(csv_path.read_bytes())
+    (tmp_path / "copy.schema").write_bytes(schema_path.read_bytes())
+
+
+def manifest_without(tmp_path, synthetic_files, key, **lines):
+    """A manifest file holding `lines` and every base setting but `key`."""
+    csv_path, schema_path = synthetic_files
+    path = write_manifest(tmp_path, csv_path, schema_path, tmp_path / "out")
+    kept = [ln for ln in path.read_text().splitlines() if ln.split(" = ")[0] != key]
+    path = path.with_name("with.manifest" if lines else "without.manifest")
+    path.write_text("\n".join(kept + [f"{k} = {v}" for k, v in lines.items()]) + "\n")
+    return path
+
+
+SWITCHES = ("dump_batch", "fresh_batch")   # flags that take no value and mean "true"
+
+
+def as_flag(key, value):
+    flag = "--" + key.replace("_", "-")
+    return [flag] if key in SWITCHES else [flag, value]
+
+
+class TestFlagManifestParity:
+    def test_every_setting_has_values(self):
+        assert set(PARITY_VALUES) == set(cli._SETTINGS)
+        assert set(MALFORMED_VALUES) == set(cli._SETTINGS) - {"out"}  # any path will do
+
+    @pytest.mark.parametrize("key", sorted(PARITY_VALUES))
+    def test_flag_and_line_build_the_same_manifest(
+        self, synthetic_files, tmp_path, monkeypatch, key
+    ):
+        monkeypatch.chdir(tmp_path)
+        copy_inputs(tmp_path, synthetic_files)
+        value = PARITY_VALUES[key]
+        path = manifest_without(tmp_path, synthetic_files, key)
+        by_flag = cli.build_manifest(
+            cli.build_parser().parse_args(["run", "--manifest", str(path), *as_flag(key, value)])
+        )
+        path = manifest_without(tmp_path, synthetic_files, key, **{key: value})
+        by_line = cli.build_manifest(cli.build_parser().parse_args(["run", "--manifest", str(path)]))
+        assert by_flag == by_line
+        assert by_flag != build(tmp_path, synthetic_files)
+
+    @pytest.mark.parametrize("key", sorted(MALFORMED_VALUES))
+    def test_malformed_value_exits_2_naming_the_key(
+        self, synthetic_files, tmp_path, capsys, monkeypatch, key
+    ):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        value = MALFORMED_VALUES[key]
+        routes = [["--manifest", str(manifest_without(tmp_path, synthetic_files, key, **{key: value}))]]
+        if key not in SWITCHES:
+            path = manifest_without(tmp_path, synthetic_files, key)
+            routes.append(["--manifest", str(path), *as_flag(key, value)])
+        for argv in routes:
+            assert run_cli("run", *argv) == 2
+            assert key in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_repeated_exclude_flags_are_not_split(self, synthetic_files, tmp_path):
+        manifest = build(tmp_path, synthetic_files, "--exclude", "a,b", "--exclude", "c")
+        assert manifest.exclude == ["a,b", "c"]
+        assert build(tmp_path, synthetic_files, exclude="a, b").exclude == ["a", "b"]
+
+
+def test_readme_manifest_example(synthetic_files, tmp_path):
+    csv_path, schema_path = synthetic_files
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in readme.split("```")[1::2] if b.lstrip().startswith("dataset"))
+    text = (
+        block.replace("demo/data/synthetic.csv", str(csv_path))
+        .replace("demo/data/synthetic.schema", str(schema_path))
+        .replace("demo/results", str(tmp_path / "results"))
+    )
+    path = tmp_path / "run.manifest"
+    path.write_text(text, encoding="utf-8")
+    manifest = cli.build_manifest(cli.build_parser().parse_args(["run", "--manifest", str(path)]))
+    assert manifest.dataset == csv_path and manifest.schema == schema_path
+    assert manifest.exclude == [cli.ALL_ATTACKS]
+    assert manifest.votes == (1, 5, 10, 15, 20, 25, 30)
+    assert (manifest.training.n_epochs, manifest.training.seed) == (200, 11)
