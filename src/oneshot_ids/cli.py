@@ -27,7 +27,7 @@ from pathlib import Path
 from .dataset import DatasetError, SchemaError, load_dataset, load_schema, prepare_experiment
 from .evaluator import (DEFAULT_VOTE_SWEEP, ConfusionMatrix, _checked_votes, _instances_per_class,
                         metrics, sweep_to_csv, vote_sweep)
-from .network import LossConfig, save_model
+from .network import ConfigError, LossConfig, save_model
 from .trainer import TrainingConfig, run_training
 
 EXPERIMENT_ARTIFACTS = (
@@ -193,8 +193,9 @@ def build_manifest(args: argparse.Namespace, need_out: bool = True) -> Experimen
             raise ManifestError(f"missing required setting {key!r}")
     try:
         training = TrainingConfig(loss=LossConfig(**configs["loss"]), **configs["training"])
-    except ValueError as exc:
-        raise ManifestError(str(exc)) from None
+    except ConfigError as exc:   # no field name is in two configs, so the map is one-to-one
+        keys = {name: key for key, (_, name, _, _) in _SETTINGS.items()}
+        raise ManifestError(f"{', '.join(keys[f] for f in exc.fields)}: {exc}") from None
     if "reference" not in fields:   # the first hint in the schema's file name, if any
         stem = fields["schema"].stem.lower()
         fields["reference"] = next((ref for hint, ref in _SCHEMA_HINTS if hint in stem), None)
@@ -220,14 +221,11 @@ def _report_j(votes: tuple[int, ...]) -> int:
     return 5 if 5 in votes else votes[0]
 
 
-def _resolve_excluded(manifest: ExperimentManifest, class_names: tuple[str, ...]) -> list[str]:
+def _resolve_excluded(manifest: ExperimentManifest, raw) -> list[str]:
     if manifest.exclude == [ALL_ATTACKS]:
-        return list(class_names[1:])
+        return list(raw.class_names[1:])
     for name in manifest.exclude:
-        if name not in class_names:
-            raise ManifestError(f"exclude: unknown class {name!r}; have {list(class_names)}")
-        if name == class_names[0]:
-            raise ManifestError("exclude: cannot exclude benign class")
+        _parsed("exclude", raw.attack_index, name)
     return manifest.exclude
 
 
@@ -238,7 +236,7 @@ def _train_and_sweep(raw, excluded_name: str, cfg: TrainingConfig, votes, on_bat
     wrapper set on `cli.<stage>` (as the benchmark tracer does) sees every
     experiment, whichever command runs it.
     """
-    _, split = prepare_experiment(raw, excluded_name, cfg.seed)
+    split = prepare_experiment(raw, excluded_name, cfg.seed)
     _instances_per_class(split, cfg.test_batch_size)   # fail before training, not after
     model, trace = run_training(split, cfg, on_batch)
     rows = vote_sweep(model, split, cfg.test_batch_size, votes, seed=cfg.seed)
@@ -279,8 +277,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         manifest = build_manifest(args)
         schema = load_schema(manifest.schema)
         raw = load_dataset(manifest.dataset, schema)
-        class_names = raw.classes
-        excluded_names = _resolve_excluded(manifest, class_names)
+        excluded_names = _resolve_excluded(manifest, raw)
     except (ManifestError, SchemaError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -369,7 +366,7 @@ def cmd_seed_report(args: argparse.Namespace) -> int:
             raise ManifestError("need at least 2 seeds")
         schema = load_schema(manifest.schema)
         raw = load_dataset(manifest.dataset, schema)
-        excluded = _resolve_excluded(manifest, raw.classes)[0]
+        excluded = _resolve_excluded(manifest, raw)[0]
     except (ManifestError, SchemaError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -378,7 +375,11 @@ def cmd_seed_report(args: argparse.Namespace) -> int:
     accuracies = []
     for seed in seeds:
         cfg = replace(manifest.training, seed=seed)
-        _, _, rows = _train_and_sweep(raw, excluded, cfg, (report_j,))
+        try:
+            _, _, rows = _train_and_sweep(raw, excluded, cfg, (report_j,))
+        except Exception as exc:  # what `run` records per experiment
+            print(f"error: seed {seed}: {exc}", file=sys.stderr)
+            return 1
         accuracies.append(rows[0].report.overall_accuracy)
         print(f"seed {seed}: overall accuracy {100.0 * accuracies[-1]:.2f}%")
 

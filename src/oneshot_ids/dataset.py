@@ -151,11 +151,18 @@ class RawDataset:
     `columns` holds one array per schema feature column, in schema feature
     order: float64 for a numeric column, str for a categorical one.
     `labels` holds each row's class name, after the schema's `label_map`.
+    The class inventory is decided here, once: `class_names` lists the
+    observed classes, the schema's benign class first and then the attack
+    classes alphabetically, and `codes` holds each row's int64 index into
+    it. A schema without a benign class, or a benign class with no rows,
+    is an error.
     """
 
     schema: Schema
     columns: tuple[np.ndarray, ...]
     labels: np.ndarray
+    class_names: tuple[str, ...] = field(init=False)
+    codes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         features = self.schema.feature_columns
@@ -166,21 +173,32 @@ class RawDataset:
         self.labels = np.asarray(self.labels, dtype=np.str_)
         if any(len(values) != len(self.labels) for values in self.columns):
             raise DatasetError("every feature column needs one value per label")
+        benign = self.schema.normal_label
+        if benign is None:
+            raise DatasetError("schema does not designate the benign class (missing 'normal' directive)")
+        observed, inverse = np.unique(self.labels, return_inverse=True)
+        if benign not in observed:
+            raise DatasetError(f"benign class {benign!r} has no instances")
+        # a stable sort on "is not benign" keeps the attack classes alphabetical
+        order = np.argsort(observed != benign, kind="stable")
+        self.class_names = tuple(observed[order].tolist())
+        self.codes = np.argsort(order)[inverse]
 
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def classes(self) -> tuple[str, ...]:
-        """Observed class inventory, benign class first then alphabetical."""
-        return self.class_labels()[0]
-
-    def class_labels(self) -> tuple[tuple[str, ...], np.ndarray]:
-        """The class inventory (see `classes`) and each row's int64 index into it."""
-        observed, inverse = np.unique(self.labels, return_inverse=True)
-        # a stable sort on "is not benign" keeps the attack classes alphabetical
-        order = np.argsort(observed != self.schema.normal_label, kind="stable")
-        return tuple(observed[order].tolist()), np.argsort(order)[inverse]
+    def attack_index(self, excluded: int | str) -> int:
+        """Index into `class_names` of a class that may be withheld: an
+        unknown name, an out-of-range index or the benign class is an error."""
+        if isinstance(excluded, str):
+            if excluded not in self.class_names:
+                raise DatasetError(f"unknown class {excluded!r}; have {list(self.class_names)}")
+            excluded = self.class_names.index(excluded)
+        if not 0 <= excluded < len(self.class_names):
+            raise DatasetError(f"excluded class index {excluded} out of range")
+        if excluded == 0:
+            raise DatasetError("cannot exclude benign class")
+        return excluded
 
 
 def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
@@ -354,8 +372,6 @@ class EncodedDataset:
     class_names: tuple[str, ...]
     encoder: Encoder
 
-    NORMAL_CLASS = 0
-
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
@@ -367,30 +383,13 @@ class EncodedDataset:
     def instances_of(self, class_index: int) -> np.ndarray:
         return np.flatnonzero(self.labels == class_index)
 
-    def class_index(self, name: str) -> int:
-        try:
-            return self.class_names.index(name)
-        except ValueError:
-            raise DatasetError(f"unknown class {name!r}; have {list(self.class_names)}") from None
-
 
 def encode(raw: RawDataset, encoder: Encoder) -> EncodedDataset:
     """Transform every row of `raw` with a fitted encoder."""
-    return _encode(raw, encoder, *raw.class_labels())
-
-
-def _encode(
-    raw: RawDataset, encoder: Encoder, class_names: tuple[str, ...], labels: np.ndarray
-) -> EncodedDataset:
-    """`encode` with the class inventory and label codes of `raw.class_labels()`."""
-    if raw.schema.normal_label is None:
-        raise DatasetError("schema does not designate the benign class (missing 'normal' directive)")
-    if raw.schema.normal_label not in class_names:
-        raise DatasetError(f"benign class {raw.schema.normal_label!r} has no instances")
     matrix = encoder.transform(raw.columns)
     if not np.all(np.isfinite(matrix)):
         raise DatasetError("encoding produced non-finite values")
-    return EncodedDataset(matrix, labels, class_names, encoder)
+    return EncodedDataset(matrix, raw.codes, raw.class_names, encoder)
 
 
 @dataclass
@@ -442,11 +441,7 @@ def _halve(indices: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, n
     return perm[:cut], perm[cut:]
 
 
-def prepare_experiment(
-    raw: RawDataset,
-    excluded_class: int | str,
-    seed: int,
-) -> tuple[EncodedDataset, ExperimentSplit]:
+def prepare_experiment(raw: RawDataset, excluded_class: int | str, seed: int) -> ExperimentSplit:
     """Shuffle and halve every class, then fit the encoder on training pools only.
 
     This is the leakage-free path: encoding statistics are computed from
@@ -454,36 +449,23 @@ def prepare_experiment(
     rows nor any excluded-class row can influence the feature space. The
     split is deterministic given the seed.
     """
-    class_names, labels = raw.class_labels()
-    if isinstance(excluded_class, str):
-        try:
-            excluded_class = class_names.index(excluded_class)
-        except ValueError:
-            raise DatasetError(
-                f"unknown class {excluded_class!r}; have {list(class_names)}"
-            ) from None
-    if not 0 <= excluded_class < len(class_names):
-        raise DatasetError(f"excluded class index {excluded_class} out of range")
-    if excluded_class == EncodedDataset.NORMAL_CLASS:
-        raise DatasetError("cannot exclude benign class")
+    excluded_class = raw.attack_index(excluded_class)
     # a retained class's testing pool needs 2 rows (an instance is never its
     # own reference), the excluded class's unlabelled pool 1
-    for c, count in enumerate(np.bincount(labels, minlength=len(class_names))):
+    for c, count in enumerate(np.bincount(raw.codes, minlength=len(raw.class_names))):
         need = 2 if c == excluded_class else 4
         if count < need:
             raise DatasetError(
-                f"class {class_names[c]!r} has {count} instance(s); need at least {need}"
+                f"class {raw.class_names[c]!r} has {count} instance(s); need at least {need}"
             )
     rng = stream_rng(seed, SPLIT_STREAM)
     training, testing = {}, {}
-    for c in range(len(class_names)):
-        first, second = _halve(np.flatnonzero(labels == c), rng)
+    for c in range(len(raw.class_names)):
+        first, second = _halve(np.flatnonzero(raw.codes == c), rng)
         if c == excluded_class:
             labelled, unlabelled = first, second
         else:
             training[c], testing[c] = first, second
     fit_rows = np.sort(np.concatenate([training[c] for c in sorted(training)]))
-    encoder = fit_encoder(raw, fit_rows)
-    ds = _encode(raw, encoder, class_names, labels)
-    split = ExperimentSplit(ds, excluded_class, training, testing, labelled, unlabelled)
-    return ds, split
+    ds = encode(raw, fit_encoder(raw, fit_rows))
+    return ExperimentSplit(ds, excluded_class, training, testing, labelled, unlabelled)

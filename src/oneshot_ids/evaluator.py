@@ -204,9 +204,10 @@ def metrics(cm: ConfusionMatrix, excluded_class: int | str | None = None) -> Met
 
 
 def _embed_all(model: SiameseModel, matrix: np.ndarray) -> np.ndarray:
+    # one chunk at least, so that zero rows embed to a (0, width) block
     parts = [
         embed(model, matrix[start:start + _EMBED_CHUNK])
-        for start in range(0, len(matrix), _EMBED_CHUNK)
+        for start in range(0, max(len(matrix), 1), _EMBED_CHUNK)
     ]
     return np.vstack(parts)
 
@@ -373,18 +374,19 @@ def _vote_rounds(
     return predictions
 
 
-def classify_instance(
+def classify(
     model: SiameseModel,
-    x: np.ndarray,
+    X: np.ndarray,
     split: ExperimentSplit,
     vote: VoteConfig,
     rng: int | np.random.Generator,
-) -> int:
-    """Predict the class of one feature vector by nearest-pair voting."""
+) -> np.ndarray:
+    """Predict the class of each row of the (q, width) feature block `X` by
+    nearest-pair voting: (q,) int64 class indices. The reference pools are
+    embedded once per call, whatever q is."""
     refs = _reference_embeddings(model, split)
-    pool = embed(model, x)[None, :]
-    preds = _vote_rounds(pool, np.zeros(1, np.intp), refs, vote.j, np.random.default_rng(rng))
-    return int(preds[0])
+    pool = _embed_all(model, X)
+    return _vote_rounds(pool, np.arange(len(pool)), refs, vote.j, np.random.default_rng(rng))
 
 
 def evaluate(

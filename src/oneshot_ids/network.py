@@ -68,6 +68,14 @@ _ACTIVATIONS = {
 }
 
 
+class ConfigError(ValueError):
+    """A rejected config value; `fields` names the config fields at fault."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class LossConfig:
     kind: str = CONTRASTIVE
@@ -76,11 +84,12 @@ class LossConfig:
 
     def __post_init__(self):
         if self.kind not in (CONTRASTIVE, REGULARIZED_LOG):
-            raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.kind == CONTRASTIVE and not self.margin > 0:
-            raise ValueError("contrastive loss requires margin > 0")
-        if self.l2 < 0:
-            raise ValueError("l2 coefficient must be nonnegative")
+            raise ConfigError(f"unknown loss kind {self.kind!r}", "kind")
+        if self.kind == CONTRASTIVE and not 0 < self.margin < np.inf:
+            raise ConfigError(f"contrastive loss requires finite margin > 0, got {self.margin!r}",
+                              "margin")
+        if not 0 <= self.l2 < np.inf:
+            raise ConfigError(f"l2 coefficient must be finite and >= 0, got {self.l2!r}", "l2")
 
 
 @dataclass
@@ -120,9 +129,10 @@ def checked_layers(widths: Sequence[int], activation: str) -> tuple[int, ...]:
     """`widths` as ints, once every one is positive and `activation` is known."""
     sizes = tuple(int(s) for s in widths)
     if any(s <= 0 for s in sizes):
-        raise ValueError(f"layer widths must be positive, got {list(sizes)}")
+        raise ConfigError(f"layer widths must be positive, got {list(sizes)}", "architecture")
     if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}; have {sorted(_ACTIVATIONS)}")
+        raise ConfigError(f"unknown activation {activation!r}; have {sorted(_ACTIVATIONS)}",
+                          "activation")
     return sizes
 
 

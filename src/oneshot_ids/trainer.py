@@ -19,6 +19,7 @@ import numpy as np
 
 from .dataset import ExperimentSplit
 from .network import (
+    ConfigError,
     LossConfig,
     SiameseModel,
     apply_update,
@@ -52,13 +53,15 @@ class TrainingConfig:
     def __post_init__(self):
         for name in ("train_batch_size", "test_batch_size", "n_epochs", "minibatch_size"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive", name)
         if self.minibatch_size > self.train_batch_size:
-            raise ValueError("minibatch_size cannot exceed train_batch_size")
+            raise ConfigError("minibatch_size cannot exceed train_batch_size",
+                              "minibatch_size", "train_batch_size")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}",
+                              "learning_rate")
         if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum!r}", "momentum")
         checked_layers(self.architecture, self.activation)
 
 

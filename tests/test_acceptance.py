@@ -40,7 +40,6 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 @dataclass
 class TrainedFixture:
-    ds: object
     split: ExperimentSplit
     model: object
     trace: object
@@ -56,8 +55,8 @@ def trained(tmp_path_factory) -> TrainedFixture:
     500 instances/class, 20 features, 4-sigma separation; one attack class
     withheld; 200 epochs with package defaults; fixed seeds."""
     raw = make_raw(n_classes=5, per_class=500, n_features=20, separation=4.0, seed=DATA_SEED)
-    ds, split = prepare_experiment(raw, EXCLUDED, seed=RUN_SEED)
-    fixture = TrainedFixture(ds=ds, split=split, model=None, trace=None)
+    split = prepare_experiment(raw, EXCLUDED, seed=RUN_SEED)
+    fixture = TrainedFixture(split=split, model=None, trace=None)
     cfg = TrainingConfig(n_epochs=200, seed=RUN_SEED)
     started = time.perf_counter()
     model, trace = run_training(split, cfg, on_batch=fixture.batches.append)
@@ -228,7 +227,7 @@ class TestCriterion6Determinism:
 class TestCriterion7ExclusionHygiene:
     def test_no_excluded_instances_in_any_batch(self, trained):
         excluded_rows = set(
-            np.flatnonzero(trained.ds.labels == trained.split.excluded_class).tolist()
+            np.flatnonzero(trained.split.dataset.labels == trained.split.excluded_class).tolist()
         )
         leaked = 0
         for batch in trained.batches:

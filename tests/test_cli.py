@@ -80,6 +80,23 @@ class TestRun:
         )
         assert run_cli("run", "--manifest", str(manifest)) == 2
 
+    @pytest.mark.parametrize("command", ["run", "seed-report"])
+    @pytest.mark.parametrize("normal", ["", "normal benign\n"], ids=["undeclared", "no-rows"])
+    def test_missing_benign_class_exits_2_before_anything_runs(
+        self, synthetic_files, tmp_path, capsys, command, normal
+    ):
+        csv_path, schema_path = synthetic_files
+        lines = schema_path.read_text().splitlines(keepends=True)
+        schema = tmp_path / "altered.schema"
+        schema.write_text("".join(ln for ln in lines if not ln.startswith("normal ")) + normal)
+        out, report = tmp_path / "out", tmp_path / "seeds.json"
+        manifest = write_manifest(tmp_path, csv_path, schema, out)
+        seeds = ("--seeds", "1,2", "--report-out", str(report)) if command == "seed-report" else ()
+        assert run_cli(command, "--manifest", str(manifest), *seeds) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "benign" in err
+        assert not out.exists() and not report.exists()
+
     def test_byte_identical_reruns(self, synthetic_files, tmp_path):
         csv_path, schema_path = synthetic_files
         outs = []
@@ -274,6 +291,21 @@ class TestSeedReport:
         payload = json.loads(report_path.read_text())
         assert payload["min"] == payload["max"] == payload["mean"]
 
+    def test_failing_seed_exits_1_without_report(self, synthetic_files, tmp_path, capsys):
+        csv_path, schema_path = synthetic_files
+        manifest = write_manifest(
+            tmp_path, csv_path, schema_path, tmp_path / "unused", exclude="attack1"
+        )
+        report_path = tmp_path / "seeds.json"
+        code = run_cli(
+            "seed-report", "--manifest", str(manifest), "--seeds", "1,2",
+            "--test-batch-size", "3", "--report-out", str(report_path),
+        )
+        assert code == 1
+        expected = "error: seed 1: test_batch_size 3 too small for 4 classes\n"
+        assert capsys.readouterr().err == expected
+        assert not report_path.exists()
+
     def test_single_seed_rejected(self, synthetic_files, tmp_path, capsys):
         csv_path, schema_path = synthetic_files
         manifest = write_manifest(
@@ -296,7 +328,7 @@ class TestSynthCommand:
         printed = capsys.readouterr().out.splitlines()
         raw = load_dataset(printed[0], load_schema(printed[1]))
         assert len(raw) == 30
-        assert raw.classes == ("normal", "attack1", "attack2")
+        assert raw.class_names == ("normal", "attack1", "attack2")
 
     def test_end_to_end_with_run(self, tmp_path):
         out = tmp_path / "synth"
@@ -378,6 +410,29 @@ class TestManifestParsing:
             assert run_cli("run", "--manifest", str(manifest), "--votes", votes) == 2
             assert "votes" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, keys",
+        [
+            (("--lr", "nan"), "lr"),
+            (("--lambda", "-1"), "lambda"),
+            (("--lambda", "nan"), "lambda"),
+            (("--arch", "8,-1,4"), "arch"),
+            (("--activation", "softplus"), "activation"),
+            (("--epochs", "0"), "epochs"),
+            (("--test-batch-size", "0"), "test_batch_size"),
+            (("--momentum", "1"), "momentum"),
+            (("--margin", "0"), "margin"),
+            (("--margin", "inf"), "margin"),
+            (("--loss", "hinge"), "loss"),
+            (("--minibatch", "500", "--batch-size", "200"), "minibatch, batch_size"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else " ".join(v),
+    )
+    def test_rejected_config_value_names_its_keys(self, synthetic_files, tmp_path, flags, keys):
+        with pytest.raises(cli.ManifestError) as info:
+            build(tmp_path, synthetic_files, *flags)
+        assert str(info.value).startswith(f"{keys}: ")
 
     def test_unknown_reference_rejected(self, synthetic_files, tmp_path):
         csv_path, schema_path = synthetic_files
@@ -479,6 +534,8 @@ class TestFlagManifestParity:
     def test_every_setting_has_values(self):
         assert set(PARITY_VALUES) == set(cli._SETTINGS)
         assert set(MALFORMED_VALUES) == set(cli._SETTINGS) - {"out"}  # any path will do
+        # a config error names its fields, which must map back to one key each
+        assert len({name for _, name, _, _ in cli._SETTINGS.values()}) == len(cli._SETTINGS)
 
     @pytest.mark.parametrize("key", sorted(PARITY_VALUES))
     def test_flag_and_line_build_the_same_manifest(

@@ -41,7 +41,7 @@ class TestLoad:
         path = write_csv(tmp_path, "1.0,2.0,normal\n3.0,4.0,attack\n5.0,6.0,normal\n")
         raw = load_dataset(path, two_feature_schema())
         assert len(raw) == 3
-        assert raw.classes == ("normal", "attack")
+        assert raw.class_names == ("normal", "attack")
         assert [values[1] for values in raw.columns] == [3.0, 4.0]
         assert raw.labels.tolist() == ["normal", "attack", "normal"]
 
@@ -96,7 +96,7 @@ class TestLoad:
         )
         path = write_csv(tmp_path, "1,n\n2,weird\n3,n\n")
         raw = load_dataset(path, schema)
-        assert raw.classes == ("normal", "weird")
+        assert raw.class_names == ("normal", "weird")
 
     def test_label_mapping_counts(self, tmp_path):
         schema = Schema(
@@ -364,18 +364,54 @@ class TestEncoder:
         assert np.all(ds.matrix >= 0.0) and np.all(ds.matrix <= 1.0)
         assert np.all(np.isfinite(ds.matrix))
 
-    def test_encode_requires_benign_designation(self):
-        schema = Schema((Column("x", NUMERIC), Column("label", LABEL)))
-        raw = RawDataset(schema, [[1.0, 2.0]], ["a", "b"])
-        with pytest.raises(DatasetError, match="benign"):
-            encode(raw, fit_encoder(raw, [0, 1]))
-
     def test_class_order_normal_first(self):
         schema = Schema((Column("x", NUMERIC), Column("label", LABEL)), normal_label="zz_normal")
         raw = RawDataset(schema, [[1.0, 2.0, 3.0]], ["b_att", "zz_normal", "a_att"])
+        assert raw.class_names == ("zz_normal", "a_att", "b_att")
+        assert raw.codes.dtype == np.int64 and raw.codes.tolist() == [2, 0, 1]
         ds = encode(raw, fit_encoder(raw, [0, 1, 2]))
         assert ds.class_names == ("zz_normal", "a_att", "b_att")
         assert ds.labels.tolist() == [2, 0, 1]
+
+
+class TestClassInventory:
+    def test_requires_benign_designation(self):
+        schema = Schema((Column("x", NUMERIC), Column("label", LABEL)))
+        with pytest.raises(DatasetError, match="missing 'normal' directive"):
+            RawDataset(schema, [[1.0, 2.0]], ["a", "b"])
+
+    def test_benign_class_needs_rows(self):
+        with pytest.raises(DatasetError, match="benign class 'normal' has no instances"):
+            RawDataset(two_feature_schema(), [[1.0, 2.0], [3.0, 4.0]], ["attack1", "attack2"])
+
+    @pytest.mark.parametrize("normal", [None, "benign"], ids=["undeclared", "no-rows"])
+    def test_load_rejects_missing_benign_class(self, tmp_path, normal):
+        path = write_csv(tmp_path, "1.0,2.0,normal\n3.0,4.0,attack1\n")
+        with pytest.raises(DatasetError, match="benign"):
+            load_dataset(path, two_feature_schema(normal))
+
+    def test_inventory_is_not_settable(self):
+        with pytest.raises(TypeError):
+            RawDataset(two_feature_schema(), [[1.0], [2.0]], ["normal"], class_names=("normal",))
+
+    @pytest.mark.parametrize(
+        "excluded, message",
+        [
+            ("attack9", r"unknown class 'attack9'; have \['normal', 'a', 'b'\]"),
+            (3, "excluded class index 3 out of range"),
+            (-1, "excluded class index -1 out of range"),
+            ("normal", "cannot exclude benign class"),
+            (0, "cannot exclude benign class"),
+        ],
+    )
+    def test_attack_index_rejects(self, excluded, message):
+        raw = RawDataset(two_feature_schema(), [[1.0] * 3, [2.0] * 3], ["b", "normal", "a"])
+        with pytest.raises(DatasetError, match=message):
+            raw.attack_index(excluded)
+
+    def test_attack_index_accepts_name_or_index(self):
+        raw = RawDataset(two_feature_schema(), [[1.0] * 3, [2.0] * 3], ["b", "normal", "a"])
+        assert [raw.attack_index(c) for c in ("a", "b", 1, 2)] == [1, 2, 1, 2]
 
 
 class TestSplit:
@@ -386,28 +422,28 @@ class TestSplit:
 
     def test_even_class_halves(self):
         raw = self.make_raw({"normal": 10, "r2l": 52, "dos": 8})
-        ds, split = prepare_experiment(raw, "dos", seed=0)
-        r2l = ds.class_index("r2l")
+        split = prepare_experiment(raw, "dos", seed=0)
+        r2l = raw.attack_index("r2l")
         assert len(split.training_pools[r2l]) == 26
         assert len(split.testing_pools[r2l]) == 26
 
     def test_odd_count_extra_to_first_pool(self):
         raw = self.make_raw({"normal": 10, "a": 5, "b": 8})
-        ds, split = prepare_experiment(raw, "b", seed=0)
-        a = ds.class_index("a")
+        split = prepare_experiment(raw, "b", seed=0)
+        a = raw.attack_index("a")
         assert len(split.training_pools[a]) == 3
         assert len(split.testing_pools[a]) == 2
 
     def test_excluded_pools_halved(self):
         raw = self.make_raw({"normal": 10, "a": 9, "b": 8})
-        _, split = prepare_experiment(raw, "a", seed=0)
+        split = prepare_experiment(raw, "a", seed=0)
         assert len(split.excluded_labelled) == 5
         assert len(split.excluded_unlabelled) == 4
 
     def test_deterministic(self):
         raw = self.make_raw({"normal": 30, "a": 21, "b": 17})
-        _, s1 = prepare_experiment(raw, 1, seed=42)
-        _, s2 = prepare_experiment(raw, 1, seed=42)
+        s1 = prepare_experiment(raw, 1, seed=42)
+        s2 = prepare_experiment(raw, 1, seed=42)
         for c in s1.training_pools:
             assert np.array_equal(s1.training_pools[c], s2.training_pools[c])
             assert np.array_equal(s1.testing_pools[c], s2.testing_pools[c])
@@ -417,7 +453,8 @@ class TestSplit:
     def test_partition_property(self):
         raw = self.make_raw({"normal": 13, "a": 29, "b": 6, "c": 17})
         for seed in range(5):
-            ds, split = prepare_experiment(raw, 2, seed=seed)
+            split = prepare_experiment(raw, 2, seed=seed)
+            ds = split.dataset
             for c in split.training_pools:
                 train = set(split.training_pools[c].tolist())
                 test = set(split.testing_pools[c].tolist())
@@ -449,7 +486,7 @@ class TestSplit:
 
     def test_smallest_classes_accepted(self):
         raw = self.make_raw({"normal": 4, "a": 4, "tiny": 2})
-        _, split = prepare_experiment(raw, "tiny", seed=0)
+        split = prepare_experiment(raw, "tiny", seed=0)
         assert [len(p) for p in split.testing_pools.values()] == [2, 2]
         assert len(split.excluded_unlabelled) == 1
 
@@ -462,24 +499,24 @@ class TestSplit:
 class TestPrepareExperiment:
     def test_no_leakage_from_non_training_rows(self):
         raw = make_raw(n_classes=3, per_class=20, n_features=4, seed=5)
-        ds1, split1 = prepare_experiment(raw, "attack1", seed=3)
+        split1 = prepare_experiment(raw, "attack1", seed=3)
         # mutate one testing-pool row and every excluded-class row
         victim = int(split1.testing_pools[0][0])
         excluded = np.concatenate([split1.excluded_labelled, split1.excluded_unlabelled])
         for values in raw.columns:
             values[victim] += 500.0
             values[excluded] -= 300.0
-        ds2, split2 = prepare_experiment(raw, "attack1", seed=3)
-        assert ds1.encoder == ds2.encoder
+        split2 = prepare_experiment(raw, "attack1", seed=3)
+        assert split1.dataset.encoder == split2.dataset.encoder
 
     def test_training_rows_do_affect_encoder(self):
         raw = make_raw(n_classes=3, per_class=20, n_features=4, seed=5)
-        ds1, split1 = prepare_experiment(raw, "attack1", seed=3)
+        split1 = prepare_experiment(raw, "attack1", seed=3)
         victim = int(split1.training_pools[0][0])
         for values in raw.columns:
             values[victim] += 500.0
-        ds2, _ = prepare_experiment(raw, "attack1", seed=3)
-        assert ds1.encoder != ds2.encoder
+        split2 = prepare_experiment(raw, "attack1", seed=3)
+        assert split1.dataset.encoder != split2.dataset.encoder
 
     def test_unknown_class_name(self):
         raw = make_raw(n_classes=3, per_class=10, n_features=4)
@@ -488,7 +525,7 @@ class TestPrepareExperiment:
 
     def test_deterministic(self):
         raw = make_raw(n_classes=3, per_class=10, n_features=4)
-        ds1, s1 = prepare_experiment(raw, 1, seed=9)
-        ds2, s2 = prepare_experiment(raw, 1, seed=9)
-        assert np.array_equal(ds1.matrix, ds2.matrix)
+        s1 = prepare_experiment(raw, 1, seed=9)
+        s2 = prepare_experiment(raw, 1, seed=9)
+        assert np.array_equal(s1.dataset.matrix, s2.dataset.matrix)
         assert np.array_equal(s1.training_pools[0], s2.training_pools[0])

@@ -11,7 +11,7 @@ from oneshot_ids.evaluator import (
     VoteConfig,
     _majority_winner,
     _pair_distances,
-    classify_instance,
+    classify,
     evaluate,
     metrics,
     sweep_to_csv,
@@ -256,15 +256,15 @@ class TestClassify:
             x_emb = embed(model, x)
             dists = [np.linalg.norm(x_emb - embed(model, r)) for r in refs]
             expected = int(np.argmin(dists))
-            got = classify_instance(model, x, split, VoteConfig(1), rng=7)
-            assert got == expected
+            got = classify(model, x[None], split, VoteConfig(1), rng=7)
+            assert got.tolist() == [expected]
 
     def test_collapsed_model_is_deterministic(self):
         split = separated_split()
         ds = split.dataset
         model = SiameseModel((ds.width, 3), [np.zeros((ds.width, 3))], [np.zeros(3)], "linear")
         preds = {
-            classify_instance(model, ds.matrix[i], split, VoteConfig(5), rng=seed)
+            int(classify(model, ds.matrix[i:i + 1], split, VoteConfig(5), rng=seed)[0])
             for i in range(4)
             for seed in (0, 1, 2)
         }
@@ -277,15 +277,20 @@ class TestClassify:
         rng = np.random.default_rng(5)
         for c in range(split.n_classes):
             pool = split.evaluation_pool(c)
-            x = ds.matrix[pool[0]]
-            assert classify_instance(model, x, split, VoteConfig(5), rng=rng) == c
+            x = ds.matrix[pool[:1]]
+            assert classify(model, x, split, VoteConfig(5), rng=rng).tolist() == [c]
+        # and as one block, every evaluation row of every class
+        rows = np.concatenate([split.evaluation_pool(c) for c in range(split.n_classes)])
+        got = classify(model, ds.matrix[rows], split, VoteConfig(5), rng=rng)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ds.labels[rows])
 
     def test_empty_reference_pool_error(self):
         split = separated_split()
         split.testing_pools[0] = np.array([], dtype=np.int64)
         model = identity_model(split.dataset.width)
         with pytest.raises(EvaluationError, match="'normal'"):
-            classify_instance(model, split.dataset.matrix[0], split, VoteConfig(1), rng=0)
+            classify(model, split.dataset.matrix[:1], split, VoteConfig(1), rng=0)
 
     def test_vote_config_validation(self):
         with pytest.raises(ValueError, match="at least 1"):
@@ -296,20 +301,30 @@ class TestClassify:
         ds = split.dataset
         model = init_model([ds.width, 4, 3], rng=2)
         for i in range(6):
-            first = classify_instance(model, ds.matrix[i], split, VoteConfig(3), rng=55)
-            second = classify_instance(
-                model, ds.matrix[i], split, VoteConfig(3), rng=np.random.default_rng(55)
-            )
-            assert first == second
+            x = ds.matrix[i:i + 1]
+            first = classify(model, x, split, VoteConfig(3), rng=55)
+            second = classify(model, x, split, VoteConfig(3), rng=np.random.default_rng(55))
+            assert np.array_equal(first, second)
 
     def test_embeds_reference_pools_only(self, monkeypatch):
         split = separated_split(excluded=2)
         ds = split.dataset
         embedded = record_embedded_rows(monkeypatch, ds)
-        x = np.full(ds.width, 0.5)
-        classify_instance(identity_model(ds.width), x, split, VoteConfig(5), rng=0)
+        x = np.full((1, ds.width), 0.5)
+        classify(identity_model(ds.width), x, split, VoteConfig(5), rng=0)
         references = np.concatenate([split.reference_pool(c) for c in range(split.n_classes)])
         assert sorted(embedded) == [-1, *sorted(references)]
+
+    @pytest.mark.parametrize("q", [0, 1, 7, 40])
+    def test_embeds_each_reference_once_per_block(self, monkeypatch, q):
+        split = separated_split(excluded=2)
+        ds = split.dataset
+        embedded = record_embedded_rows(monkeypatch, ds)
+        queries = np.random.default_rng(q).choice(len(ds.matrix), size=q)
+        got = classify(identity_model(ds.width), ds.matrix[queries], split, VoteConfig(5), rng=0)
+        assert got.shape == (q,)
+        references = np.concatenate([split.reference_pool(c) for c in range(split.n_classes)])
+        assert sorted(embedded) == sorted([*references, *queries])
 
 
 class TestEvaluate:

@@ -38,21 +38,21 @@ def test_default_config_values():
 
 class TestStepArithmetic:
     def test_single_step(self, small_experiment):
-        _, split = small_experiment
+        split = small_experiment
         cfg = quick_cfg(n_epochs=1, train_batch_size=100, minibatch_size=100)
         _, trace = run_training(split, cfg)
         assert trace.steps == 1
         assert len(trace) == 1
 
     def test_chunked_steps(self, small_experiment):
-        _, split = small_experiment
+        split = small_experiment
         cfg = quick_cfg(n_epochs=3, train_batch_size=100, minibatch_size=32)
         _, trace = run_training(split, cfg)
         assert trace.steps == 4 * 3  # ceil(100/32) per epoch
         assert len(trace) == 3
 
     def test_trace_epoch_count_and_timings(self, small_experiment):
-        _, split = small_experiment
+        split = small_experiment
         _, trace = run_training(split, quick_cfg(n_epochs=5))
         assert len(trace.losses) == 5
         assert len(trace.seconds) == 5
@@ -61,13 +61,13 @@ class TestStepArithmetic:
 
 class TestComputeDtype:
     def test_trained_model_is_float32(self, small_experiment):
-        _, split = small_experiment
+        split = small_experiment
         model, _ = run_training(split, quick_cfg())
         arrays = model.weights + model.biases
         assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
 
     def test_float32_rounds_the_float64_init_draws(self, small_experiment, monkeypatch):
-        _, split = small_experiment
+        split = small_experiment
         cfg = quick_cfg()
         drawn = init_model(
             (split.dataset.width, *cfg.architecture), cfg.activation,
@@ -82,7 +82,7 @@ class TestComputeDtype:
 
 class TestDeterminism:
     def test_identical_runs(self, small_experiment):
-        _, split = small_experiment
+        split = small_experiment
         m1, t1 = run_training(split, quick_cfg())
         m2, t2 = run_training(split, quick_cfg())
         assert t1.losses == t2.losses
@@ -92,7 +92,7 @@ class TestDeterminism:
             assert np.array_equal(b1, b2)
 
     def test_seed_changes_outcome(self, small_experiment):
-        _, split = small_experiment
+        split = small_experiment
         m1, _ = run_training(split, quick_cfg(seed=4))
         m2, _ = run_training(split, quick_cfg(seed=5))
         assert not np.array_equal(m1.weights[0], m2.weights[0])
@@ -100,7 +100,7 @@ class TestDeterminism:
 
 class TestValidation:
     def test_requires_three_classes(self):
-        _, split = prepare_experiment(make_raw(n_classes=2, per_class=20, n_features=4), 1, seed=0)
+        split = prepare_experiment(make_raw(n_classes=2, per_class=20, n_features=4), 1, seed=0)
         with pytest.raises(ValueError, match="at least 3 classes"):
             run_training(split, quick_cfg())
 
@@ -131,7 +131,8 @@ class TestValidation:
 
 class TestBatchUsage:
     def test_excluded_class_never_in_training_pairs(self, small_experiment):
-        ds, split = small_experiment
+        split = small_experiment
+        ds = split.dataset
         seen = []
         run_training(split, quick_cfg(), on_batch=seen.append)
         assert len(seen) == 1
@@ -141,7 +142,7 @@ class TestBatchUsage:
             assert not used & excluded
 
     def test_fresh_batch_per_epoch(self, small_experiment):
-        _, split = small_experiment
+        split = small_experiment
         seen = []
         cfg = quick_cfg(n_epochs=3, fresh_batch_per_epoch=True)
         run_training(split, cfg, on_batch=seen.append)
@@ -156,7 +157,7 @@ class TestBatchUsage:
 
 class TestLossCurve:
     def test_smoothed_loss_non_increasing(self, small_experiment):
-        _, split = small_experiment
+        split = small_experiment
         cfg = TrainingConfig(n_epochs=60, train_batch_size=400, minibatch_size=64, seed=4)
         _, trace = run_training(split, cfg)
         smooth = np.convolve(np.array(trace.losses), np.ones(10) / 10, mode="valid")
@@ -164,7 +165,7 @@ class TestLossCurve:
         assert smooth[-1] < smooth[0]
 
     def test_trace_csv(self, small_experiment, tmp_path):
-        _, split = small_experiment
+        split = small_experiment
         _, trace = run_training(split, quick_cfg(n_epochs=3))
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
