@@ -188,17 +188,26 @@ class RawDataset:
         return len(self.labels)
 
     def attack_index(self, excluded: int | str) -> int:
-        """Index into `class_names` of a class that may be withheld: an
-        unknown name, an out-of-range index or the benign class is an error."""
-        if isinstance(excluded, str):
-            if excluded not in self.class_names:
-                raise DatasetError(f"unknown class {excluded!r}; have {list(self.class_names)}")
-            excluded = self.class_names.index(excluded)
-        if not 0 <= excluded < len(self.class_names):
-            raise DatasetError(f"excluded class index {excluded} out of range")
-        if excluded == 0:
-            raise DatasetError("cannot exclude benign class")
-        return excluded
+        """Index into `class_names` of a class that may be withheld."""
+        return attack_index(self.class_names, excluded)
+
+
+def attack_index(
+    class_names: Sequence[str], excluded: int | str, error: type[ValueError] = DatasetError
+) -> int:
+    """Index into `class_names` (the benign class first) of a class that may
+    be withheld: an unknown name, an out-of-range index or the benign class
+    raises `error`, naming the class and listing `class_names`."""
+    have = list(class_names)
+    if isinstance(excluded, str):
+        if excluded not in have:
+            raise error(f"unknown class {excluded!r}; have {have}")
+        excluded = have.index(excluded)
+    if not 0 <= excluded < len(have):
+        raise error(f"excluded class index {excluded} out of range; have {have}")
+    if excluded == 0:
+        raise error(f"cannot exclude benign class {have[0]!r}; have {have}")
+    return excluded
 
 
 def load_dataset(path: str | Path, schema: Schema) -> RawDataset:

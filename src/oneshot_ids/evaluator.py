@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ExperimentSplit
+from .dataset import ExperimentSplit, attack_index
 from .network import SiameseModel, embed
 from .seeding import EVAL_STREAM, stream_rng
 
@@ -97,17 +97,21 @@ class ConfusionMatrix:
             raise EvaluationError(f"{path}: not a confusion matrix file")
         header = lines[0].split(",")
         names = tuple(h.strip() for h in header[1:])
+        if len(lines) - 1 != len(names):
+            raise EvaluationError(f"{path}: expected {len(names)} rows, got {len(lines) - 1}")
         rows = []
-        for ln in lines[1:]:
+        for i, (name, ln) in enumerate(zip(names, lines[1:]), start=1):
             parts = [p.strip() for p in ln.split(",")]
             if len(parts) != len(names) + 1:
                 raise EvaluationError(f"{path}: malformed row {ln!r}")
+            if parts[0] != name:
+                raise EvaluationError(
+                    f"{path}: row {i} is labelled {parts[0]!r}, but header column {i} is {name!r}"
+                )
             try:
                 rows.append([int(p) for p in parts[1:]])
             except ValueError:
                 raise EvaluationError(f"{path}: non-integer count in row {ln!r}") from None
-        if len(rows) != len(names):
-            raise EvaluationError(f"{path}: expected {len(names)} rows, got {len(rows)}")
         return cls(np.array(rows, dtype=np.int64), names)
 
     def to_text(self) -> str:
@@ -179,7 +183,10 @@ class MetricsReport:
 
 
 def metrics(cm: ConfusionMatrix, excluded_class: int | str | None = None) -> MetricsReport:
-    """Overall accuracy plus per-class rates from a confusion matrix."""
+    """Overall accuracy plus per-class rates from a confusion matrix;
+    `excluded_class`, a name or an index, must be an attack class."""
+    if excluded_class is not None:
+        excluded_class = cm.class_names[attack_index(cm.class_names, excluded_class, EvaluationError)]
     rows = cm.row_sums()
     if np.any(rows == 0):
         zero = cm.class_names[int(np.argmin(rows))]
@@ -191,8 +198,6 @@ def metrics(cm: ConfusionMatrix, excluded_class: int | str | None = None) -> Met
         tpr[name] = float(cm.counts[i, i] / rows[i])
         fnr[name] = float(cm.counts[i, 0] / rows[i])
     tnr = float(cm.counts[0, 0] / rows[0])
-    if isinstance(excluded_class, (int, np.integer)):
-        excluded_class = cm.class_names[excluded_class]
     return MetricsReport(
         overall_accuracy=overall,
         attack_tpr=tpr,

@@ -40,8 +40,6 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import DTypeLike
 
-from .pairgen import PairBatch
-
 CLAMP_EPS = 1e-12
 CHECKPOINT_FORMAT = "twin-embedding-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -101,6 +99,23 @@ class SiameseModel:
     biases: list[np.ndarray]
     activation: str = "sigmoid"
 
+    def __post_init__(self):
+        self.layer_sizes = checked_layers(self.layer_sizes, self.activation)
+        if len(self.layer_sizes) < 2:
+            raise ValueError(f"need at least input and embedding widths, got {list(self.layer_sizes)}")
+        shapes = list(zip(self.layer_sizes, self.layer_sizes[1:]))
+        if len(self.weights) != len(shapes) or len(self.biases) != len(shapes):
+            raise ValueError(
+                f"layer_sizes {list(self.layer_sizes)} need {len(shapes)} weights and biases, "
+                f"got {len(self.weights)} and {len(self.biases)}"
+            )
+        for k, ((fan_in, fan_out), w, b) in enumerate(zip(shapes, self.weights, self.biases)):
+            if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
+                raise ValueError(
+                    f"layer {k}: weight {w.shape} and bias {b.shape} do not match layer_sizes "
+                    f"{list(self.layer_sizes)}, which need {(fan_in, fan_out)} and {(fan_out,)}"
+                )
+
     @property
     def n_layers(self) -> int:
         return len(self.weights)
@@ -144,8 +159,6 @@ def init_model(
     """Scaled-uniform weight init (bound sqrt(6/(fan_in+fan_out))), zero biases,
     in float64."""
     sizes = checked_layers(layer_sizes, activation)
-    if len(sizes) < 2:
-        raise ValueError(f"need at least input and embedding widths, got {list(sizes)}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     weights, biases = [], []
@@ -196,8 +209,9 @@ class Gradients:
             g *= factor
 
 
-def _pair_terms(d: np.ndarray, y: np.ndarray, loss: LossConfig, model: SiameseModel):
-    """Per-pair losses and the coefficient c with dL/d(e1-e2) = c * (e1-e2).
+def _pair_terms(d: np.ndarray, similar: np.ndarray, loss: LossConfig, model: SiameseModel):
+    """Per-pair losses and the coefficient c with dL/d(e1-e2) = c * (e1-e2),
+    the target y being the similar mask read as 1.0 or 0.0.
 
     Works in float64 whatever d's dtype: in float32, 1 - CLAMP_EPS rounds to
     1, and a dissimilar pair at d = 0 would take log(0). The losses are
@@ -205,6 +219,7 @@ def _pair_terms(d: np.ndarray, y: np.ndarray, loss: LossConfig, model: SiameseMo
     """
     dtype = d.dtype
     d = d.astype(np.float64, copy=False)
+    y = np.asarray(similar, dtype=np.float64)
     if loss.kind == CONTRASTIVE:
         slack = np.maximum(loss.margin - d, 0.0)
         losses = y * d**2 + (1.0 - y) * slack**2
@@ -226,15 +241,14 @@ def _pair_terms(d: np.ndarray, y: np.ndarray, loss: LossConfig, model: SiameseMo
     return losses, coeff.astype(dtype, copy=False), penalty
 
 
-def _twin_pass(model: SiameseModel, batch: PairBatch):
-    """One forward trace over the stacked [left; right] rows of a batch, cast
-    to the model's dtype.
+def _twin_pass(model: SiameseModel, left: np.ndarray, right: np.ndarray):
+    """One forward trace over the stacked [left; right] rows, cast to the
+    model's dtype.
 
     Returns the trace and the embedding differences e_left - e_right.
     """
-    rows = np.concatenate((batch.left_idx, batch.right_idx))
-    acts = _forward_trace(model, batch.dataset.matrix[rows].astype(model.dtype, copy=False))
-    n = len(batch)
+    acts = _forward_trace(model, np.concatenate((left, right), dtype=model.dtype))
+    n = len(left)
     return acts, acts[-1][:n] - acts[-1][n:]
 
 
@@ -255,28 +269,23 @@ def _backprop(model: SiameseModel, acts: list[np.ndarray], upstream: np.ndarray)
     return Gradients(d_weights[::-1], d_biases[::-1])
 
 
-def batch_loss(model: SiameseModel, batch: PairBatch, loss: LossConfig) -> float:
-    """Batch loss only (sum over pairs, plus penalty for regularized_log)."""
-    _, diff = _twin_pass(model, batch)
-    d = np.linalg.norm(diff, axis=1)
-    losses, _, penalty = _pair_terms(d, batch.target_values(), loss, model)
-    return float(np.sum(losses) + penalty)
-
-
 def batch_gradients(
-    model: SiameseModel, batch: PairBatch, loss: LossConfig
+    model: SiameseModel, left: np.ndarray, right: np.ndarray, similar: np.ndarray, loss: LossConfig
 ) -> tuple[Gradients, float]:
     """Exact gradients of the batch loss for every weight and bias.
 
-    Both twins backpropagate into the same parameter set in one pass.
-    Returns the gradients together with the batch loss value.
+    Pair k is the feature rows left[k] and right[k], similar or not by the
+    bool mask similar[k]. Both twins backpropagate into the same parameter
+    set in one pass. Returns the gradients together with the batch loss.
     """
-    if len(batch) == 0:
+    n = len(left)
+    if n == 0:
         raise ValueError("batch is empty")
-    acts, diff = _twin_pass(model, batch)
+    if len(right) != n or len(similar) != n:
+        raise ValueError(f"{n} left rows, {len(right)} right rows and {len(similar)} targets")
+    acts, diff = _twin_pass(model, left, right)
     d = np.linalg.norm(diff, axis=1)
-    losses, coeff, penalty = _pair_terms(d, batch.target_values(), loss, model)
-    n = len(batch)
+    losses, coeff, penalty = _pair_terms(d, similar, loss, model)
     upstream = np.empty_like(acts[-1])   # [g; -g]: +g for the left rows, -g for the right
     np.multiply(coeff[:, None], diff, out=upstream[:n])
     np.negative(upstream[:n], out=upstream[n:])
@@ -312,7 +321,7 @@ def apply_update(
     grads: Gradients,
     state: MomentumState,
     learning_rate: float,
-) -> tuple[SiameseModel, MomentumState]:
+) -> None:
     """One momentum gradient-descent step, updating the model and the
     velocities in place."""
     velocities = state.velocity_w + state.velocity_b
@@ -320,7 +329,6 @@ def apply_update(
         v *= state.momentum
         v += g
         p -= learning_rate * v
-    return model, state
 
 
 def _shortest_digits(a: np.ndarray) -> list:
@@ -355,9 +363,12 @@ def load_model(path: str | Path) -> SiameseModel:
     dtype = payload.get("dtype", "float64")
     if dtype not in ("float32", "float64"):
         raise ValueError(f"{path}: unsupported parameter dtype {dtype!r}")
-    return SiameseModel(
-        tuple(payload["layer_sizes"]),
-        [np.array(w, dtype=dtype) for w in payload["weights"]],
-        [np.array(b, dtype=dtype) for b in payload["biases"]],
-        payload["activation"],
-    )
+    try:
+        return SiameseModel(
+            tuple(payload["layer_sizes"]),
+            [np.array(w, dtype=dtype) for w in payload["weights"]],
+            [np.array(b, dtype=dtype) for b in payload["biases"]],
+            payload["activation"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -32,9 +32,8 @@ class PairGenerationError(ValueError):
 
 @dataclass
 class PairBatch:
-    """Columnar pair storage; feature vectors resolve through the dataset."""
+    """Columnar pair storage: dataset row indices, class provenance, targets."""
 
-    dataset: object                # EncodedDataset (duck-typed: .matrix)
     left_idx: np.ndarray           # (B,) int64 dataset row indices
     right_idx: np.ndarray
     left_class: np.ndarray         # (B,) int64 class indices
@@ -44,13 +43,8 @@ class PairBatch:
     def __len__(self) -> int:
         return len(self.left_idx)
 
-    def target_values(self) -> np.ndarray:
-        """Numeric targets for the losses: similar -> 1.0, dissimilar -> 0.0."""
-        return self.similar.astype(float)
-
     def subset(self, start: int, stop: int) -> "PairBatch":
         return PairBatch(
-            self.dataset,
             self.left_idx[start:stop],
             self.right_idx[start:stop],
             self.left_class[start:stop],
@@ -196,7 +190,6 @@ def generate_training_batch(
 
     order = rng.permutation(batch_size)
     return PairBatch(
-        split.dataset,
         np.asarray(left, dtype=np.int64)[order],
         np.asarray(right, dtype=np.int64)[order],
         np.asarray(lcls, dtype=np.int64)[order],

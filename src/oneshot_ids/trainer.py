@@ -1,10 +1,11 @@
 """Training orchestration: pair batch, epoch loop, telemetry.
 
-By default one pair batch is generated up front and swept repeatedly, in
-minibatch chunks with one optimizer step per chunk; `fresh_batch_per_epoch`
-regenerates the batch every epoch instead. Everything is deterministic
-given the config seed. The model trains, and is returned, in float32
-(`COMPUTE_DTYPE`): its float64 initial draws are rounded once.
+By default one pair batch is generated in the first epoch and swept
+repeatedly, in minibatch chunks with one optimizer step per chunk;
+`fresh_batch_per_epoch` regenerates the batch every epoch instead. Each
+step takes its chunk's feature rows from the dataset matrix. Everything is
+deterministic given the config seed. The model trains, and is returned, in
+float32 (`COMPUTE_DTYPE`): its float64 initial draws are rounded once.
 """
 
 from __future__ import annotations
@@ -105,24 +106,22 @@ def run_training(
     ).copy(COMPUTE_DTYPE)
     state = init_momentum_state(model, cfg.momentum)
 
-    batch = None
-    if not cfg.fresh_batch_per_epoch:
-        batch = generate_training_batch(split, cfg.train_batch_size, stream_rng(cfg.seed, PAIR_STREAM))
-        if on_batch is not None:
-            on_batch(batch)
-
+    rows = ds.matrix
     trace = TrainingTrace()
     for epoch in range(cfg.n_epochs):
         started = time.perf_counter()
-        if cfg.fresh_batch_per_epoch:
+        if epoch == 0 or cfg.fresh_batch_per_epoch:
+            key = (epoch,) if cfg.fresh_batch_per_epoch else ()
             batch = generate_training_batch(
-                split, cfg.train_batch_size, stream_rng(cfg.seed, PAIR_STREAM, epoch)
+                split, cfg.train_batch_size, stream_rng(cfg.seed, PAIR_STREAM, *key)
             )
             if on_batch is not None:
                 on_batch(batch)
         epoch_loss = 0.0
         for chunk in batch.chunks(cfg.minibatch_size):
-            grads, loss_value = batch_gradients(model, chunk, cfg.loss)
+            grads, loss_value = batch_gradients(
+                model, rows[chunk.left_idx], rows[chunk.right_idx], chunk.similar, cfg.loss
+            )
             # step on the per-pair mean so the step size is independent of
             # the minibatch size
             grads.scale(1.0 / len(chunk))

@@ -112,7 +112,7 @@ class TestCriterion2Gradients:
             batch = random_batch(rng, sizes[0], 8)
             for kind in (CONTRASTIVE, REGULARIZED_LOG):
                 cfg = LossConfig(kind=kind)
-                grads, _ = batch_gradients(model, batch, cfg)
+                grads, _ = batch_gradients(model, *batch, cfg)
                 fd_w, fd_b = fd_gradients(model, batch, cfg)
                 worst = max(
                     worst,

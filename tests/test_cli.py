@@ -235,6 +235,12 @@ class TestMetricsCommand:
         path = self.write_cm(tmp_path)
         assert run_cli("metrics", str(path), "--exclude", "Worm") == 2
 
+    def test_benign_excluded_class_exits_2(self, tmp_path, capsys):
+        path = self.write_cm(tmp_path)
+        assert run_cli("metrics", str(path), "--exclude", "Normal") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot exclude benign class 'Normal'")
 
 class TestSeedReport:
     def test_two_seeds_mean(self, synthetic_files, tmp_path, capsys):

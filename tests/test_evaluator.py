@@ -154,6 +154,21 @@ class TestMetrics:
         report = metrics(published_cm(KDD_DOS_EXCLUDED), 1)
         assert report.excluded_class == "DoS"
 
+    @pytest.mark.parametrize(
+        "excluded, message",
+        [
+            ("Normal", "cannot exclude benign class 'Normal'"),
+            (0, "cannot exclude benign class 'Normal'"),
+            ("Worm", "unknown class 'Worm'"),
+            (5, "excluded class index 5 out of range"),
+            (-1, "excluded class index -1 out of range"),
+        ],
+    )
+    def test_rejects_excluded_class_that_is_no_attack(self, excluded, message):
+        with pytest.raises(EvaluationError, match=message) as info:
+            metrics(published_cm(KDD_DOS_EXCLUDED), excluded)
+        assert "['Normal', 'DoS', 'Probe', 'R2L', 'U2R']" in str(info.value)
+
     @given(st.integers(0, 2**32 - 1))
     def test_rate_identities_on_random_cms(self, seed):
         rng = np.random.default_rng(seed)
@@ -191,6 +206,15 @@ class TestConfusionMatrixIO:
         path = tmp_path / "cm.csv"
         path.write_text("class,a,b\na,1,2\nb,3\n", encoding="utf-8")
         with pytest.raises(EvaluationError, match="malformed row"):
+            ConfusionMatrix.from_csv(path)
+
+    def test_from_csv_rejects_rows_out_of_header_order(self, tmp_path):
+        # loaded in this order, the rows would score overall 0.333, not 0.9
+        path = tmp_path / "cm.csv"
+        path.write_text(
+            "class,normal,a,b\nb,1,1,8\na,1,9,0\nnormal,10,0,0\n", encoding="utf-8"
+        )
+        with pytest.raises(EvaluationError, match=r"cm\.csv: row 1 is labelled 'b'.*'normal'"):
             ConfusionMatrix.from_csv(path)
 
     def test_from_csv_rejects_non_integer(self, tmp_path):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,14 +15,12 @@ from oneshot_ids.network import (
     _pair_terms,
     apply_update,
     batch_gradients,
-    batch_loss,
     embed,
     init_model,
     init_momentum_state,
     load_model,
     save_model,
 )
-from oneshot_ids.pairgen import PairBatch
 
 
 def forward_oracle(model, x):
@@ -51,19 +48,8 @@ def forward_oracle(model, x):
 
 
 def make_batch(x1, x2, similar):
-    """PairBatch over an ad-hoc matrix; rows of x1 pair with rows of x2."""
-    x1, x2 = np.atleast_2d(x1), np.atleast_2d(x2)
-    matrix = np.vstack([x1, x2])
-    n = len(x1)
-    similar = np.asarray(similar, dtype=bool)
-    return PairBatch(
-        SimpleNamespace(matrix=matrix),
-        np.arange(n, dtype=np.int64),
-        np.arange(n, 2 * n, dtype=np.int64),
-        np.zeros(n, dtype=np.int64),
-        np.where(similar, 0, 1).astype(np.int64),
-        similar,
-    )
+    """(left, right, similar) step arguments; rows of x1 pair with rows of x2."""
+    return np.atleast_2d(x1), np.atleast_2d(x2), np.asarray(similar, dtype=bool)
 
 
 def random_batch(rng, width, n_pairs):
@@ -71,11 +57,6 @@ def random_batch(rng, width, n_pairs):
     x2 = rng.random((n_pairs, width))
     similar = [rng.random() < 0.5 for _ in range(n_pairs)]
     return make_batch(x1, x2, similar)
-
-
-def features(batch):
-    """Left and right feature rows of a batch."""
-    return batch.dataset.matrix[batch.left_idx], batch.dataset.matrix[batch.right_idx]
 
 
 def pair_losses(d, similar, model=None, **loss):
@@ -129,12 +110,12 @@ def unfused_gradients(model, batch, loss_cfg):
             if k > 0:
                 delta = (delta @ model.weights[k].T) * act_deriv(pres[k - 1])
 
-    x1, x2 = features(batch)
+    x1, x2, similar = batch
     acts1, pres1 = trace(x1)
     acts2, pres2 = trace(x2)
     diff = acts1[-1] - acts2[-1]
     losses, coeff, penalty = _pair_terms(
-        np.linalg.norm(diff, axis=1), batch.similar.astype(float), loss_cfg, model
+        np.linalg.norm(diff, axis=1), similar.astype(float), loss_cfg, model
     )
     upstream = coeff[:, None] * diff
     backprop(acts1, pres1, upstream)
@@ -156,9 +137,9 @@ def fd_gradients(model, batch, loss_cfg, step=1e-5):
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + step
-                up = batch_loss(model, batch, loss_cfg)
+                up = batch_gradients(model, *batch, loss_cfg)[1]
                 arr[idx] = orig - step
-                down = batch_loss(model, batch, loss_cfg)
+                down = batch_gradients(model, *batch, loss_cfg)[1]
                 arr[idx] = orig
                 g[idx] = (up - down) / (2.0 * step)
             grads.append(g)
@@ -218,6 +199,23 @@ class TestInit:
     def test_unknown_activation(self):
         with pytest.raises(ValueError, match="activation"):
             init_model([3, 2], activation="swish")
+
+    @pytest.mark.parametrize(
+        "weights, biases, activation, message",
+        [
+            ([(4, 3), (3, 2)], [(3,), (2,)], "softplus", "unknown activation 'softplus'"),
+            ([(3, 3), (3, 2)], [(3,), (2,)], "sigmoid", r"layer 0: weight \(3, 3\)"),
+            ([(4, 3), (3, 2)], [(3,), (3,)], "sigmoid", r"layer 1: .* bias \(3,\)"),
+            ([(4, 3)], [(3,)], "sigmoid", "need 2 weights and biases, got 1 and 1"),
+        ],
+        ids=["activation", "weight-rows", "bias-width", "layer-count"],
+    )
+    def test_model_checks_itself(self, weights, biases, activation, message):
+        with pytest.raises(ValueError, match=message):
+            SiameseModel(
+                (4, 3, 2), [np.zeros(w) for w in weights], [np.zeros(b) for b in biases],
+                activation,
+            )
 
 
 class TestForward:
@@ -344,7 +342,7 @@ class TestRegularizedLogLoss:
     def test_penalty_added_once(self):
         model = identity_model(2)  # sum of squared weights = 2
         batch = make_batch(np.zeros(2), np.array([math.log(2), 0.0]), [True])  # d = ln 2
-        value = batch_loss(model, batch, LossConfig(kind=REGULARIZED_LOG, l2=0.1))
+        value = batch_gradients(model, *batch, LossConfig(kind=REGULARIZED_LOG, l2=0.1))[1]
         assert value == pytest.approx(math.log(2) + 0.2)
 
     def test_boundary_values_clamped_finite(self):
@@ -369,7 +367,7 @@ class TestGradients:
             np.array([[3.0, 4.0], [0.0, 0.0]]),
             [False, False],
         )  # distances 5 > margin 1
-        grads, loss = batch_gradients(model, batch, LossConfig(kind=CONTRASTIVE, margin=1.0))
+        grads, loss = batch_gradients(model, *batch, LossConfig(kind=CONTRASTIVE, margin=1.0))
         assert loss == 0.0
         assert all(np.all(g == 0.0) for g in grads.d_weights + grads.d_biases)
 
@@ -380,11 +378,10 @@ class TestGradients:
         model = init_model([3, 4, 2], activation=activation, rng=rng)
         batch = random_batch(rng, 3, 8)
         cfg = LossConfig(kind=kind)
-        grads, loss = batch_gradients(model, batch, cfg)
+        grads, _ = batch_gradients(model, *batch, cfg)
         fd_w, fd_b = fd_gradients(model, batch, cfg)
         assert max_relative_error(grads.d_weights, fd_w) < 1e-4
         assert max_relative_error(grads.d_biases, fd_b) < 1e-4
-        assert loss == pytest.approx(batch_loss(model, batch, cfg), rel=1e-12)
 
     @pytest.mark.parametrize("kind", [CONTRASTIVE, REGULARIZED_LOG])
     @pytest.mark.parametrize("activation", ["sigmoid", "relu", "tanh", "linear"])
@@ -397,7 +394,7 @@ class TestGradients:
         model = init_model([5, 6, 4, 3], activation=activation, rng=rng)
         batch = random_batch(rng, 5, 40)
         cfg = LossConfig(kind=kind)
-        grads, loss = batch_gradients(model, batch, cfg)
+        grads, loss = batch_gradients(model, *batch, cfg)
         ref_w, ref_b, ref_loss = unfused_gradients(model, batch, cfg)
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
         scale = max(float(np.max(np.abs(g))) for g in ref_w + ref_b)
@@ -419,20 +416,19 @@ class TestGradients:
             monkeypatch.setattr(network, name, counted(name))
         rng = np.random.default_rng(5)
         model = init_model([4, 3, 2], rng=rng)
-        batch_gradients(model, random_batch(rng, 4, 6), LossConfig())
+        batch_gradients(model, *random_batch(rng, 4, 6), LossConfig())
         assert calls == ["_forward_trace", "_backprop"]
 
     def test_duplicated_batch_doubles_everything(self):
         rng = np.random.default_rng(4)
         model = init_model([4, 3, 2], rng=rng)
-        batch = random_batch(rng, 4, 6)
-        left, right = features(batch)
+        left, right, similar = random_batch(rng, 4, 6)
         doubled = make_batch(
-            np.vstack([left, left]), np.vstack([right, right]), np.tile(batch.similar, 2)
+            np.vstack([left, left]), np.vstack([right, right]), np.tile(similar, 2)
         )
         cfg = LossConfig(kind=CONTRASTIVE)
-        g1, l1 = batch_gradients(model, batch, cfg)
-        g2, l2 = batch_gradients(model, doubled, cfg)
+        g1, l1 = batch_gradients(model, left, right, similar, cfg)
+        g2, l2 = batch_gradients(model, *doubled, cfg)
         assert l2 == pytest.approx(2 * l1, rel=1e-12)
         for a, b in zip(g1.d_weights, g2.d_weights):
             np.testing.assert_allclose(b, 2 * a, rtol=1e-10, atol=1e-14)
@@ -440,12 +436,10 @@ class TestGradients:
     def test_twin_swap_symmetry(self):
         rng = np.random.default_rng(12)
         model = init_model([4, 3, 2], rng=rng)
-        batch = random_batch(rng, 4, 6)
-        left, right = features(batch)
-        swapped = make_batch(right, left, batch.similar)
+        left, right, similar = random_batch(rng, 4, 6)
         cfg = LossConfig(kind=CONTRASTIVE)
-        g1, l1 = batch_gradients(model, batch, cfg)
-        g2, l2 = batch_gradients(model, swapped, cfg)
+        g1, l1 = batch_gradients(model, left, right, similar, cfg)
+        g2, l2 = batch_gradients(model, right, left, similar, cfg)
         assert l1 == pytest.approx(l2, rel=1e-12)
         for a, b in zip(g1.d_weights, g2.d_weights):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
@@ -454,7 +448,27 @@ class TestGradients:
         model = init_model([3, 2], rng=0)
         batch = make_batch(np.zeros((0, 3)), np.zeros((0, 3)), [])
         with pytest.raises(ValueError, match="empty"):
-            batch_gradients(model, batch, LossConfig())
+            batch_gradients(model, *batch, LossConfig())
+
+    @pytest.mark.parametrize("n_right, n_similar", [(5, 6), (6, 5), (1, 6), (6, 1)])
+    def test_mismatched_lengths_rejected(self, n_right, n_similar):
+        # one right row or one target would otherwise broadcast over every pair
+        rng = np.random.default_rng(2)
+        model = init_model([4, 3, 2], rng=rng)
+        left, right, similar = random_batch(rng, 4, 6)
+        with pytest.raises(ValueError, match="6 left rows"):
+            batch_gradients(model, left, right[:n_right], similar[:n_similar], LossConfig())
+
+    @pytest.mark.parametrize("kind", [CONTRASTIVE, REGULARIZED_LOG])
+    def test_pair_terms_read_bool_mask_as_float_targets(self, kind):
+        d = np.array([0.0, 0.3, 0.9, 1.7, 0.3])
+        similar = np.array([True, False, True, False, True])
+        model = init_model([3, 2], rng=0)
+        cfg = LossConfig(kind=kind)
+        from_mask = _pair_terms(d, similar, cfg, model)
+        from_float = _pair_terms(d, similar.astype(float), cfg, model)
+        for got, want in zip(from_mask, from_float):
+            assert np.array_equal(got, want)
 
     def test_overflow_names_layer(self):
         model = SiameseModel(
@@ -465,7 +479,7 @@ class TestGradients:
         )
         batch = make_batch(np.ones((1, 2)), np.zeros((1, 2)), [True])
         with pytest.raises(FloatingPointError, match="numerical overflow in layer 1"):
-            batch_gradients(model, batch, LossConfig())
+            batch_gradients(model, *batch, LossConfig())
 
 
 class TestFloat32:
@@ -478,10 +492,10 @@ class TestFloat32:
     def test_step_stays_float32(self, kind, activation):
         rng = np.random.default_rng(3)
         model = init_model([5, 6, 4, 3], activation=activation, rng=rng).copy(np.float32)
-        batch = random_batch(rng, 5, 40)   # float64 feature rows
-        grads, _ = batch_gradients(model, batch, LossConfig(kind=kind))
+        left, right, similar = random_batch(rng, 5, 40)   # float64 feature rows
+        grads, _ = batch_gradients(model, left, right, similar, LossConfig(kind=kind))
         state = init_momentum_state(model)
-        grads.scale(1.0 / len(batch))
+        grads.scale(1.0 / len(left))
         apply_update(model, grads, state, learning_rate=0.01)
         arrays = (
             grads.d_weights + grads.d_biases + state.velocity_w + state.velocity_b
@@ -515,8 +529,8 @@ class TestFloat32:
         model64 = model32.copy(np.float64)
         batch = random_batch(rng, 5, 40)
         cfg = LossConfig(kind=kind)
-        g32, loss32 = batch_gradients(model32, batch, cfg)
-        g64, loss64 = batch_gradients(model64, batch, cfg)
+        g32, loss32 = batch_gradients(model32, *batch, cfg)
+        g64, loss64 = batch_gradients(model64, *batch, cfg)
         np.testing.assert_allclose(loss32, loss64, rtol=1e-4)
         scale = max(float(np.max(np.abs(g))) for g in g64.d_weights + g64.d_biases)
         for got, want in zip(g32.d_weights + g32.d_biases, g64.d_weights + g64.d_biases):
@@ -528,8 +542,8 @@ class TestFloat32:
         x = np.array([0.2, 0.7, 0.1])
         batch = make_batch(x, x, [False])
         cfg = LossConfig(kind=REGULARIZED_LOG)
-        grads, loss32 = batch_gradients(model32, batch, cfg)
-        loss64 = batch_loss(model32.copy(np.float64), batch, cfg)
+        grads, loss32 = batch_gradients(model32, *batch, cfg)
+        loss64 = batch_gradients(model32.copy(np.float64), *batch, cfg)[1]
         assert math.isfinite(loss32)
         assert loss32 == loss64
         assert all(np.all(np.isfinite(g)) for g in grads.d_weights + grads.d_biases)
@@ -546,7 +560,7 @@ class TestOptimizer:
         before = [w.copy() for w in model.weights]
         grads, _ = batch_gradients(
             model,
-            make_batch(np.ones((1, 3)), np.ones((1, 3)), [True]),
+            *make_batch(np.ones((1, 3)), np.ones((1, 3)), [True]),
             LossConfig(),
         )
         state = init_momentum_state(model, momentum=0.9)
@@ -587,12 +601,12 @@ class TestOptimizer:
         batch = make_batch(x1, x2, [True] * 8 + [False] * 8)
         cfg = LossConfig(kind=CONTRASTIVE)
         state = init_momentum_state(model, momentum=0.9)
-        initial = batch_loss(model, batch, cfg)
+        initial = batch_gradients(model, *batch, cfg)[1]
         for _ in range(100):
-            grads, _ = batch_gradients(model, batch, cfg)
-            grads.scale(1.0 / len(batch))
+            grads, _ = batch_gradients(model, *batch, cfg)
+            grads.scale(1.0 / len(x1))
             apply_update(model, grads, state, learning_rate=0.01)
-        assert batch_loss(model, batch, cfg) <= 0.5 * initial
+        assert batch_gradients(model, *batch, cfg)[1] <= 0.5 * initial
 
 
 class TestCheckpoint:
@@ -613,7 +627,7 @@ class TestCheckpoint:
         batch = random_batch(rng, 7, 16)
         state = init_momentum_state(model)
         for _ in range(3):   # weights that are no longer rounded float64 draws
-            grads, _ = batch_gradients(model, batch, LossConfig())
+            grads, _ = batch_gradients(model, *batch, LossConfig())
             apply_update(model, grads, state, learning_rate=0.05)
         path = tmp_path / "checkpoint.json"
         save_model(model, path)
@@ -687,6 +701,25 @@ class TestCheckpoint:
         payload["dtype"] = "int8"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="dtype 'int8'"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("activation", "softplus", "unknown activation 'softplus'"),
+            ("weights", [[[0.0, 0.0, 0.0]] * 3, [[0.0, 0.0]] * 3], r"layer 0: weight \(3, 3\)"),
+        ],
+        ids=["activation", "weight-rows"],
+    )
+    def test_rejects_parameters_not_matching_layers(self, tmp_path, key, value, message):
+        import json
+
+        path = tmp_path / "checkpoint.json"
+        save_model(init_model([4, 3, 2], rng=0), path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="checkpoint.json: " + message):
             load_model(path)
 
     def test_rejects_foreign_json(self, tmp_path):

@@ -74,3 +74,8 @@ def test_traced_run_extracts_every_span(tmp_path, monkeypatch):
     assert [s.name for s in tracer.spans if s.attrs.get("extract_failed")] == []
     extracted = {name for _, _, name, extract in tracer_module.TRACED if extract is not None}
     assert extracted <= {s.name for s in tracer.spans if s.attrs}
+    # a step's pair count is the length of its argument 1, the left rows:
+    # 2 epochs x 60 pairs in minibatches of at most 30
+    pairs = [s.attrs["pairs"] for s in tracer.spans if s.name == "network.batch_gradients"]
+    assert sum(pairs) == 2 * 60
+    assert max(pairs) <= 30

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from oneshot_ids import TrainingConfig, init_model, prepare_experiment, run_training, trainer
-from oneshot_ids.seeding import INIT_STREAM, stream_rng
+from oneshot_ids.pairgen import generate_training_batch
+from oneshot_ids.seeding import INIT_STREAM, PAIR_STREAM, stream_rng
 from oneshot_ids.synthetic import make_raw
 
 
@@ -153,6 +154,42 @@ class TestBatchUsage:
         run_training(split, cfg, on_batch=seen2.append)
         for b1, b2 in zip(seen, seen2):
             assert np.array_equal(b1.left_idx, b2.left_idx)
+
+    @pytest.mark.parametrize("fresh", [False, True], ids=["fixed", "fresh"])
+    def test_steps_take_minibatch_rows(self, small_experiment, monkeypatch, fresh):
+        split = small_experiment
+        cfg = quick_cfg(n_epochs=3, train_batch_size=100, minibatch_size=40,
+                        fresh_batch_per_epoch=fresh)
+        batches, steps = [], []
+
+        def generate(*args):
+            batches.append(generate_training_batch(*args))
+            return batches[-1]
+
+        def step(model, left, right, similar, loss):
+            steps.append((left, right, similar))
+            return real_step(model, left, right, similar, loss)
+
+        real_step = trainer.batch_gradients
+        monkeypatch.setattr(trainer, "generate_training_batch", generate)
+        monkeypatch.setattr(trainer, "batch_gradients", step)
+        run_training(split, cfg)
+
+        # one draw for a fixed batch, one per epoch for fresh ones, each from
+        # its own stream key
+        keys = [(epoch,) for epoch in range(3)] if fresh else [()]
+        for batch, key in zip(batches, keys, strict=True):
+            want = generate_training_batch(split, 100, stream_rng(cfg.seed, PAIR_STREAM, *key))
+            assert np.array_equal(batch.left_idx, want.left_idx)
+            assert np.array_equal(batch.right_idx, want.right_idx)
+        epochs = batches if fresh else batches * 3
+        chunks = [chunk for batch in epochs for chunk in batch.chunks(40)]
+        assert len(steps) == len(chunks) == 9
+        matrix = split.dataset.matrix
+        for (left, right, similar), chunk in zip(steps, chunks):
+            assert np.array_equal(left, matrix[chunk.left_idx])
+            assert np.array_equal(right, matrix[chunk.right_idx])
+            assert np.array_equal(similar, chunk.similar)
 
 
 class TestLossCurve:
