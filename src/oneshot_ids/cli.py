@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -205,12 +206,14 @@ def build_manifest(args: argparse.Namespace, need_out: bool = True) -> Experimen
 def _reference_overall(reference: str | None, class_name: str) -> float | None:
     if reference is None:
         return None
-    table = REFERENCE_OVERALL.get(reference, {})
-    wanted = class_name.strip().lower()
-    for key, value in table.items():
-        if key == wanted or key.startswith(wanted) or wanted.startswith(key):
-            return value
-    return None
+    table = {_reference_key(key): value for key, value in REFERENCE_OVERALL[reference].items()}
+    return table.get(_reference_key(class_name))
+
+
+def _reference_key(name: str) -> str:
+    """`name` in lower case, each run of other than letters and digits one
+    space: "DoS Hulk" and "dos (hulk)" are one class, "DoS" and "u" none."""
+    return re.sub(r"[\W_]+", " ", name.lower()).strip()
 
 
 def _slug(name: str) -> str:

@@ -1,10 +1,14 @@
 """Dataset ingestion, feature encoding, and experiment splits.
 
 CSV files are described by a small schema descriptor (see `load_schema`).
-A loaded dataset is stored by column: one float64 array per numeric
-feature and one str array per categorical feature. Encoding works a whole
-column at a time: categorical features are one-hot encoded, numeric
-features min-max scaled to [0, 1]. Encoding statistics are fitted on a
+`load_dataset` reads a file in blocks of lines with numpy's C reader, and
+reads a block with `csv.reader` and `float()` (the row path, the reference
+for every edge case and the source of every error) wherever the C reader
+could read it otherwise. A loaded dataset is stored by column: one float64
+array per numeric feature and one str array per categorical feature.
+Encoding works a whole column at a time into a `COMPUTE_DTYPE` (float32)
+matrix: categorical features are one-hot encoded, numeric features min-max
+scaled to [0, 1] in float64. Encoding statistics are fitted on a
 caller-chosen subset of rows so that held-out and excluded-class instances
 cannot influence the feature space. `prepare_experiment` is the only
 builder of an `ExperimentSplit`: it splits every class first and fits the
@@ -14,6 +18,8 @@ encoder on the training pools, for the leave-one-attack-out protocol.
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,8 +36,12 @@ IGNORE = "ignore"
 
 _COLUMN_KINDS = (NUMERIC, CATEGORICAL, LABEL, IGNORE)
 
-# `load_dataset` turns parsed feature cells into arrays every this many rows,
-# which bounds the Python objects alive at once
+# The dtype of the encoded matrix, and of every training step and every
+# embedding of a trained model
+COMPUTE_DTYPE = np.float32
+
+# `load_dataset` reads the file this many lines at a time, which bounds the
+# lines and Python objects alive at once
 _LOAD_BLOCK_ROWS = 4096
 
 
@@ -217,71 +227,155 @@ def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
     or whose fields are the schema's column names in order, is treated as a
     header and skipped; any later malformed row, and any non-finite numeric
     cell (``inf``, ``nan``), is an error naming its line number and column.
+
+    Line 1 and then each block of `_LOAD_BLOCK_ROWS` lines are read by one
+    of two paths. numpy's C reader (`_c_block`) takes a block whose lines
+    all hold one field per column, no quote and nothing it reads otherwise
+    than Python does; the row path (`_row_block`: `csv.reader` and
+    `float()`) reads every other block, and is the reference for what the
+    file holds and the only source of errors. Quoted fields are therefore
+    read as `csv.reader` reads them: a field may hold a quoted comma or line
+    break, and a quote inside an unquoted field is a character.
     """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"{path}: file not found")
-    numeric_cols = [i for i, c in enumerate(schema.columns) if c.kind == NUMERIC]
-    categorical_cols = [i for i, c in enumerate(schema.columns) if c.kind == CATEGORICAL]
-    label_col = schema.label_index
-    names = [c.name for c in schema.columns]
-    width = len(names)
-
-    blocks: list[tuple[np.ndarray, np.ndarray]] = []
-    numbers: list[float] = []       # the current block's cells, row-major
-    words: list[str] = []
-    labels: list[str] = []
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    lineno = 0      # the last csv record read, as the row path numbers rows
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, record in enumerate(reader, start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if len(record) != width:
-                raise DatasetError(
-                    f"{path}: row {lineno}: expected {width} fields, got {len(record)}"
-                )
-            if lineno == 1 and [f.strip() for f in record] == names:
-                continue  # header line, even without a numeric column
-            try:
-                # float() ignores the blanks around a field
-                parsed = [float(record[i]) for i in numeric_cols]
-                # a finite sum proves every cell finite; only an overflowing
-                # sum needs the test per cell
-                finite = math.isfinite(sum(parsed)) or all(map(math.isfinite, parsed))
-            except ValueError:
-                if lineno == 1:
-                    continue  # header line
-                finite = False
-            if not finite:
-                bad = next(i for i in numeric_cols if not _is_finite(record[i]))
-                raise DatasetError(
-                    f"{path}: row {lineno}: column {schema.columns[bad].name!r}: "
-                    f"{record[bad].strip()!r} is not a finite number"
-                )
-            numbers.extend(parsed)
-            words.extend([record[i].strip() for i in categorical_cols])
-            labels.append(schema.map_label(record[label_col].strip()))
-            if len(labels) % _LOAD_BLOCK_ROWS == 0:
-                blocks.append(_block_arrays(numbers, words, _LOAD_BLOCK_ROWS))
-                numbers, words = [], []
-    if not labels:
+        size = 1    # line 1 alone: the row path holds the header rule
+        while lines := list(itertools.islice(fh, size)):
+            block = _c_block(lines, schema) if lineno else None
+            if block is None:
+                # a quoted line break may carry the last record past the block
+                reader = csv.reader(itertools.chain(lines, fh))
+                block, lineno = _row_block(path, schema, reader, len(lines), lineno)
+            else:
+                lineno += len(lines)
+            if len(block[2]):
+                blocks.append(block)
+            size = _LOAD_BLOCK_ROWS
+    if not blocks:
         raise DatasetError(f"{path}: no records")
-    if len(labels) % _LOAD_BLOCK_ROWS:
-        blocks.append(_block_arrays(numbers, words, len(labels) % _LOAD_BLOCK_ROWS))
-    numeric, categorical = (iter(np.concatenate(part, axis=1)) for part in zip(*blocks))
+    numeric, categorical, labels = (np.concatenate(part, axis=-1) for part in zip(*blocks))
+    if schema.label_map:
+        distinct, inverse = np.unique(labels, return_inverse=True)
+        labels = np.array([schema.map_label(label) for label in distinct.tolist()])[inverse]
+    numeric, categorical = iter(numeric), iter(_fitted(categorical))
     columns = tuple(
         next(numeric if col.kind == NUMERIC else categorical) for col in schema.feature_columns
     )
-    return RawDataset(schema, columns, labels)
+    return RawDataset(schema, columns, _fitted(labels))
 
 
-def _block_arrays(numbers: list[float], words: list[str], rows: int) -> tuple[np.ndarray, ...]:
-    """A block's numeric and categorical cells as (columns, rows) arrays, in
-    C order so that each column is contiguous."""
-    return tuple(
-        np.ascontiguousarray(np.array(cells, dtype=dtype).reshape(rows, -1).T)
-        for cells, dtype in ((numbers, np.float64), (words, np.str_))
+def _positions(schema: Schema, kind: str) -> list[int]:
+    return [i for i, c in enumerate(schema.columns) if c.kind == kind]
+
+
+def _row_block(
+    path: Path, schema: Schema, reader, n_lines: int, lineno: int
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int]:
+    """The records `reader` yields until it has read `n_lines` lines, as
+    `_block` arrays, and the number of the last record read; record
+    `lineno + 1` comes first."""
+    numeric_cols = _positions(schema, NUMERIC)
+    categorical_cols = _positions(schema, CATEGORICAL)
+    names = [c.name for c in schema.columns]
+    numbers: list[float] = []       # the block's cells, row-major
+    words: list[str] = []
+    labels: list[str] = []
+    while reader.line_num < n_lines:
+        record = next(reader)
+        lineno += 1
+        if not record or (len(record) == 1 and not record[0].strip()):
+            continue
+        if len(record) != len(names):
+            raise DatasetError(
+                f"{path}: row {lineno}: expected {len(names)} fields, got {len(record)}"
+            )
+        if lineno == 1 and [f.strip() for f in record] == names:
+            continue  # header line, even without a numeric column
+        try:
+            # float() ignores the blanks around a field
+            parsed = [float(record[i]) for i in numeric_cols]
+            # a finite sum proves every cell finite; only an overflowing
+            # sum needs the test per cell
+            finite = math.isfinite(sum(parsed)) or all(map(math.isfinite, parsed))
+        except ValueError:
+            if lineno == 1:
+                continue  # header line
+            finite = False
+        if not finite:
+            bad = next(i for i in numeric_cols if not _is_finite(record[i]))
+            raise DatasetError(
+                f"{path}: row {lineno}: column {schema.columns[bad].name!r}: "
+                f"{record[bad].strip()!r} is not a finite number"
+            )
+        numbers.extend(parsed)
+        words.extend([record[i].strip() for i in categorical_cols])
+        labels.append(record[schema.label_index].strip())
+    rows = len(labels)
+    block = _block(
+        np.array(numbers, dtype=np.float64).reshape(rows, len(numeric_cols)),
+        np.array(words, dtype=np.str_).reshape(rows, len(categorical_cols)),
+        np.array(labels, dtype=np.str_),
     )
+    return block, lineno
+
+
+# Characters that send a block to the row path: a quote (csv.reader's
+# quoting can change a line's field count), NUL (a str array drops it from
+# the end of a cell) and \x1c-\x1f (the C reader strips them around a
+# number, float() rejects them)
+_ROW_PATH_CHARS = '"\x00\x1c\x1d\x1e\x1f'
+
+
+def _c_block(lines: list[str], schema: Schema) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """`_row_block`'s arrays for `lines`, read by numpy's C reader, or None
+    where only the row path reads them right or names the error.
+
+    The C reader neither counts the fields of a row (`usecols` accepts extra
+    ones and short rows missing an unread column) nor skips a whitespace-only
+    line, so every line must hold one comma per column boundary; a
+    one-column schema has no comma to tell a blank line by. Its numbers are
+    `float()`'s wherever both parse a cell, and a cell only `float()` parses
+    (``1_000``) raises here.
+    """
+    commas = len(schema.columns) - 1
+    text = "".join(lines)
+    if (
+        not commas
+        or any(char in text for char in _ROW_PATH_CHARS)
+        or any(line.count(",") != commas for line in lines)
+    ):
+        return None
+    numeric_cols = _positions(schema, NUMERIC)
+    read = functools.partial(np.loadtxt, lines, delimiter=",", comments=None, ndmin=2)
+    try:
+        numbers = (
+            read(usecols=numeric_cols, dtype=np.float64) if numeric_cols
+            else np.empty((len(lines), 0))
+        )
+        cells = read(usecols=[*_positions(schema, CATEGORICAL), schema.label_index], dtype=np.str_)
+    except ValueError:
+        return None
+    if not np.isfinite(numbers).all():
+        return None
+    cells = np.char.strip(cells)
+    return _block(numbers, cells[:, :-1], cells[:, -1])
+
+
+def _block(numbers: np.ndarray, words: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A block's (rows, columns) numeric and categorical cells as (columns,
+    rows) arrays, in C order so that each column is contiguous, and its
+    (rows,) labels."""
+    return np.ascontiguousarray(numbers.T), np.ascontiguousarray(words.T), labels
+
+
+def _fitted(cells: np.ndarray) -> np.ndarray:
+    """`cells` in the narrowest str dtype that holds them, the one
+    `np.array` picks for a list of str."""
+    return cells.astype(f"<U{np.char.str_len(cells).max(initial=1)}", copy=False)
 
 
 def _is_finite(text: str) -> bool:
@@ -325,8 +419,10 @@ class Encoder:
         return out
 
     def transform(self, columns: Sequence[np.ndarray]) -> np.ndarray:
-        """Encode feature columns, in schema feature order, into an (n, width) matrix."""
-        out = np.zeros((len(columns[0]), self.width))
+        """Encode feature columns, in schema feature order, into an (n, width)
+        `COMPUTE_DTYPE` matrix; numeric columns are scaled in float64 and
+        rounded once, when stored."""
+        out = np.zeros((len(columns[0]), self.width), dtype=COMPUTE_DTYPE)
         offset = 0
         for col, values in zip(self.columns, columns, strict=True):
             if col.kind == NUMERIC:
@@ -376,7 +472,7 @@ class EncodedDataset:
     alphabetical order.
     """
 
-    matrix: np.ndarray            # (n, width) float64 in [0, 1]
+    matrix: np.ndarray            # (n, width) COMPUTE_DTYPE in [0, 1]
     labels: np.ndarray            # (n,) int64 class indices
     class_names: tuple[str, ...]
     encoder: Encoder

@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from .dataset import ExperimentSplit
+from .dataset import COMPUTE_DTYPE, ExperimentSplit
 from .network import (
     ConfigError,
     LossConfig,
@@ -33,8 +31,6 @@ from .pairgen import PairBatch, generate_training_batch
 from .seeding import INIT_STREAM, PAIR_STREAM, stream_rng
 
 DEFAULT_ARCHITECTURE = (64, 32, 16)   # hidden widths then embedding width
-# The dtype every training step and every embedding of a trained model runs in
-COMPUTE_DTYPE = np.float32
 
 
 @dataclass(frozen=True)

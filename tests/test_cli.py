@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oneshot_ids import cli
+from oneshot_ids import cli, dataset
 from oneshot_ids.evaluator import ConfusionMatrix
 from oneshot_ids.synthetic import write_files
 
@@ -110,6 +110,24 @@ class TestRun:
         for artifact in ("cm.csv", "metrics.json"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 
+    def test_float32_matrix_gives_the_float64_matrix_artifacts(
+        self, synthetic_files, tmp_path, monkeypatch
+    ):
+        # every step and embedding rounds its rows to float32, so storing
+        # them rounded changes no artifact
+        csv_path, schema_path = synthetic_files
+        outs = []
+        for dtype in (np.float32, np.float64):
+            monkeypatch.setattr(dataset, "COMPUTE_DTYPE", dtype)
+            out = tmp_path / np.dtype(dtype).name
+            manifest = write_manifest(tmp_path, csv_path, schema_path, out, epochs=5)
+            assert run_cli("run", "--manifest", str(manifest)) == 0
+            outs.append(out)
+        for sub in ("exclude-attack1", "exclude-attack2", "exclude-attack3"):
+            for artifact in ("metrics.json", "sweep.csv", "cm.csv", "checkpoint.json"):
+                float32, float64 = (out / sub / artifact for out in outs)
+                assert float32.read_bytes() == float64.read_bytes(), (sub, artifact)
+
     def test_flags_override_manifest(self, synthetic_files, tmp_path):
         csv_path, schema_path = synthetic_files
         out = tmp_path / "out"
@@ -185,6 +203,21 @@ class TestReferenceLabels:
         summary = (out / "summary.csv").read_text()
         assert "77.99" in summary
         assert cli.REFERENCE_NOTE in summary
+
+    @pytest.mark.parametrize("reference, name, published", [
+        ("cicids2017", "DoS Hulk", 80.81),
+        ("cicids2017", "DoS Slowloris", 81.07),
+        ("cicids2017", "ftp-brute_force", 82.50),
+        ("cicids2017", "DoS", None),
+        ("cicids2017", "d", None),
+        ("nsl-kdd", " U2R ", 77.04),
+        ("nsl-kdd", "u", None),
+        ("nsl-kdd", "dos2", None),
+        ("kddcup99", "Probe", 72.23),
+        (None, "DoS", None),
+    ])
+    def test_reference_matches_whole_normalised_names(self, reference, name, published):
+        assert cli._reference_overall(reference, name) == published
 
     def test_no_reference_for_unrecognised_schema(self, synthetic_files, tmp_path):
         csv_path, schema_path = synthetic_files

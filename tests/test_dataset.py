@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oneshot_ids import dataset
 from oneshot_ids.dataset import (
     CATEGORICAL,
+    IGNORE,
     LABEL,
     NUMERIC,
     Column,
@@ -139,6 +143,191 @@ class TestLoad:
             path.write_text(path.read_text().replace("8.5", "oops"), encoding="utf-8")
             with pytest.raises(DatasetError, match="row 9: column 'x': 'oops'"):
                 load_dataset(path, schema)
+
+
+def read_both_ways(path, schema, block_rows=3):
+    """`load_dataset`'s result, or its `DatasetError` message, read with the C
+    reader in blocks of `block_rows` lines, then by the row path alone."""
+    outcomes = []
+    for c_block, rows in ((dataset._c_block, block_rows), (lambda lines, schema: None, 10**9)):
+        with mock.patch.object(dataset, "_c_block", c_block), \
+                mock.patch.object(dataset, "_LOAD_BLOCK_ROWS", rows):
+            try:
+                outcomes.append(load_dataset(path, schema))
+            except DatasetError as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert len(got.columns) == len(want.columns)
+    for a, b in zip((*got.columns, got.labels, got.codes), (*want.columns, want.labels, want.codes)):
+        assert a.dtype == b.dtype and a.flags.c_contiguous and b.flags.c_contiguous
+        assert np.array_equal(a, b)
+    assert got.class_names == want.class_names
+
+
+MIXED = Schema(
+    (Column("x", NUMERIC), Column("proto", CATEGORICAL), Column("skip", IGNORE),
+     Column("label", LABEL), Column("y", NUMERIC)),
+    normal_label="normal",
+)
+CLEAN_ROWS = [f"{i}.5,p{i % 3},z,{'normal' if i % 2 else 'attack'},{-i}" for i in range(8)]
+
+
+def mixed_file(*, line=None, at=4, end="\n", last_end="\n", header=None):
+    """CLEAN_ROWS in a MIXED file, row `at` (0-based) replaced by `line`."""
+    rows = list(CLEAN_ROWS)
+    if line is not None:
+        rows[at] = line
+    if header is not None:
+        rows.insert(0, header)
+    return end.join(rows) + last_end
+
+
+class TestReaderPaths:
+    """The C reader against the row path, the reference: both give the same
+    dataset or both raise the same error."""
+
+    @pytest.mark.parametrize("text", [
+        mixed_file(),
+        mixed_file(end="\r\n", last_end="\r\n"),
+        mixed_file(last_end=""),
+        mixed_file(line="", at=5),
+        mixed_file(line="   ", at=5),
+        mixed_file(line=" 4.5 , p1 ,z, normal , -4 "),
+        mixed_file(line='4.5,"p1",z,"normal",-4'),
+        mixed_file(line='4.5,"p,1",z,normal,-4'),
+        mixed_file(line='4.5,p"1,z,normal,-4'),
+        mixed_file(line="1_000,p1,z,normal,-4"),
+        mixed_file(line="4.5,#p1,z,#normal,-4"),
+        mixed_file(line="4.5,p1\x1c,z,normal\x1d,-4"),
+        mixed_file(header="x,proto,skip,label,y"),
+        mixed_file(header=" x , proto ,skip,label,y"),
+        mixed_file(header="a,b,c,d,e"),
+        mixed_file(header="1,b,c,normal,2"),
+        mixed_file(line="x,proto,skip,label,y", at=0),
+    ])
+    def test_same_dataset(self, tmp_path, text):
+        got, want = read_both_ways(write_csv(tmp_path, text), MIXED)
+        assert not isinstance(want, str), want
+        assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize(
+        "cell", ["inf", "-inf", "nan", "1e400", "Infinity", "oops", "", "\x1c4", "4 4"]
+    )
+    def test_same_error_naming_the_line_in_a_later_block(self, tmp_path, cell):
+        # row 5 is the second line of the second 3-line block after line 1
+        path = write_csv(tmp_path, mixed_file(line=f"4.5,p1,z,normal,{cell}"))
+        got, want = read_both_ways(path, MIXED)
+        assert want == f"{path}: row 5: column 'y': {cell.strip()!r} is not a finite number"
+        assert got == want
+
+    @pytest.mark.parametrize("line, fields", [
+        ("4.5,p1,normal", 3),
+        ("4.5,p1,normal,z,w", 5),
+        ('4.5,"p,1",normal', 3),
+        ("", None),
+        ("   ", None),
+    ])
+    def test_same_error_for_a_row_without_one_field_per_column(self, tmp_path, line, fields):
+        # the unread column comes last, so the C reader would take a short
+        # row that lacks only it
+        schema = Schema(
+            (Column("x", NUMERIC), Column("proto", CATEGORICAL), Column("label", LABEL),
+             Column("skip", IGNORE)),
+            normal_label="normal",
+        )
+        rows = [f"{i}.5,p{i},{'normal' if i % 2 else 'attack'},z" for i in range(8)]
+        rows[4] = line
+        path = write_csv(tmp_path, "\n".join(rows) + "\n")
+        got, want = read_both_ways(path, schema)
+        assert_same_outcome(got, want)
+        if fields is not None:
+            assert want == f"{path}: row 5: expected 4 fields, got {fields}"
+        else:
+            assert len(want) == 7
+
+    def test_no_numeric_column_and_label_map(self, tmp_path):
+        schema = Schema(
+            (Column("proto", CATEGORICAL), Column("label", LABEL)),
+            normal_label="normal",
+            label_map={"n": "normal", "smurf.": "dos", "neptune.": "dos"},
+        )
+        text = "proto,label\n" + "".join(
+            f"p{i % 4},{('n', 'smurf.', 'neptune.', 'other')[i % 4]}\n" for i in range(11)
+        )
+        got, want = read_both_ways(write_csv(tmp_path, text), schema)
+        assert_same_outcome(got, want)
+        assert got.class_names == ("normal", "dos", "other")
+
+    def test_one_column_schema(self, tmp_path):
+        schema = Schema((Column("label", LABEL),), normal_label="normal")
+        path = write_csv(tmp_path, "label\nnormal\n  \nattack\n\nnormal\n")
+        got, want = read_both_ways(path, schema)
+        assert_same_outcome(got, want)
+        assert got.labels.tolist() == ["normal", "attack", "normal"]
+
+    def test_quoted_line_break_carries_a_record_into_the_next_block(self, tmp_path):
+        # the record starts on line 4, the last of the block of lines 2-4
+        text = mixed_file(line='4.5,"p\n1",z,normal,-4', at=3)
+        got, want = read_both_ways(write_csv(tmp_path, text), MIXED)
+        assert_same_outcome(got, want)
+        assert got.columns[1][3] == "p\n1" and len(got) == 8
+        # rows are csv records: the record on lines 4-5 is row 4, so line 7 is row 6
+        text = text.replace("5.5", "oops")
+        got, want = read_both_ways(write_csv(tmp_path, text), MIXED)
+        assert got == want and "row 6: column 'x': 'oops'" in want
+
+    def test_clean_blocks_skip_the_row_path(self, tmp_path, monkeypatch):
+        read = []
+        row_block = dataset._row_block
+
+        def recording(path, schema, reader, n_lines, lineno):
+            read.append((n_lines, lineno))
+            return row_block(path, schema, reader, n_lines, lineno)
+
+        monkeypatch.setattr(dataset, "_row_block", recording)
+        monkeypatch.setattr(dataset, "_LOAD_BLOCK_ROWS", 3)
+        path = write_csv(tmp_path, mixed_file(line="4.5,p1,z,normal,1_000", at=4))
+        assert load_dataset(path, MIXED).columns[2][4] == 1000.0
+        assert read == [(1, 0), (3, 4)]   # line 1, then the block holding row 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_generated_files(self, tmp_path_factory, data):
+        kinds = data.draw(st.lists(st.sampled_from([NUMERIC, CATEGORICAL, IGNORE]), max_size=4))
+        kinds.insert(data.draw(st.integers(0, len(kinds))), LABEL)
+        label_map = data.draw(st.sampled_from([{}, {"n": "normal", "x": "attack"}]))
+        schema = Schema(
+            tuple(Column(f"c{i}", kind) for i, kind in enumerate(kinds)),
+            normal_label="normal", label_map=label_map,
+        )
+        cells = {
+            NUMERIC: ["0", "1.5", "-2", "1e3", " 7 ", ".25", "3", "12"] * 3
+            + ["1_000", "inf", "nan", "1e400", "x", "", '"4"', "\x1c5"],
+            CATEGORICAL: ["tcp", " udp ", "icmp", "#c", "a b"] * 3 + ['"q"', '"a,b"', 'a"b', "", "\x1d"],
+            IGNORE: ["z", "0", '"i,j"', ""],
+            LABEL: ["normal", "attack", " normal ", "n", "x", "#y"] * 3 + ['"normal"', "", "\x1e"],
+        }
+        lines = []
+        if data.draw(st.booleans()):
+            lines.append(",".join(f" {c.name}" for c in schema.columns))
+        for _ in range(data.draw(st.integers(0, 10))):
+            row = [data.draw(st.sampled_from(cells[kind])) for kind in kinds]
+            lines.append(",".join(row) + data.draw(st.sampled_from([""] * 12 + [",x"])))
+        for _ in range(data.draw(st.integers(0, 2))):
+            odd = data.draw(st.sampled_from(["", "  ", ",", "normal", "1,normal"]))
+            lines.insert(data.draw(st.integers(0, len(lines))), odd)
+        end = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = end.join(lines) + data.draw(st.sampled_from([end, ""]))
+        path = tmp_path_factory.mktemp("generated") / "data.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        got, want = read_both_ways(path, schema, block_rows=data.draw(st.integers(1, 4)))
+        assert_same_outcome(got, want)
 
 
 class TestSchema:
@@ -321,7 +510,10 @@ class TestEncoder:
         raw.columns[5][fit_rows] = 0.25  # constant over the fit rows only
         enc = fit_encoder(raw, fit_rows)
         expected = reference_transform(enc, raw.columns)
-        assert np.array_equal(enc.transform(raw.columns), expected)
+        # scaled in float64, rounded once when stored
+        got = enc.transform(raw.columns)
+        assert got.dtype == dataset.COMPUTE_DTYPE
+        assert np.array_equal(got, expected.astype(dataset.COMPUTE_DTYPE))
         # the fit subset makes the reference meet every special case
         numeric = [(c, v) for c, v in zip(enc.columns, raw.columns) if c.kind == NUMERIC]
         assert any(c.hi == c.lo for c, _ in numeric)
