@@ -2,15 +2,18 @@
 
 Subcommands::
 
-    oneshot-ids run         leave-one-attack-out experiments end to end
-    oneshot-ids metrics     re-score a stored confusion matrix
-    oneshot-ids seed-report rerun one experiment across seeds, report spread
-    oneshot-ids synth       write a synthetic Gaussian-cluster dataset
+    oneshot-ids run     leave-one-attack-out experiments end to end
+    oneshot-ids metrics re-score a stored confusion matrix
+    oneshot-ids synth   write a synthetic Gaussian-cluster dataset
 
 `run` settings come from a flat key-value manifest file and/or flags
-(flags win). Each experiment writes cm.csv, cm.txt, metrics.json,
-sweep.csv, trace.csv and checkpoint.json into its own subdirectory, and a
-top-level summary.csv aggregates overall accuracies.
+(flags win). `run` trains one experiment per (excluded class, seed), where
+`seed` is a comma-separated list. Each experiment writes cm.csv, cm.txt,
+metrics.json, sweep.csv, trace.csv and checkpoint.json into its own
+subdirectory, exclude-<class> with one seed and exclude-<class>-seed-<n>
+with several, and a top-level summary.csv has one row per experiment.
+With several seeds, a line after each class gives the mean, min and max of
+its overall accuracy and new-class TPR.
 
 Exit codes: 0 all experiments succeeded, 1 partial failures, 2 invalid
 manifest or arguments.
@@ -19,7 +22,6 @@ manifest or arguments.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import dataclass, field, replace
@@ -64,9 +66,11 @@ ALL_ATTACKS = "all-attacks"
 class ExperimentManifest:
     dataset: Path
     schema: Path
-    out: Path = Path(".")   # required by `run`; `seed-report` writes nothing there
+    out: Path
     exclude: list[str] = field(default_factory=lambda: [ALL_ATTACKS])
     votes: tuple[int, ...] = DEFAULT_VOTE_SWEEP
+    # one experiment per seed, each on `training` with its seed replaced
+    seeds: tuple[int, ...] = field(default_factory=lambda: (TrainingConfig.seed,))
     training: TrainingConfig = field(default_factory=TrainingConfig)
     reference: str | None = None
     dump_batch: bool = False
@@ -83,6 +87,15 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _parse_seeds(text: str) -> tuple[int, ...]:
+    seeds = _parse_ints(text)
+    if min(seeds) < 0:
+        raise ValueError(f"expected non-negative integers, got {text!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"repeated seed in {text!r}; each seed writes its own directory")
+    return seeds
 
 
 def _existing_file(text: str) -> Path:
@@ -106,11 +119,11 @@ def _parse_reference(text: str) -> str:
     return text
 
 
-# Every `run` and `seed-report` setting: manifest key -> (config, field,
-# parser, help), where config names the dataclass holding the field. The flag
-# is --<key> with "-" for "_" and hands its raw string to the same parser as
-# the manifest line; a boolean's flag takes no value and means "true". A
-# setting given by neither keeps its dataclass default.
+# Every `run` setting: manifest key -> (config, field, parser, help), where
+# config names the dataclass holding the field. The flag is --<key> with "-"
+# for "_" and hands its raw string to the same parser as the manifest line;
+# a boolean's flag takes no value and means "true". A setting given by
+# neither keeps its dataclass default.
 _SETTINGS = {
     "dataset": ("manifest", "dataset", _existing_file, "dataset CSV path"),
     "schema": ("manifest", "schema", _existing_file, "schema descriptor path"),
@@ -134,7 +147,8 @@ _SETTINGS = {
     "activation": ("training", "activation", str, "hidden-layer activation"),
     "lr": ("training", "learning_rate", float, "learning rate"),
     "momentum": ("training", "momentum", float, "momentum coefficient"),
-    "seed": ("training", "seed", int, "experiment seed"),
+    "seed": ("manifest", "seeds", _parse_seeds,
+             "comma-separated seeds; one experiment per class and seed"),
     "loss": ("loss", "kind", lambda v: v.replace("-", "_"), "contrastive or regularized-log"),
     "margin": ("loss", "margin", float, "contrastive loss margin"),
     "lambda": ("loss", "l2", float, "L2 coefficient for regularized-log"),
@@ -176,7 +190,7 @@ def _parsed(key: str, parse, value):
         raise ManifestError(f"{key}: {exc}") from None
 
 
-def build_manifest(args: argparse.Namespace, need_out: bool = True) -> ExperimentManifest:
+def build_manifest(args: argparse.Namespace) -> ExperimentManifest:
     """Merge manifest file values and CLI flags (flags override); each value
     goes through its setting's parser, and an error names the key."""
     values = _parse_manifest_file(Path(args.manifest)) if args.manifest else {}
@@ -189,7 +203,7 @@ def build_manifest(args: argparse.Namespace, need_out: bool = True) -> Experimen
             configs[config][name] = _parsed(key, parse, value)
 
     fields = configs["manifest"]
-    for key in ("dataset", "schema", "out") if need_out else ("dataset", "schema"):
+    for key in ("dataset", "schema", "out"):
         if key not in fields:
             raise ManifestError(f"missing required setting {key!r}")
     try:
@@ -232,29 +246,23 @@ def _resolve_excluded(manifest: ExperimentManifest, raw) -> list[str]:
     return manifest.exclude
 
 
-def _train_and_sweep(raw, excluded_name: str, cfg: TrainingConfig, votes, on_batch=None):
-    """Prepare, train and vote-sweep one leave-one-attack-out experiment.
+def run_experiment(
+    manifest: ExperimentManifest, raw, excluded_name: str, seed: int, out_dir: Path
+) -> dict:
+    """One leave-one-attack-out experiment; returns its summary row.
 
-    The three stages are called through this module's globals so that a
-    wrapper set on `cli.<stage>` (as the benchmark tracer does) sees every
-    experiment, whichever command runs it.
+    Its three stages are called through this module's globals so that a
+    wrapper set on `cli.<stage>` (as the benchmark tracer does) sees them.
     """
-    split = prepare_experiment(raw, excluded_name, cfg.seed)
-    _instances_per_class(split, cfg.test_batch_size)   # fail before training, not after
-    model, trace = run_training(split, cfg, on_batch)
-    rows = vote_sweep(model, split, cfg.test_batch_size, votes, seed=cfg.seed)
-    return model, trace, rows
-
-
-def run_experiment(manifest: ExperimentManifest, raw, excluded_name: str, out_dir: Path) -> dict:
-    """One leave-one-attack-out experiment; returns its summary row."""
+    cfg = replace(manifest.training, seed=seed)
     on_batch = None
     if manifest.dump_batch:
         out_dir.mkdir(parents=True, exist_ok=True)
         on_batch = lambda batch: batch.dump(out_dir / "pairs.txt")  # noqa: E731
-    model, trace, rows = _train_and_sweep(
-        raw, excluded_name, manifest.training, manifest.votes, on_batch
-    )
+    split = prepare_experiment(raw, excluded_name, seed)
+    _instances_per_class(split, cfg.test_batch_size)   # fail before training, not after
+    model, trace = run_training(split, cfg, on_batch)
+    rows = vote_sweep(model, split, cfg.test_batch_size, manifest.votes, seed=seed)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     report_j = _report_j(manifest.votes)
@@ -286,35 +294,42 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     manifest.out.mkdir(parents=True, exist_ok=True)
+    several = len(manifest.seeds) > 1
     summary_rows = []
     for name in excluded_names:
-        out_dir = manifest.out / _slug(name)
-        try:
-            row = run_experiment(manifest, raw, name, out_dir)
-        except Exception as exc:  # keep going with the remaining classes
-            row = {
-                "excluded_class": name,
-                "status": "error",
-                "votes": _report_j(manifest.votes),
-                "overall_accuracy": "",
-                "new_class_tpr": "",
-                "error": str(exc),
-            }
-        row["reference_overall"] = _reference_overall(manifest.reference, name)
-        summary_rows.append(row)
-        _print_summary_row(row)
+        class_rows = []
+        for seed in manifest.seeds:
+            out_dir = manifest.out / (f"{_slug(name)}-seed-{seed}" if several else _slug(name))
+            try:
+                row = run_experiment(manifest, raw, name, seed, out_dir)
+            except Exception as exc:  # keep going with the remaining experiments
+                row = {
+                    "excluded_class": name,
+                    "status": "error",
+                    "votes": _report_j(manifest.votes),
+                    "overall_accuracy": "",
+                    "new_class_tpr": "",
+                    "error": str(exc),
+                }
+            row["reference_overall"] = _reference_overall(manifest.reference, name)
+            row["seed"] = seed
+            class_rows.append(row)
+            _print_summary_row(row, f"{name} seed {seed}" if several else name)
+        if several:
+            _print_spread(name, class_rows)
+        summary_rows += class_rows
 
     _write_summary(manifest.out / "summary.csv", summary_rows)
     failures = sum(1 for r in summary_rows if r["status"] != "ok")
     return 1 if failures else 0
 
 
-def _print_summary_row(row: dict) -> None:
+def _print_summary_row(row: dict, label: str) -> None:
     if row["status"] != "ok":
-        print(f"{row['excluded_class']}: failed: {row['error']}")
+        print(f"{label}: failed: {row['error']}")
         return
     line = (
-        f"{row['excluded_class']}: overall accuracy {100.0 * row['overall_accuracy']:.2f}% "
+        f"{label}: overall accuracy {100.0 * row['overall_accuracy']:.2f}% "
         f"(new-class TPR {100.0 * row['new_class_tpr']:.2f}%, j={row['votes']})"
     )
     if row.get("reference_overall") is not None:
@@ -322,10 +337,25 @@ def _print_summary_row(row: dict) -> None:
     print(line)
 
 
+def _print_spread(name: str, rows: list[dict]) -> None:
+    """Mean, min and max over the seeds of one class that succeeded."""
+    ok = [row for row in rows if row["status"] == "ok"]
+    if not ok:
+        return
+    parts = []
+    for key, title in (("overall_accuracy", "overall accuracy"), ("new_class_tpr", "new-class TPR")):
+        values = [row[key] for row in ok]
+        parts.append(
+            f"{title} mean {100.0 * sum(values) / len(values):.2f}% "
+            f"min {100.0 * min(values):.2f}% max {100.0 * max(values):.2f}%"
+        )
+    print(f"{name}: {len(ok)} of {len(rows)} seeds: " + "; ".join(parts))
+
+
 def _write_summary(path: Path, rows: list[dict]) -> None:
     columns = (
         "excluded_class", "status", "votes", "overall_accuracy",
-        "new_class_tpr", "reference_overall", "reference_note", "error",
+        "new_class_tpr", "reference_overall", "reference_note", "error", "seed",
     )
     with path.open("w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
@@ -340,6 +370,7 @@ def _write_summary(path: Path, rows: list[dict]) -> None:
                 repr(ref) if ref is not None else "",
                 REFERENCE_NOTE if ref is not None else "",
                 '"' + row["error"].replace('"', "'") + '"' if row["error"] else "",
+                str(row["seed"]),
             ]
             fh.write(",".join(cells) + "\n")
 
@@ -354,48 +385,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     sys.stdout.write(report.to_kv_lines())
     if args.out:
         report.to_json(args.out)
-    return 0
-
-
-def cmd_seed_report(args: argparse.Namespace) -> int:
-    try:
-        manifest = build_manifest(args, need_out=False)
-        seeds = _parsed("seeds", _parse_ints, args.seeds)
-        if len(seeds) < 2:
-            raise ManifestError("need at least 2 seeds")
-        schema = load_schema(manifest.schema)
-        raw = load_dataset(manifest.dataset, schema)
-        excluded = _resolve_excluded(manifest, raw)[0]
-    except (ManifestError, SchemaError, DatasetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    report_j = _report_j(manifest.votes)
-    accuracies = []
-    for seed in seeds:
-        cfg = replace(manifest.training, seed=seed)
-        try:
-            _, _, rows = _train_and_sweep(raw, excluded, cfg, (report_j,))
-        except Exception as exc:  # what `run` records per experiment
-            print(f"error: seed {seed}: {exc}", file=sys.stderr)
-            return 1
-        accuracies.append(rows[0].report.overall_accuracy)
-        print(f"seed {seed}: overall accuracy {100.0 * accuracies[-1]:.2f}%")
-
-    summary = {
-        "excluded_class": excluded,
-        "seeds": list(seeds),
-        "overall_accuracies": accuracies,
-        "mean": sum(accuracies) / len(accuracies),
-        "min": min(accuracies),
-        "max": max(accuracies),
-    }
-    print(
-        f"mean {100.0 * summary['mean']:.2f}%  "
-        f"min {100.0 * summary['min']:.2f}%  max {100.0 * summary['max']:.2f}%"
-    )
-    if args.report_out:
-        Path(args.report_out).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
@@ -419,17 +408,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_manifest_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--manifest", help="key-value manifest file; flags override it")
-    for key, (_, _, parse, help_text) in _SETTINGS.items():
-        flag = "--" + key.replace("_", "-")
-        if parse is _parse_bool:
-            sub.add_argument(flag, dest=key, action="store_const", const="true", help=help_text)
-        else:
-            action = "append" if key == "exclude" else "store"
-            sub.add_argument(flag, dest=key, action=action, help=help_text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oneshot-ids",
@@ -438,7 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_run = subs.add_parser("run", help="train and evaluate every configured experiment")
-    _add_manifest_flags(p_run)
+    p_run.add_argument("--manifest", help="key-value manifest file; flags override it")
+    for key, (_, _, parse, help_text) in _SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        if parse is _parse_bool:
+            p_run.add_argument(flag, dest=key, action="store_const", const="true", help=help_text)
+        else:
+            action = "append" if key == "exclude" else "store"
+            p_run.add_argument(flag, dest=key, action=action, help=help_text)
     p_run.set_defaults(func=cmd_run)
 
     p_metrics = subs.add_parser("metrics", help="recompute metrics from a stored cm.csv")
@@ -446,12 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("--exclude", help="class treated as the new attack")
     p_metrics.add_argument("--out", help="also write metrics JSON here")
     p_metrics.set_defaults(func=cmd_metrics)
-
-    p_seeds = subs.add_parser("seed-report", help="rerun one experiment across seeds")
-    _add_manifest_flags(p_seeds)
-    p_seeds.add_argument("--seeds", required=True, help="comma-separated seed list")
-    p_seeds.add_argument("--report-out", dest="report_out", help="write the variance summary JSON here")
-    p_seeds.set_defaults(func=cmd_seed_report)
 
     p_synth = subs.add_parser("synth", help="write a synthetic Gaussian-cluster dataset")
     p_synth.add_argument("--out", required=True, help="directory for synthetic.csv + synthetic.schema")

@@ -285,8 +285,11 @@ def _row_block(
     words: list[str] = []
     labels: list[str] = []
     while reader.line_num < n_lines:
-        record = next(reader)
         lineno += 1
+        try:
+            record = next(reader)
+        except csv.Error as exc:   # e.g. a field over csv.field_size_limit()
+            raise DatasetError(f"{path}: row {lineno}: {exc}") from None
         if not record or (len(record) == 1 and not record[0].strip()):
             continue
         if len(record) != len(names):
@@ -309,7 +312,7 @@ def _row_block(
             bad = next(i for i in numeric_cols if not _is_finite(record[i]))
             raise DatasetError(
                 f"{path}: row {lineno}: column {schema.columns[bad].name!r}: "
-                f"{record[bad].strip()!r} is not a finite number"
+                f"{record[bad]!r} is not a finite number"
             )
         numbers.extend(parsed)
         words.extend([record[i].strip() for i in categorical_cols])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import re
 from pathlib import Path
@@ -80,22 +81,20 @@ class TestRun:
         )
         assert run_cli("run", "--manifest", str(manifest)) == 2
 
-    @pytest.mark.parametrize("command", ["run", "seed-report"])
     @pytest.mark.parametrize("normal", ["", "normal benign\n"], ids=["undeclared", "no-rows"])
     def test_missing_benign_class_exits_2_before_anything_runs(
-        self, synthetic_files, tmp_path, capsys, command, normal
+        self, synthetic_files, tmp_path, capsys, normal
     ):
         csv_path, schema_path = synthetic_files
         lines = schema_path.read_text().splitlines(keepends=True)
         schema = tmp_path / "altered.schema"
         schema.write_text("".join(ln for ln in lines if not ln.startswith("normal ")) + normal)
-        out, report = tmp_path / "out", tmp_path / "seeds.json"
+        out = tmp_path / "out"
         manifest = write_manifest(tmp_path, csv_path, schema, out)
-        seeds = ("--seeds", "1,2", "--report-out", str(report)) if command == "seed-report" else ()
-        assert run_cli(command, "--manifest", str(manifest), *seeds) == 2
+        assert run_cli("run", "--manifest", str(manifest)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "benign" in err
-        assert not out.exists() and not report.exists()
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, synthetic_files, tmp_path):
         csv_path, schema_path = synthetic_files
@@ -158,10 +157,10 @@ class TestRun:
         manifest = write_manifest(tmp_path, csv_path, schema_path, out)
         real = cli.run_experiment
 
-        def flaky(manifest_, raw, excluded_name, out_dir):
+        def flaky(manifest_, raw, excluded_name, seed, out_dir):
             if excluded_name == "attack2":
                 raise RuntimeError("boom")
-            return real(manifest_, raw, excluded_name, out_dir)
+            return real(manifest_, raw, excluded_name, seed, out_dir)
 
         monkeypatch.setattr(cli, "run_experiment", flaky)
         assert run_cli("run", "--manifest", str(manifest)) == 1
@@ -275,83 +274,97 @@ class TestMetricsCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot exclude benign class 'Normal'")
 
-class TestSeedReport:
-    def test_two_seeds_mean(self, synthetic_files, tmp_path, capsys):
-        csv_path, schema_path = synthetic_files
-        manifest = write_manifest(
-            tmp_path, csv_path, schema_path, tmp_path / "unused", exclude="attack1", epochs=2
-        )
-        report_path = tmp_path / "seeds.json"
-        assert (
-            run_cli(
-                "seed-report", "--manifest", str(manifest),
-                "--seeds", "3,4", "--report-out", str(report_path),
-            )
-            == 0
-        )
-        payload = json.loads(report_path.read_text())
-        assert len(payload["overall_accuracies"]) == 2
-        assert payload["mean"] == pytest.approx(sum(payload["overall_accuracies"]) / 2)
-        assert payload["max"] >= payload["mean"] >= payload["min"]
 
-    def test_matches_run_for_same_seed(self, synthetic_files, tmp_path, capsys):
+def summary_rows(out):
+    return list(csv.DictReader((out / "summary.csv").read_text(encoding="utf-8").splitlines()))
+
+
+class TestSeedList:
+    DETERMINISTIC = ("metrics.json", "sweep.csv", "cm.csv", "checkpoint.json")
+
+    def test_each_seed_writes_what_a_run_of_that_seed_alone_writes(
+        self, synthetic_files, tmp_path
+    ):
+        csv_path, schema_path = synthetic_files
+        manifest = write_manifest(tmp_path, csv_path, schema_path, tmp_path / "out", epochs=2)
+        assert run_cli("run", "--manifest", str(manifest), "--seed", "3,4") == 0
+        subdirs = sorted(p.name for p in (tmp_path / "out").iterdir() if p.is_dir())
+        assert subdirs == [
+            f"exclude-attack{c}-seed-{seed}" for c in (1, 2, 3) for seed in (3, 4)
+        ]
+        rows = summary_rows(tmp_path / "out")
+        assert [(r["excluded_class"], r["seed"]) for r in rows] == [
+            (f"attack{c}", seed) for c in (1, 2, 3) for seed in ("3", "4")
+        ]
+        for seed in (3, 4):
+            alone = tmp_path / f"alone{seed}"
+            assert run_cli(
+                "run", "--manifest", str(manifest), "--seed", str(seed), "--out", str(alone)
+            ) == 0
+            assert [r["seed"] for r in summary_rows(alone)] == [str(seed)] * 3
+            for c in (1, 2, 3):
+                for artifact in self.DETERMINISTIC:
+                    got = tmp_path / "out" / f"exclude-attack{c}-seed-{seed}" / artifact
+                    want = alone / f"exclude-attack{c}" / artifact
+                    assert got.read_bytes() == want.read_bytes(), (seed, c, artifact)
+
+    def test_spread_line_matches_the_summary_rows(self, synthetic_files, tmp_path, capsys):
         csv_path, schema_path = synthetic_files
         out = tmp_path / "out"
         manifest = write_manifest(
             tmp_path, csv_path, schema_path, out, exclude="attack1", epochs=2
         )
-        report_path = tmp_path / "seeds.json"
-        assert (
-            run_cli(
-                "seed-report", "--manifest", str(manifest),
-                "--seeds", "3,4", "--report-out", str(report_path),
+        assert run_cli("run", "--manifest", str(manifest), "--seed", "3,4,5") == 0
+        printed = capsys.readouterr().out.splitlines()
+        rows = summary_rows(out)
+        parts = []
+        for key, title in (("overall_accuracy", "overall accuracy"),
+                           ("new_class_tpr", "new-class TPR")):
+            values = [float(r[key]) for r in rows]
+            parts.append(
+                f"{title} mean {100.0 * sum(values) / 3:.2f}% "
+                f"min {100.0 * min(values):.2f}% max {100.0 * max(values):.2f}%"
             )
-            == 0
-        )
-        printed = capsys.readouterr().out
-        assert run_cli("run", "--manifest", str(manifest), "--seed", "3") == 0
-        accuracy = float((out / "summary.csv").read_text().splitlines()[1].split(",")[3])
-        assert json.loads(report_path.read_text())["overall_accuracies"][0] == accuracy
-        assert f"seed 3: overall accuracy {100.0 * accuracy:.2f}%" in printed
+        assert printed[-1] == "attack1: 3 of 3 seeds: " + "; ".join(parts)
+        assert printed[0].startswith("attack1 seed 3: overall accuracy ")
 
-    def test_identical_seeds_zero_spread(self, synthetic_files, tmp_path):
-        csv_path, schema_path = synthetic_files
-        manifest = write_manifest(
-            tmp_path, csv_path, schema_path, tmp_path / "unused", exclude="attack1", epochs=2
-        )
-        report_path = tmp_path / "seeds.json"
-        assert (
-            run_cli(
-                "seed-report", "--manifest", str(manifest),
-                "--seeds", "7,7", "--report-out", str(report_path),
-            )
-            == 0
-        )
-        payload = json.loads(report_path.read_text())
-        assert payload["min"] == payload["max"] == payload["mean"]
+    @pytest.mark.parametrize("seeds", ["7,7", "-1", "3,-1"])
+    def test_repeated_or_negative_seed_exits_2_before_loading(
+        self, synthetic_files, tmp_path, capsys, monkeypatch, seeds
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("data loaded")
 
-    def test_failing_seed_exits_1_without_report(self, synthetic_files, tmp_path, capsys):
+        monkeypatch.setattr(cli, "load_dataset", never)
         csv_path, schema_path = synthetic_files
-        manifest = write_manifest(
-            tmp_path, csv_path, schema_path, tmp_path / "unused", exclude="attack1"
-        )
-        report_path = tmp_path / "seeds.json"
-        code = run_cli(
-            "seed-report", "--manifest", str(manifest), "--seeds", "1,2",
-            "--test-batch-size", "3", "--report-out", str(report_path),
-        )
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, csv_path, schema_path, out, seed=seeds)
+        assert run_cli("run", "--manifest", str(manifest)) == 2
+        assert capsys.readouterr().err.startswith("error: seed: ")
+        assert run_cli("run", "--manifest", str(manifest), "--seed", seeds) == 2
+        assert capsys.readouterr().err.startswith("error: seed: ")
+        assert not out.exists()
+
+    def test_failing_seed_records_an_error_row_per_seed(self, synthetic_files, tmp_path, capsys):
+        csv_path, schema_path = synthetic_files
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, csv_path, schema_path, out, exclude="attack1")
+        code = run_cli("run", "--manifest", str(manifest), "--seed", "1,2", "--test-batch-size", "3")
         assert code == 1
-        expected = "error: seed 1: test_batch_size 3 too small for 4 classes\n"
-        assert capsys.readouterr().err == expected
-        assert not report_path.exists()
+        error = "test_batch_size 3 too small for 4 classes"
+        assert capsys.readouterr().out.splitlines() == [
+            f"attack1 seed 1: failed: {error}", f"attack1 seed 2: failed: {error}",
+        ]
+        rows = summary_rows(out)
+        assert [(r["status"], r["error"], r["seed"]) for r in rows] == [
+            ("error", error, "1"), ("error", error, "2"),
+        ]
 
-    def test_single_seed_rejected(self, synthetic_files, tmp_path, capsys):
-        csv_path, schema_path = synthetic_files
-        manifest = write_manifest(
-            tmp_path, csv_path, schema_path, tmp_path / "unused", exclude="attack1"
-        )
-        assert run_cli("seed-report", "--manifest", str(manifest), "--seeds", "3") == 2
-        assert "at least 2 seeds" in capsys.readouterr().err
+    def test_seed_report_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("seed-report", "--seeds", "1,2")
+        assert info.value.code == 2
+        assert "invalid choice: 'seed-report'" in capsys.readouterr().err
 
 
 class TestSynthCommand:
@@ -629,4 +642,4 @@ def test_readme_manifest_example(synthetic_files, tmp_path):
     assert manifest.dataset == csv_path and manifest.schema == schema_path
     assert manifest.exclude == [cli.ALL_ATTACKS]
     assert manifest.votes == (1, 5, 10, 15, 20, 25, 30)
-    assert (manifest.training.n_epochs, manifest.training.seed) == (200, 11)
+    assert (manifest.training.n_epochs, manifest.seeds) == (200, (11,))

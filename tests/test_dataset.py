@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 from unittest import mock
 
 import numpy as np
@@ -223,7 +224,7 @@ class TestReaderPaths:
         # row 5 is the second line of the second 3-line block after line 1
         path = write_csv(tmp_path, mixed_file(line=f"4.5,p1,z,normal,{cell}"))
         got, want = read_both_ways(path, MIXED)
-        assert want == f"{path}: row 5: column 'y': {cell.strip()!r} is not a finite number"
+        assert want == f"{path}: row 5: column 'y': {cell!r} is not a finite number"
         assert got == want
 
     @pytest.mark.parametrize("line, fields", [
@@ -250,6 +251,18 @@ class TestReaderPaths:
             assert want == f"{path}: row 5: expected 4 fields, got {fields}"
         else:
             assert len(want) == 7
+
+    def test_field_over_the_csv_limit_names_its_row(self, tmp_path):
+        # the quote on row 6 sends the block of rows 5-7 to the row path
+        rows = list(CLEAN_ROWS)
+        rows[4] = f"4.5,{'p' * (csv.field_size_limit() + 1)},z,normal,-4"
+        rows[5] = '5.5,"p2",z,attack,-5'
+        path = write_csv(tmp_path, "\n".join(rows) + "\n")
+        got, want = read_both_ways(path, MIXED)
+        assert want == (
+            f"{path}: row 5: field larger than field limit ({csv.field_size_limit()})"
+        )
+        assert got == want
 
     def test_no_numeric_column_and_label_map(self, tmp_path):
         schema = Schema(
