@@ -22,6 +22,7 @@ manifest or arguments.
 from __future__ import annotations
 
 import argparse
+import itertools
 import re
 import sys
 from dataclasses import dataclass, field, replace
@@ -239,11 +240,20 @@ def _report_j(votes: tuple[int, ...]) -> int:
 
 
 def _resolve_excluded(manifest: ExperimentManifest, raw) -> list[str]:
-    if manifest.exclude == [ALL_ATTACKS]:
-        return list(raw.class_names[1:])
-    for name in manifest.exclude:
+    """The classes to withhold, each with its own output directory."""
+    names = manifest.exclude
+    if names == [ALL_ATTACKS]:
+        names = list(raw.class_names[1:])
+    for name in names:
         _parsed("exclude", raw.attack_index, name)
-    return manifest.exclude
+    slugs = [_slug(name) for name in names]
+    for k, slug in enumerate(slugs):
+        if slug in slugs[:k]:
+            first = names[slugs.index(slug)]
+            raise ManifestError(
+                f"exclude: classes {first!r} and {names[k]!r} would both write {manifest.out / slug}"
+            )
+    return names
 
 
 def run_experiment(
@@ -258,7 +268,8 @@ def run_experiment(
     on_batch = None
     if manifest.dump_batch:
         out_dir.mkdir(parents=True, exist_ok=True)
-        on_batch = lambda batch: batch.dump(out_dir / "pairs.txt")  # noqa: E731
+        dumped = itertools.count()   # the first batch starts pairs.txt, later ones append
+        on_batch = lambda b: b.dump(out_dir / "pairs.txt", append=next(dumped) > 0)  # noqa: E731
     split = prepare_experiment(raw, excluded_name, seed)
     _instances_per_class(split, cfg.test_batch_size)   # fail before training, not after
     model, trace = run_training(split, cfg, on_batch)

@@ -230,12 +230,13 @@ def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
 
     Line 1 and then each block of `_LOAD_BLOCK_ROWS` lines are read by one
     of two paths. numpy's C reader (`_c_block`) takes a block whose lines
-    all hold one field per column, no quote and nothing it reads otherwise
-    than Python does; the row path (`_row_block`: `csv.reader` and
-    `float()`) reads every other block, and is the reference for what the
-    file holds and the only source of errors. Quoted fields are therefore
-    read as `csv.reader` reads them: a field may hold a quoted comma or line
-    break, and a quote inside an unquoted field is a character.
+    all hold one field per column, no quote, nothing it reads otherwise than
+    Python does and no more characters than `csv.field_size_limit()`; the
+    row path (`_row_block`: `csv.reader` and `float()`) reads every other
+    block, and is the reference for what the file holds and the only source
+    of errors. Quoted fields are therefore read as `csv.reader` reads them:
+    a field may hold a quoted comma or line break, and a quote inside an
+    unquoted field is a character.
     """
     path = Path(path)
     if not path.exists():
@@ -345,11 +346,13 @@ def _c_block(lines: list[str], schema: Schema) -> tuple[np.ndarray, np.ndarray, 
     (``1_000``) raises here.
     """
     commas = len(schema.columns) - 1
+    # a line within the csv field limit, read at each call, holds no field over it
+    limit = csv.field_size_limit()
     text = "".join(lines)
     if (
         not commas
         or any(char in text for char in _ROW_PATH_CHARS)
-        or any(line.count(",") != commas for line in lines)
+        or any(line.count(",") != commas or len(line) > limit for line in lines)
     ):
         return None
     numeric_cols = _positions(schema, NUMERIC)

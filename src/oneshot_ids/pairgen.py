@@ -11,8 +11,10 @@ contribute every unique pair they have; the remainder is redistributed
 round-robin over the other buckets so the half-half contract survives
 heavy class imbalance.
 
-A pair's target is its entry in the batch's bool `similar` mask; the
-losses read it as 1.0 (similar) or 0.0 (dissimilar).
+A batch is three columns: the dataset rows of each pair's left and right
+instance and the bool `similar` mask, which the losses read as 1.0
+(similar) or 0.0 (dissimilar). A pair's classes are the dataset's labels
+at its rows; `pair_counts` reads them there.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -32,34 +33,21 @@ class PairGenerationError(ValueError):
 
 @dataclass
 class PairBatch:
-    """Columnar pair storage: dataset row indices, class provenance, targets."""
+    """Columnar pair storage: dataset row indices and targets."""
 
     left_idx: np.ndarray           # (B,) int64 dataset row indices
     right_idx: np.ndarray
-    left_class: np.ndarray         # (B,) int64 class indices
-    right_class: np.ndarray
     similar: np.ndarray            # (B,) bool mask
 
     def __len__(self) -> int:
         return len(self.left_idx)
 
-    def subset(self, start: int, stop: int) -> "PairBatch":
-        return PairBatch(
-            self.left_idx[start:stop],
-            self.right_idx[start:stop],
-            self.left_class[start:stop],
-            self.right_class[start:stop],
-            self.similar[start:stop],
-        )
-
-    def chunks(self, size: int) -> Iterator["PairBatch"]:
-        for start in range(0, len(self), size):
-            yield self.subset(start, start + size)
-
-    def dump(self, path: str | Path) -> None:
-        """Audit dump: one ``left_idx,right_idx,target`` line per pair."""
-        with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write("left_idx,right_idx,target\n")
+    def dump(self, path: str | Path, append: bool = False) -> None:
+        """Audit dump: one ``left_idx,right_idx,target`` line per pair, under
+        a header line that only a fresh file (`append` false) gets."""
+        with Path(path).open("a" if append else "w", encoding="utf-8") as fh:
+            if not append:
+                fh.write("left_idx,right_idx,target\n")
             for left, right, similar in zip(self.left_idx, self.right_idx, self.similar):
                 target = "similar" if similar else "dissimilar"
                 fh.write(f"{left},{right},{target}\n")
@@ -83,18 +71,18 @@ class PairCounts:
         return self.n_similar + self.n_dissimilar
 
 
-def pair_counts(batch: PairBatch) -> PairCounts:
-    """Exact batch composition; sums reconcile to len(batch)."""
-    similar: dict[int, int] = {}
-    dissimilar: dict[tuple[int, int], int] = {}
-    for k in range(len(batch)):
-        if batch.similar[k]:
-            c = int(batch.left_class[k])
-            similar[c] = similar.get(c, 0) + 1
-        else:
-            combo = tuple(sorted((int(batch.left_class[k]), int(batch.right_class[k]))))
-            dissimilar[combo] = dissimilar.get(combo, 0) + 1
-    return PairCounts(similar, dissimilar)
+def pair_counts(batch: PairBatch, labels: np.ndarray) -> PairCounts:
+    """Exact batch composition, each pair's classes read from `labels` (the
+    split's `dataset.labels`); sums reconcile to len(batch)."""
+    left, right = labels[batch.left_idx], labels[batch.right_idx]
+    classes, n_similar = np.unique(left[batch.similar], return_counts=True)
+    dis = ~batch.similar
+    combos = np.sort(np.stack((left[dis], right[dis]), axis=1), axis=1)
+    combos, n_dissimilar = np.unique(combos, axis=0, return_counts=True)
+    return PairCounts(
+        dict(zip(classes.tolist(), n_similar.tolist())),
+        dict(zip(map(tuple, combos.tolist()), n_dissimilar.tolist())),
+    )
 
 
 def _spread(total: int, caps: list[int]) -> list[int]:
@@ -159,7 +147,10 @@ def generate_training_batch(
     classes = split.training_classes
     k = len(classes)
     if k < 2:
-        raise PairGenerationError(f"need at least 2 training classes, have {k}")
+        raise PairGenerationError(
+            f"need at least 2 training classes, have {k}: with fewer, similarity "
+            "degenerates to a coin flip"
+        )
     if batch_size < 2 * k:
         raise PairGenerationError(f"batch_size {batch_size} < 2 x {k} training classes")
 
@@ -185,14 +176,11 @@ def generate_training_batch(
     quotas = _spread(n_similar, sim_caps) + _spread(n_dissimilar, dis_caps)
     drawn = [_draw_bucket(rng, pools[a], pools[b], q) for (a, b), q in zip(buckets, quotas)]
     left, right = (np.concatenate(side) for side in zip(*drawn))
-    lcls, rcls = (np.repeat(side, quotas) for side in zip(*buckets))
     similar = np.arange(batch_size) < n_similar
 
     order = rng.permutation(batch_size)
     return PairBatch(
         np.asarray(left, dtype=np.int64)[order],
         np.asarray(right, dtype=np.int64)[order],
-        np.asarray(lcls, dtype=np.int64)[order],
-        np.asarray(rcls, dtype=np.int64)[order],
         similar[order],
     )

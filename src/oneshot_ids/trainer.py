@@ -1,9 +1,9 @@
 """Training orchestration: pair batch, epoch loop, telemetry.
 
 By default one pair batch is generated in the first epoch and swept
-repeatedly, in minibatch chunks with one optimizer step per chunk;
+repeatedly, one optimizer step per `minibatch_size` consecutive pairs;
 `fresh_batch_per_epoch` regenerates the batch every epoch instead. Each
-step takes its chunk's feature rows from the dataset matrix. Everything is
+step gathers its pairs' feature rows from the dataset matrix. Everything is
 deterministic given the config seed. The model trains, and is returned, in
 float32 (`COMPUTE_DTYPE`): its float64 initial draws are rounded once.
 """
@@ -91,12 +91,6 @@ def run_training(
     audits and batch dumps hook in.
     """
     ds = split.dataset
-    if ds.n_classes < 3:
-        raise ValueError(
-            f"dataset has {ds.n_classes} classes; similarity training requires at least "
-            "3 classes (with fewer, the model degenerates to a coin-flip similarity)"
-        )
-
     model = init_model(
         (ds.width, *cfg.architecture), cfg.activation, stream_rng(cfg.seed, INIT_STREAM)
     ).copy(COMPUTE_DTYPE)
@@ -114,13 +108,15 @@ def run_training(
             if on_batch is not None:
                 on_batch(batch)
         epoch_loss = 0.0
-        for chunk in batch.chunks(cfg.minibatch_size):
+        for start in range(0, len(batch), cfg.minibatch_size):
+            step = slice(start, start + cfg.minibatch_size)
+            similar = batch.similar[step]
             grads, loss_value = batch_gradients(
-                model, rows[chunk.left_idx], rows[chunk.right_idx], chunk.similar, cfg.loss
+                model, rows[batch.left_idx[step]], rows[batch.right_idx[step]], similar, cfg.loss
             )
             # step on the per-pair mean so the step size is independent of
             # the minibatch size
-            grads.scale(1.0 / len(chunk))
+            grads.scale(1.0 / len(similar))
             apply_update(model, grads, state, cfg.learning_rate)
             epoch_loss += loss_value
             trace.steps += 1

@@ -148,7 +148,7 @@ class TestCriterion3PairBatches:
             assert len(set(keys)) == len(keys), "uniqueness"
             allowed = set(split.training_indices().tolist())
             assert set(batch.left_idx.tolist()) | set(batch.right_idx.tolist()) <= allowed
-            counts = pair_counts(batch)
+            counts = pair_counts(batch, split.dataset.labels)
             assert counts.n_similar == b // 2 and counts.n_dissimilar == b - b // 2
             n_sim = b // 2
             quota = n_sim // k
@@ -158,7 +158,7 @@ class TestCriterion3PairBatches:
         # imbalance fixture: a 26-instance pool caps at C(26,2)=325 similar pairs
         split = build_split({0: 400, 1: 26, 3: 400, 4: 400}, excluded_class=2)
         batch = generate_training_batch(split, 30000, rng=7)
-        counts = pair_counts(batch)
+        counts = pair_counts(batch, split.dataset.labels)
         elapsed = time.perf_counter() - started
         report(
             3,

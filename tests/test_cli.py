@@ -81,6 +81,41 @@ class TestRun:
         )
         assert run_cli("run", "--manifest", str(manifest)) == 2
 
+    def test_repeated_excluded_class_exits_2_before_training(
+        self, synthetic_files, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(cli, "run_training", never)
+        csv_path, schema_path = synthetic_files
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, csv_path, schema_path, out)
+        argv = ("run", "--manifest", str(manifest), "--exclude", "attack1", "--exclude", "attack1")
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert "'attack1' and 'attack1'" in err and str(out / "exclude-attack1") in err
+        assert not out.exists()
+
+    def test_class_names_sharing_a_directory_exit_2_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(cli, "run_training", never)
+        names = ("normal", "DoS Hulk", "dos_hulk")
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("".join(f"{i}.0,{names[i % 3]}\n" for i in range(30)))
+        schema_path = tmp_path / "data.schema"
+        schema_path.write_text("column x numeric\ncolumn label label\nnormal normal\n")
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, csv_path, schema_path, out)
+        assert run_cli("run", "--manifest", str(manifest)) == 2
+        err = capsys.readouterr().err
+        assert "'DoS Hulk' and 'dos_hulk'" in err and str(out / "exclude-dos-hulk") in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("normal", ["", "normal benign\n"], ids=["undeclared", "no-rows"])
     def test_missing_benign_class_exits_2_before_anything_runs(
         self, synthetic_files, tmp_path, capsys, normal
@@ -177,6 +212,35 @@ class TestRun:
         pairs = (out / "exclude-attack1" / "pairs.txt").read_text().splitlines()
         assert pairs[0] == "left_idx,right_idx,target"
         assert len(pairs) == 201
+
+    def test_batch_dump_keeps_every_fresh_batch(self, synthetic_files, tmp_path, monkeypatch):
+        csv_path, schema_path = synthetic_files
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, csv_path, schema_path, out, exclude="attack1",
+                                  batch_size=60, minibatch=30)
+        argv = ("run", "--manifest", str(manifest), "--dump-batch", "--fresh-batch")
+        batches = []
+        real = cli.run_training
+
+        def recording(split, cfg, on_batch):
+            def both(batch):
+                batches.append(batch)
+                on_batch(batch)
+            return real(split, cfg, both)
+
+        monkeypatch.setattr(cli, "run_training", recording)
+        assert run_cli(*argv) == 0
+        path = out / "exclude-attack1" / "pairs.txt"
+        want = ["left_idx,right_idx,target"] + [
+            f"{left},{right},{'similar' if similar else 'dissimilar'}"
+            for batch in batches
+            for left, right, similar in zip(batch.left_idx, batch.right_idx, batch.similar)
+        ]
+        assert len(batches) == 3 and len(want) == 181
+        assert path.read_text().splitlines() == want
+        # a rerun into the same directory starts the file again
+        assert run_cli(*argv) == 0
+        assert path.read_text().splitlines() == want
 
 
 class TestReferenceLabels:

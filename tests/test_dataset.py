@@ -264,6 +264,23 @@ class TestReaderPaths:
         )
         assert got == want
 
+    @pytest.mark.parametrize("limit", [None, 40], ids=["default-limit", "lowered-limit"])
+    def test_field_over_the_csv_limit_names_its_row_in_a_block_without_a_quote(
+        self, tmp_path, limit
+    ):
+        # the C reader would read rows 5-7 if it ignored the limit
+        default = csv.field_size_limit()
+        try:
+            if limit is not None:
+                csv.field_size_limit(limit)
+            limit = csv.field_size_limit()
+            path = write_csv(tmp_path, mixed_file(line=f"4.5,{'p' * (limit + 1)},z,normal,-4"))
+            got, want = read_both_ways(path, MIXED)
+        finally:
+            csv.field_size_limit(default)
+        assert want == f"{path}: row 5: field larger than field limit ({limit})"
+        assert got == want
+
     def test_no_numeric_column_and_label_map(self, tmp_path):
         schema = Schema(
             (Column("proto", CATEGORICAL), Column("label", LABEL)),

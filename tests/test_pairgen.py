@@ -21,6 +21,21 @@ def all_unique_pairs(pool) -> set[tuple[int, int]]:
     return {tuple(sorted(p)) for p in itertools.combinations(pool.tolist(), 2)}
 
 
+def counts_oracle(batch, labels) -> tuple[dict, dict]:
+    """Per-pair reference for `pair_counts`: each pair's classes looked up
+    in `labels` one pair at a time."""
+    similar: dict[int, int] = {}
+    dissimilar: dict[tuple[int, int], int] = {}
+    for k in range(len(batch)):
+        left, right = int(labels[batch.left_idx[k]]), int(labels[batch.right_idx[k]])
+        if batch.similar[k]:
+            similar[left] = similar.get(left, 0) + 1
+        else:
+            combo = tuple(sorted((left, right)))
+            dissimilar[combo] = dissimilar.get(combo, 0) + 1
+    return similar, dissimilar
+
+
 def batch_pair_keys(batch) -> list[tuple[int, int]]:
     return [
         tuple(sorted((int(a), int(b))))
@@ -32,7 +47,7 @@ class TestQuotas:
     def test_alg2_arithmetic_30000(self):
         split = build_split({0: 260, 1: 260, 3: 260, 4: 260}, excluded_class=2)
         batch = generate_training_batch(split, 30000, rng=0)
-        counts = pair_counts(batch)
+        counts = pair_counts(batch, split.dataset.labels)
         assert counts.similar_by_class == {0: 3750, 1: 3750, 3: 3750, 4: 3750}
         assert counts.dissimilar_by_combination == {
             combo: 2500 for combo in itertools.combinations((0, 1, 3, 4), 2)
@@ -42,7 +57,7 @@ class TestQuotas:
     def test_minimal_batch(self):
         split = build_split({0: 3, 2: 3}, excluded_class=1)
         batch = generate_training_batch(split, 4, rng=1)
-        counts = pair_counts(batch)
+        counts = pair_counts(batch, split.dataset.labels)
         assert counts.n_similar == 2
         assert counts.n_dissimilar == 2
         assert counts.similar_by_class == {0: 1, 2: 1}
@@ -51,7 +66,7 @@ class TestQuotas:
     def test_odd_batch_extra_dissimilar(self):
         split = build_split({0: 20, 2: 20}, excluded_class=1)
         batch = generate_training_batch(split, 41, rng=3)
-        counts = pair_counts(batch)
+        counts = pair_counts(batch, split.dataset.labels)
         assert counts.n_similar == 20
         assert counts.n_dissimilar == 21
 
@@ -59,13 +74,13 @@ class TestQuotas:
         # 10 similar over 3 classes -> 4, 3, 3
         split = build_split({0: 30, 1: 30, 2: 30}, excluded_class=3, labelled=5, unlabelled=5)
         batch = generate_training_batch(split, 20, rng=5)
-        assert pair_counts(batch).similar_by_class == {0: 4, 1: 3, 2: 3}
+        assert pair_counts(batch, split.dataset.labels).similar_by_class == {0: 4, 1: 3, 2: 3}
 
     def test_small_pool_shortfall_redistributed(self):
         # pool of 26 caps its class at C(26,2)=325 unique similar pairs
         split = build_split({0: 400, 1: 26, 3: 400, 4: 400}, excluded_class=2)
         batch = generate_training_batch(split, 30000, rng=7)
-        counts = pair_counts(batch)
+        counts = pair_counts(batch, split.dataset.labels)
         assert counts.similar_by_class[1] == 325
         # 3750-325 redistributed round-robin: classes 0 and 3 get one extra
         assert counts.similar_by_class == {0: 4892, 1: 325, 3: 4892, 4: 4891}
@@ -85,9 +100,10 @@ class TestQuotas:
         split = build_split({0: n, 1: n}, excluded_class=2, labelled=2, unlabelled=2)
         batch = generate_training_batch(split, 2 * n * (n - 1), rng=n)
         keys = batch_pair_keys(batch)
+        classes = split.dataset.labels[batch.left_idx]
         for c in (0, 1):
             drawn = sorted(
-                key for key, cls, sim in zip(keys, batch.left_class, batch.similar)
+                key for key, cls, sim in zip(keys, classes, batch.similar)
                 if sim and cls == c
             )
             assert drawn == sorted(all_unique_pairs(split.training_pools[c]))
@@ -107,7 +123,7 @@ class TestInvariants:
         allowed = set(split.training_indices().tolist())
         assert set(batch.left_idx.tolist()) <= allowed          # provenance
         assert set(batch.right_idx.tolist()) <= allowed
-        counts = pair_counts(batch)
+        counts = pair_counts(batch, split.dataset.labels)
         assert counts.n_similar == b // 2                       # half-half
         assert counts.n_dissimilar == b - b // 2
         excluded = set(split.excluded_labelled.tolist()) | set(split.excluded_unlabelled.tolist())
@@ -122,22 +138,21 @@ class TestInvariants:
         keys = batch_pair_keys(batch)
         assert len(set(keys)) == len(keys) == 30000
         assert all(a != b for a, b in keys)
-        for idx, cls in ((batch.left_idx, batch.left_class), (batch.right_idx, batch.right_class)):
-            assert np.array_equal(split.dataset.labels[idx], cls)   # provenance
         allowed = set(split.training_indices().tolist())
         assert set(batch.left_idx.tolist()) | set(batch.right_idx.tolist()) <= allowed
-        counts = pair_counts(batch)
+        counts = pair_counts(batch, split.dataset.labels)
         assert counts.similar_by_class == {0: 5000, 1: 5000, 3: 5000}
         assert counts.dissimilar_by_combination == {(0, 1): 5000, (0, 3): 5000, (1, 3): 5000}
 
     def test_similarity_matches_classes(self):
-        split = build_split({0: 20, 1: 20, 3: 20}, excluded_class=2)
-        batch = generate_training_batch(split, 60, rng=11)
-        for k in range(len(batch)):
-            if batch.similar[k]:
-                assert batch.left_class[k] == batch.right_class[k]
-            else:
-                assert batch.left_class[k] != batch.right_class[k]
+        for seed, sizes in itertools.product(range(4), (
+            {0: 20, 1: 20, 3: 20}, {0: 3, 1: 40}, {0: 30, 1: 2, 3: 9, 4: 15},
+        )):
+            split = build_split(sizes, excluded_class=2, labelled=2, unlabelled=2)
+            batch = generate_training_batch(split, 4 * len(sizes), rng=seed)
+            labels = split.dataset.labels
+            same = labels[batch.left_idx] == labels[batch.right_idx]
+            assert np.array_equal(same, batch.similar)
 
     def test_determinism(self):
         split = build_split({0: 25, 1: 25, 3: 25}, excluded_class=2)
@@ -180,13 +195,32 @@ class TestPairBatchApi:
         empty = PairBatch(
             np.array([], dtype=np.int64),
             np.array([], dtype=np.int64),
-            np.array([], dtype=np.int64),
-            np.array([], dtype=np.int64),
             np.array([], dtype=bool),
         )
-        counts = pair_counts(empty)
+        labels = np.array([0, 1, 3], dtype=np.int64)
+        counts = pair_counts(empty, labels)
         assert counts.total == 0
         assert counts.similar_by_class == {}
+        assert (counts.similar_by_class, counts.dissimilar_by_combination) == counts_oracle(
+            empty, labels
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_counts_match_per_pair_oracle(self, seed):
+        # any indices and mask, consistent with the labels or not
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 5, size=50)
+        n = int(rng.integers(1, 200))
+        batch = PairBatch(
+            rng.integers(0, 50, size=n), rng.integers(0, 50, size=n), rng.random(n) < 0.5
+        )
+        counts = pair_counts(batch, labels)
+        assert (counts.similar_by_class, counts.dissimilar_by_combination) == counts_oracle(
+            batch, labels
+        )
+        assert counts.total == n
+        assert all(type(c) is int for c in counts.similar_by_class)
+        assert all(type(c) is int for combo in counts.dissimilar_by_combination for c in combo)
 
     def test_features_resolve_through_dataset(self):
         split = build_split({0: 10, 1: 10}, excluded_class=2, labelled=2, unlabelled=2)
@@ -198,13 +232,6 @@ class TestPairBatchApi:
         expected = np.sum(np.where(batch.similar, d**2, np.maximum(1.0 - d, 0.0) ** 2))
         _, loss = batch_gradients(model, left, right, batch.similar, LossConfig())
         assert loss == pytest.approx(expected, rel=1e-12)
-
-    def test_chunks_cover_batch(self):
-        split = build_split({0: 20, 1: 20}, excluded_class=2, labelled=2, unlabelled=2)
-        batch = generate_training_batch(split, 50, rng=0)
-        chunks = list(batch.chunks(16))
-        assert [len(c) for c in chunks] == [16, 16, 16, 2]
-        assert np.array_equal(np.concatenate([c.left_idx for c in chunks]), batch.left_idx)
 
     def test_dump_format(self, tmp_path):
         split = build_split({0: 10, 1: 10}, excluded_class=2, labelled=2, unlabelled=2)

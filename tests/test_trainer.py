@@ -102,7 +102,7 @@ class TestDeterminism:
 class TestValidation:
     def test_requires_three_classes(self):
         split = prepare_experiment(make_raw(n_classes=2, per_class=20, n_features=4), 1, seed=0)
-        with pytest.raises(ValueError, match="at least 3 classes"):
+        with pytest.raises(ValueError, match="at least 2 training classes, have 1: with fewer"):
             run_training(split, quick_cfg())
 
     def test_config_rejects_nonpositive_counts(self):
@@ -182,14 +182,16 @@ class TestBatchUsage:
             want = generate_training_batch(split, 100, stream_rng(cfg.seed, PAIR_STREAM, *key))
             assert np.array_equal(batch.left_idx, want.left_idx)
             assert np.array_equal(batch.right_idx, want.right_idx)
+        # each epoch steps over its batch in consecutive 40-pair slices
         epochs = batches if fresh else batches * 3
-        chunks = [chunk for batch in epochs for chunk in batch.chunks(40)]
-        assert len(steps) == len(chunks) == 9
+        assert [len(similar) for _, _, similar in steps] == [40, 40, 20] * 3
         matrix = split.dataset.matrix
-        for (left, right, similar), chunk in zip(steps, chunks):
-            assert np.array_equal(left, matrix[chunk.left_idx])
-            assert np.array_equal(right, matrix[chunk.right_idx])
-            assert np.array_equal(similar, chunk.similar)
+        for epoch, batch in enumerate(epochs):
+            taken = steps[3 * epoch:3 * epoch + 3]
+            left, right, similar = (np.concatenate(part) for part in zip(*taken))
+            assert np.array_equal(left, matrix[batch.left_idx])
+            assert np.array_equal(right, matrix[batch.right_idx])
+            assert np.array_equal(similar, batch.similar)
 
 
 class TestLossCurve:
