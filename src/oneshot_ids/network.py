@@ -11,12 +11,18 @@ pair gradient down as +g for the left half and -g for the right half, so
 both twins' contributions land in the shared parameters together.
 Activation derivatives are read from the stored activations.
 
+The model's parameters, their gradients and their momentum are one
+contiguous 1-D array each (weight matrices in layer order, then biases),
+and the per-layer arrays are views into it. Backprop writes each layer's
+gradient straight into its view; scaling, the finiteness check and the
+momentum update each run once over the whole vector.
+
 Every step and every embedding runs in the weights' dtype (the trainer
 uses float32; `init_model` draws float64): input rows are cast to it, and
 activations, gradients and momentum stay in it. Only `_pair_terms` works in
 float64, on the per-pair distance vector, because in float32
 1 - CLAMP_EPS rounds to 1. Activations are computed in place on the fresh
-pre-activation, and gradient scaling and the momentum update are in place.
+pre-activation.
 
 `_pair_terms` is the one loss formula, for two losses:
 
@@ -90,14 +96,38 @@ class LossConfig:
             raise ConfigError(f"l2 coefficient must be finite and >= 0, got {self.l2!r}", "l2")
 
 
+def _views(
+    flat: np.ndarray, layer_sizes: Sequence[int]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into `flat`, which holds every weight
+    matrix (row-major, in layer order) and then every bias vector."""
+    shapes = list(zip(layer_sizes, layer_sizes[1:]))
+    weights, biases = [], []
+    start = 0
+    for fan_in, fan_out in shapes:
+        weights.append(flat[start:start + fan_in * fan_out].reshape(fan_in, fan_out))
+        start += fan_in * fan_out
+    for _, fan_out in shapes:
+        biases.append(flat[start:start + fan_out])
+        start += fan_out
+    return weights, biases
+
+
 @dataclass
 class SiameseModel:
-    """One parameter set serving both twins (f1 and f2 are identical)."""
+    """One parameter set serving both twins (f1 and f2 are identical).
+
+    The given arrays are copied into one vector, `params`, in the dtype of
+    `weights[0]`; `weights` and `biases` then hold views into it, so
+    updating `params` updates every layer. Update the views in place:
+    an array assigned into the lists is not part of `params`.
+    """
 
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]      # weights[k]: (layer_sizes[k], layer_sizes[k+1])
     biases: list[np.ndarray]
     activation: str = "sigmoid"
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.layer_sizes = checked_layers(self.layer_sizes, self.activation)
@@ -115,6 +145,12 @@ class SiameseModel:
                     f"layer {k}: weight {w.shape} and bias {b.shape} do not match layer_sizes "
                     f"{list(self.layer_sizes)}, which need {(fan_in, fan_out)} and {(fan_out,)}"
                 )
+        self.params = np.empty(sum(w.size + b.size for w, b in zip(self.weights, self.biases)),
+                               dtype=self.weights[0].dtype)
+        weights, biases = _views(self.params, self.layer_sizes)
+        for view, given in zip(weights + biases, self.weights + self.biases):
+            view[...] = given
+        self.weights, self.biases = weights, biases
 
     @property
     def n_layers(self) -> int:
@@ -127,15 +163,15 @@ class SiameseModel:
     @property
     def dtype(self) -> np.dtype:
         """The compute dtype: inputs are cast to it, every step runs in it."""
-        return self.weights[0].dtype
+        return self.params.dtype
 
     def copy(self, dtype: DTypeLike = None) -> "SiameseModel":
         """An independent copy, its parameters cast to `dtype` if given."""
         dtype = self.dtype if dtype is None else dtype
         return SiameseModel(
             self.layer_sizes,
-            [w.astype(dtype) for w in self.weights],
-            [b.astype(dtype) for b in self.biases],
+            [w.astype(dtype, copy=False) for w in self.weights],
+            [b.astype(dtype, copy=False) for b in self.biases],
             self.activation,
         )
 
@@ -180,7 +216,7 @@ def _forward_trace(model: SiameseModel, x: np.ndarray) -> list[np.ndarray]:
         for k, (w, b) in enumerate(zip(model.weights, model.biases)):
             z = acts[-1] @ w
             z += b
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 raise FloatingPointError(f"numerical overflow in layer {k}")
             acts.append(z if k == last else act_fn(z))
     return acts
@@ -200,13 +236,29 @@ def embed(model: SiameseModel, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Gradients:
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
+    """dL/d(parameter) as one vector laid out like `SiameseModel.params`
+    for `layer_sizes`; `d_weights` and `d_biases` are views into it."""
+
+    layer_sizes: tuple[int, ...]
+    flat: np.ndarray
+    d_weights: list[np.ndarray] = field(init=False, repr=False)
+    d_biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.d_weights, self.d_biases = _views(self.flat, self.layer_sizes)
 
     def scale(self, factor: float) -> None:
         """Multiply every gradient by `factor`, in place."""
-        for g in self.d_weights + self.d_biases:
-            g *= factor
+        self.flat *= factor
+
+    def check_finite(self) -> None:
+        """Raise FloatingPointError naming the first layer with a non-finite
+        gradient, if any."""
+        if np.isfinite(self.flat).all():
+            return
+        for k, (g_w, g_b) in enumerate(zip(self.d_weights, self.d_biases)):
+            if not (np.isfinite(g_w).all() and np.isfinite(g_b).all()):
+                raise FloatingPointError(f"numerical overflow in layer {k}")
 
 
 def _pair_terms(d: np.ndarray, similar: np.ndarray, loss: LossConfig, model: SiameseModel):
@@ -219,14 +271,16 @@ def _pair_terms(d: np.ndarray, similar: np.ndarray, loss: LossConfig, model: Sia
     """
     dtype = d.dtype
     d = d.astype(np.float64, copy=False)
-    y = np.asarray(similar, dtype=np.float64)
     if loss.kind == CONTRASTIVE:
         slack = np.maximum(loss.margin - d, 0.0)
-        losses = y * d**2 + (1.0 - y) * slack**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            repel = np.where(d > 0.0, slack / d, 0.0)
-        coeff = 2.0 * y - 2.0 * (1.0 - y) * repel
+        losses = np.square(np.where(similar, d, slack))
+        # c = 2 for a similar pair and -2 * slack / d for a dissimilar one,
+        # 0 at d = 0; written 0 - 2 * slack / d so an inactive hinge gives
+        # +0.0, as the y-weighted sum 2y - 2(1 - y) slack / d does
+        repel = np.divide(slack, d, out=np.zeros_like(d), where=d > 0.0)
+        coeff = np.where(similar, 2.0, 0.0 - 2.0 * repel)
         return losses, coeff.astype(dtype, copy=False), 0.0
+    y = np.asarray(similar, dtype=np.float64)
     raw = np.exp(-d)
     s = np.clip(raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
     losses = -(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))
@@ -255,18 +309,18 @@ def _twin_pass(model: SiameseModel, left: np.ndarray, right: np.ndarray):
 def _backprop(model: SiameseModel, acts: list[np.ndarray], upstream: np.ndarray) -> Gradients:
     """Parameter gradients from dL/d(output) for every traced row."""
     _, act_deriv = _ACTIVATIONS[model.activation]
+    grads = Gradients(model.layer_sizes, np.empty_like(model.params))
     # a bias gradient is a column sum; as a matrix-vector product it costs a
     # fifth of delta.sum(axis=0) on these narrow blocks
     ones = np.ones(len(upstream), dtype=upstream.dtype)
-    d_weights, d_biases = [], []
     delta = upstream
     for k in range(model.n_layers - 1, -1, -1):
-        d_weights.append(acts[k].T @ delta)
-        d_biases.append(ones @ delta)
+        np.matmul(acts[k].T, delta, out=grads.d_weights[k])
+        np.matmul(ones, delta, out=grads.d_biases[k])
         if k > 0:
             delta = delta @ model.weights[k].T
             delta *= act_deriv(acts[k])
-    return Gradients(d_weights[::-1], d_biases[::-1])
+    return grads
 
 
 def batch_gradients(
@@ -284,36 +338,34 @@ def batch_gradients(
     if len(right) != n or len(similar) != n:
         raise ValueError(f"{n} left rows, {len(right)} right rows and {len(similar)} targets")
     acts, diff = _twin_pass(model, left, right)
-    d = np.linalg.norm(diff, axis=1)
-    losses, coeff, penalty = _pair_terms(d, similar, loss, model)
     upstream = np.empty_like(acts[-1])   # [g; -g]: +g for the left rows, -g for the right
+    # the distances as `evaluator._pair_distances` computes them (square,
+    # sum, root: bit-identical to np.linalg.norm), squaring into the left
+    # half of upstream before g is written there
+    squares = np.multiply(diff, diff, out=upstream[:n])
+    d = np.sqrt(np.add.reduce(squares, axis=-1))
+    losses, coeff, penalty = _pair_terms(d, similar, loss, model)
     np.multiply(coeff[:, None], diff, out=upstream[:n])
     np.negative(upstream[:n], out=upstream[n:])
     grads = _backprop(model, acts, upstream)
     if loss.kind == REGULARIZED_LOG and loss.l2 > 0:
         for k, w in enumerate(model.weights):
             grads.d_weights[k] += 2.0 * loss.l2 * w
-    for k, g in enumerate(grads.d_weights):
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"numerical overflow in layer {k}")
-    return grads, float(np.sum(losses) + penalty)
+    grads.check_finite()
+    return grads, float(losses.sum() + penalty)
 
 
 @dataclass
 class MomentumState:
-    """Classic momentum: v <- momentum*v + g; param <- param - lr*v."""
+    """Classic momentum over the flat parameter vector:
+    v <- momentum*v + g; params <- params - lr*v."""
 
     momentum: float
-    velocity_w: list[np.ndarray] = field(default_factory=list)
-    velocity_b: list[np.ndarray] = field(default_factory=list)
+    velocity: np.ndarray
 
 
 def init_momentum_state(model: SiameseModel, momentum: float = 0.9) -> MomentumState:
-    return MomentumState(
-        momentum,
-        [np.zeros_like(w) for w in model.weights],
-        [np.zeros_like(b) for b in model.biases],
-    )
+    return MomentumState(momentum, np.zeros_like(model.params))
 
 
 def apply_update(
@@ -322,13 +374,12 @@ def apply_update(
     state: MomentumState,
     learning_rate: float,
 ) -> None:
-    """One momentum gradient-descent step, updating the model and the
-    velocities in place."""
-    velocities = state.velocity_w + state.velocity_b
-    for v, g, p in zip(velocities, grads.d_weights + grads.d_biases, model.weights + model.biases):
-        v *= state.momentum
-        v += g
-        p -= learning_rate * v
+    """One momentum gradient-descent step, updating the model's parameter
+    vector and the velocity in place."""
+    v = state.velocity
+    v *= state.momentum
+    v += grads.flat
+    model.params -= learning_rate * v
 
 
 def _shortest_digits(a: np.ndarray) -> list:

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .dataset import COMPUTE_DTYPE, ExperimentSplit
 from .network import (
     ConfigError,
@@ -111,8 +113,10 @@ def run_training(
         for start in range(0, len(batch), cfg.minibatch_size):
             step = slice(start, start + cfg.minibatch_size)
             similar = batch.similar[step]
+            # np.take gathers rows in about half the time of rows[idx]
             grads, loss_value = batch_gradients(
-                model, rows[batch.left_idx[step]], rows[batch.right_idx[step]], similar, cfg.loss
+                model, np.take(rows, batch.left_idx[step], axis=0),
+                np.take(rows, batch.right_idx[step], axis=0), similar, cfg.loss,
             )
             # step on the per-pair mean so the step size is independent of
             # the minibatch size

@@ -482,6 +482,135 @@ class TestGradients:
             batch_gradients(model, *batch, LossConfig())
 
 
+def weighted_contrastive_terms(d, y, margin):
+    """The contrastive losses and coefficients as the y-weighted sums
+    y d^2 + (1-y) slack^2 and 2y - 2(1-y) slack/d, in float64."""
+    slack = np.maximum(margin - d, 0.0)
+    losses = y * d**2 + (1.0 - y) * slack**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        repel = np.where(d > 0.0, slack / d, 0.0)
+    return losses, 2.0 * y - 2.0 * (1.0 - y) * repel
+
+
+class TestStepValues:
+    """The step's own arithmetic against the straightforward formulas, bit
+    for bit, zero signs included."""
+
+    def test_contrastive_terms_equal_the_weighted_formula(self):
+        rng = np.random.default_rng(21)
+        # zero, inside and beyond the margin, on it, and float32-sized values
+        d = np.concatenate([[0.0, 0.0, 1.0, 1.0, 1e-30, 7.5], rng.random(200) * 2.0])
+        similar = np.arange(len(d)) % 2 == 0
+        losses, coeff, penalty = _pair_terms(d, similar, LossConfig(margin=1.0), None)
+        want_losses, want_coeff = weighted_contrastive_terms(d, similar.astype(float), 1.0)
+        assert penalty == 0.0
+        assert losses.tobytes() == want_losses.tobytes()
+        assert coeff.tobytes() == want_coeff.tobytes()
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu"])
+    def test_loss_reads_the_norm_of_the_embedding_difference(self, activation):
+        rng = np.random.default_rng(9)
+        model = init_model([6, 5, 3], activation=activation, rng=rng).copy(np.float32)
+        left, right, similar = random_batch(rng, 6, 50)
+        _, loss = batch_gradients(model, left, right, similar, LossConfig())
+        d = np.linalg.norm(embed(model, left) - embed(model, right), axis=1)
+        want, _ = weighted_contrastive_terms(d.astype(np.float64), similar.astype(float), 1.0)
+        assert loss == float(np.sum(want))
+
+
+class TestFlatParameters:
+    """Parameters, gradients and velocity are one vector each; the per-layer
+    arrays are views into it."""
+
+    def test_layer_arrays_are_views_of_the_parameter_vector(self):
+        model = init_model([5, 4, 3], rng=2).copy(np.float32)
+        assert model.params.shape == (5 * 4 + 4 * 3 + 4 + 3,)
+        for a in model.weights + model.biases:
+            assert a.dtype == np.float32 and np.shares_memory(a, model.params)
+        assert np.array_equal(
+            model.params, np.concatenate([a.ravel() for a in model.weights + model.biases])
+        )
+
+    def test_update_reaches_embed_and_a_copy_stays_put(self):
+        rng = np.random.default_rng(6)
+        model = init_model([5, 4, 3], rng=rng).copy(np.float32)
+        kept = model.copy()
+        assert not np.shares_memory(kept.params, model.params)
+        x = rng.random((8, 5))
+        before = embed(model, x)
+        grads, _ = batch_gradients(model, *random_batch(rng, 5, 12), LossConfig())
+        apply_update(model, grads, init_momentum_state(model), learning_rate=0.5)
+        moved = SiameseModel(
+            model.layer_sizes, [w.copy() for w in model.weights], [b.copy() for b in model.biases],
+            model.activation,
+        )
+        assert not np.array_equal(embed(model, x), before)
+        assert np.array_equal(embed(model, x), embed(moved, x))
+        assert np.array_equal(embed(kept, x), before)
+
+    def test_given_arrays_are_copied_in(self):
+        w, b = np.ones((2, 2)), np.zeros(2)
+        model = SiameseModel((2, 2), [w], [b], "linear")
+        model.params[:] = 7.0
+        assert np.all(w == 1.0) and np.all(b == 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_update_equals_the_per_array_formula(self, dtype):
+        rng = np.random.default_rng(14)
+        model = init_model([6, 5, 4, 3], rng=rng).copy(dtype)
+        state = init_momentum_state(model, momentum=0.9)
+        params = [a.copy() for a in model.weights + model.biases]
+        velocity = [np.zeros_like(a) for a in params]
+        for _ in range(3):
+            grads, _ = batch_gradients(model, *random_batch(rng, 6, 20), LossConfig())
+            grads.scale(1.0 / 20)
+            apply_update(model, grads, state, learning_rate=0.05)
+            for v, g, p in zip(velocity, grads.d_weights + grads.d_biases, params):
+                v *= 0.9
+                v += g
+                p -= 0.05 * v
+        for got, want in zip(model.weights + model.biases, params):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert state.velocity.tobytes() == np.concatenate([v.ravel() for v in velocity]).tobytes()
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("part", ["weight", "bias"])
+    def test_nonfinite_gradient_names_its_layer(self, monkeypatch, k, part):
+        real = network._backprop
+
+        def spoiled(*args):
+            grads = real(*args)
+            (grads.d_weights if part == "weight" else grads.d_biases)[k].flat[-1] = np.inf
+            return grads
+
+        monkeypatch.setattr(network, "_backprop", spoiled)
+        rng = np.random.default_rng(3)
+        model = init_model([4, 3, 3, 2], rng=rng).copy(np.float32)
+        with pytest.raises(FloatingPointError, match=rf"numerical overflow in layer {k}$"):
+            batch_gradients(model, *random_batch(rng, 4, 5), LossConfig())
+
+    def test_finite_layer_near_the_dtype_limit_is_accepted(self):
+        # each entry 3e38 is finite in float32, though any sum of two is not
+        model = SiameseModel((1, 1), [np.array([[3e38]], dtype=np.float32)],
+                             [np.zeros(1, dtype=np.float32)], "linear")
+        out = embed(model, np.ones((4, 1)))
+        assert np.all(out == np.float32(3e38))
+
+    @pytest.mark.parametrize("rows", [[[1, 1], [1, 1]], [[1, 1], [-1, -1]]],
+                             ids=["inf", "inf-and-minus-inf"])
+    def test_inf_in_a_hidden_sigmoid_layer_raises(self, rows):
+        # sigmoid(inf) is a finite 1.0, so nothing later would show it; a
+        # column holding inf and -inf sums to nan
+        model = SiameseModel(
+            (2, 1, 1),
+            [np.full((2, 1), 3e38, dtype=np.float32), np.ones((1, 1), dtype=np.float32)],
+            [np.zeros(1, dtype=np.float32), np.zeros(1, dtype=np.float32)],
+            "sigmoid",
+        )
+        with pytest.raises(FloatingPointError, match=r"numerical overflow in layer 0$"):
+            embed(model, np.array(rows, dtype=float))
+
+
 class TestFloat32:
     """A float32 model steps and embeds in float32. The float64 checks above
     (finite differences at 1e-4, the unfused reference at 1e-12) keep their
@@ -498,7 +627,7 @@ class TestFloat32:
         grads.scale(1.0 / len(left))
         apply_update(model, grads, state, learning_rate=0.01)
         arrays = (
-            grads.d_weights + grads.d_biases + state.velocity_w + state.velocity_b
+            grads.d_weights + grads.d_biases + [grads.flat, state.velocity, model.params]
             + model.weights + model.biases
         )
         assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
@@ -572,7 +701,7 @@ class TestOptimizer:
         model = SiameseModel((2, 2), [np.ones((2, 2))], [np.zeros(2)], "linear")
         from oneshot_ids.network import Gradients
 
-        g = Gradients([np.full((2, 2), 0.25)], [np.full(2, 0.5)])
+        g = Gradients((2, 2), np.array([0.25, 0.25, 0.25, 0.25, 0.5, 0.5]))
         state = init_momentum_state(model, momentum=0.0)
         apply_update(model, g, state, learning_rate=1.0)
         np.testing.assert_allclose(model.weights[0], np.full((2, 2), 0.75))
@@ -583,7 +712,7 @@ class TestOptimizer:
         from oneshot_ids.network import Gradients
 
         model = SiameseModel((2, 2), [np.zeros((2, 2))], [np.zeros(2)], "linear")
-        g = Gradients([np.full((2, 2), 2.0)], [np.zeros(2)])
+        g = Gradients((2, 2), np.array([2.0, 2.0, 2.0, 2.0, 0.0, 0.0]))
         state = init_momentum_state(model, momentum=0.9)
         lr = 0.1
         apply_update(model, g, state, lr)
