@@ -15,6 +15,11 @@ with several, and a top-level summary.csv has one row per experiment.
 With several seeds, a line after each class gives the mean, min and max of
 its overall accuracy and new-class TPR.
 
+The experiments run in one lane per CPU the process may use (at most one
+per experiment): this process and forked workers. The artifacts, the
+summary and the printed lines do not depend on the lane count, and
+`taskset -c 0` gives one lane.
+
 Exit codes: 0 all experiments succeeded, 1 partial failures, 2 invalid
 manifest or arguments.
 """
@@ -23,7 +28,9 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import re
+import signal
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -305,34 +312,148 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     manifest.out.mkdir(parents=True, exist_ok=True)
+    grid = [(name, seed) for name in excluded_names for seed in manifest.seeds]
+    summary_rows = _run_grid(manifest, raw, grid)
+    _write_summary(manifest.out / "summary.csv", summary_rows)
+    failures = sum(1 for r in summary_rows if r["status"] != "ok")
+    return 1 if failures else 0
+
+
+def _lane_count(experiments: int) -> int:
+    """One lane per CPU this process may run on, at most one per experiment."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 1 if affinity is None else max(1, min(experiments, len(affinity(0))))
+
+
+def _run_grid(manifest: ExperimentManifest, raw, grid: list[tuple[str, int]]) -> list[dict]:
+    """Run every (class, seed) experiment of `grid`; return their summary rows
+    in grid order.
+
+    With k lanes, this process runs grid[0::k] and forked workers run
+    grid[1::k] ... grid[k-1::k], sharing `raw` copy-on-write and sending
+    back one row per experiment. Each experiment writes only its own
+    directory, so the artifacts do not depend on k. A summary line is
+    printed once its row and every earlier one are in.
+    """
     several = len(manifest.seeds) > 1
-    summary_rows = []
-    for name in excluded_names:
-        class_rows = []
-        for seed in manifest.seeds:
+
+    def row_of(i: int, error: str | None = None) -> dict:
+        """Run experiment i for its row, or, given `error`, the row of it failed unrun."""
+        name, seed = grid[i]
+        if error is None:
             out_dir = manifest.out / (f"{_slug(name)}-seed-{seed}" if several else _slug(name))
             try:
                 row = run_experiment(manifest, raw, name, seed, out_dir)
             except Exception as exc:  # keep going with the remaining experiments
-                row = {
-                    "excluded_class": name,
-                    "status": "error",
-                    "votes": _report_j(manifest.votes),
-                    "overall_accuracy": "",
-                    "new_class_tpr": "",
-                    "error": str(exc),
-                }
-            row["reference_overall"] = _reference_overall(manifest.reference, name)
-            row["seed"] = seed
-            class_rows.append(row)
-            _print_summary_row(row, f"{name} seed {seed}" if several else name)
-        if several:
-            _print_spread(name, class_rows)
-        summary_rows += class_rows
+                error = str(exc)
+        if error is not None:
+            row = {
+                "excluded_class": name,
+                "status": "error",
+                "votes": _report_j(manifest.votes),
+                "overall_accuracy": "",
+                "new_class_tpr": "",
+                "error": error,
+            }
+        row["reference_overall"] = _reference_overall(manifest.reference, name)
+        row["seed"] = seed
+        return row
 
-    _write_summary(manifest.out / "summary.csv", summary_rows)
-    failures = sum(1 for r in summary_rows if r["status"] != "ok")
-    return 1 if failures else 0
+    rows: list[dict | None] = [None] * len(grid)
+    printed = 0
+
+    def print_ready() -> None:
+        nonlocal printed
+        while printed < len(grid) and rows[printed] is not None:
+            name, seed = grid[printed]
+            _print_summary_row(rows[printed], f"{name} seed {seed}" if several else name)
+            printed += 1
+            if several and printed % len(manifest.seeds) == 0:
+                _print_spread(name, rows[printed - len(manifest.seeds):printed])
+
+    lanes = _lane_count(len(grid))
+    workers = _fork_lanes(lanes, len(grid), row_of) if lanes > 1 else {}
+    try:
+        for i in range(0, len(grid), lanes):
+            rows[i] = row_of(i)
+            _receive(workers, rows, lanes, row_of, block=False)
+            print_ready()
+        while workers:
+            _receive(workers, rows, lanes, row_of, block=True)
+            print_ready()
+    finally:
+        for reader, (worker, _) in workers.items():   # left only when the run is cut short
+            worker.terminate()
+            worker.join()
+            reader.close()
+    return rows
+
+
+def _fork_lanes(lanes: int, experiments: int, row_of) -> dict:
+    """Fork lanes 1 ... lanes-1; map each one's pipe to (process, lane)."""
+    import multiprocessing   # only a run of several lanes needs it
+
+    # a fork context's start() flushes stdout and stderr first, so no
+    # worker writes out a copy of output the parent has buffered
+    context = multiprocessing.get_context("fork")
+    workers = {}
+    for lane in range(1, lanes):
+        reader, writer = context.Pipe(duplex=False)
+        worker = context.Process(
+            target=_lane_main, args=(writer, os.getpid(), row_of, range(lane, experiments, lanes))
+        )
+        worker.start()
+        writer.close()   # so the pipe reads as ended once the worker has gone
+        workers[reader] = (worker, lane)
+    return workers
+
+
+_PR_SET_PDEATHSIG = 1
+
+
+def _lane_main(writer, parent: int, row_of, indices: range) -> None:
+    """A forked lane: send (index, row) for each experiment in `indices`."""
+    import ctypes
+
+    # the kernel kills this worker when the run process ends, however it ends
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:   # it ended before the prctl took effect
+        os._exit(1)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # on Ctrl-C the run process stops the lanes
+    for i in indices:
+        writer.send((i, row_of(i)))
+    writer.close()
+
+
+def _receive(workers: dict, rows: list, lanes: int, row_of, block: bool) -> None:
+    """Take in every row the lanes have sent (waiting for one if `block`).
+    A lane that has ended is joined, and each experiment it did not finish
+    gets an error row naming how it ended."""
+    if not workers:   # one lane: nothing to wait for, and no import
+        return
+    from multiprocessing.connection import wait
+
+    timeout = None if block else 0
+    while ready := wait(list(workers), timeout):
+        timeout = 0
+        for reader in ready:
+            try:
+                i, row = reader.recv()
+            except EOFError:
+                worker, lane = workers.pop(reader)
+                reader.close()
+                worker.join()
+                code = worker.exitcode
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                for i in range(lane, len(rows), lanes):
+                    if rows[i] is None:
+                        rows[i] = row_of(i, f"lane {lane} worker ended ({how}) "
+                                            "before this experiment finished")
+            else:
+                rows[i] = row
 
 
 def _print_summary_row(row: dict, label: str) -> None:

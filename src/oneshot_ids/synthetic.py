@@ -53,13 +53,10 @@ def gaussian_clusters(
     rng = np.random.default_rng(np.random.SeedSequence((seed, 90)))
     names = class_names(n_classes)
     centers = _ring_centers(n_classes, n_features, separation)
-    rows = []
-    labels = []
-    for k in range(per_class):
-        for c in range(n_classes):
-            rows.append(centers[c] + rng.normal(size=n_features))
-            labels.append(names[c])
-    return np.array(rows), labels
+    classes = np.tile(np.arange(n_classes), per_class)
+    # one draw for all rows reads the stream in the order row-by-row draws would
+    rows = centers[classes] + rng.normal(size=(len(classes), n_features))
+    return rows, [names[c] for c in classes]
 
 
 def make_schema(n_features: int) -> Schema:

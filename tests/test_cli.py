@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +434,175 @@ class TestSeedList:
             run_cli("seed-report", "--seeds", "1,2")
         assert info.value.code == 2
         assert "invalid choice: 'seed-report'" in capsys.readouterr().err
+
+
+def tree_bytes(root, skip=("trace.csv",)):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file() and path.name not in skip
+    }
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="lanes fork only where sched_getaffinity and prctl exist")
+class TestLanes:
+    """`run` splits its grid into one lane per usable CPU; the tests fake at
+    most two CPUs, so no test starts more than one worker."""
+
+    GRID = ("--exclude", "attack1", "--exclude", "attack2", "--seed", "3,4")
+
+    @pytest.fixture
+    def argv(self, synthetic_files, tmp_path):
+        csv_path, schema_path = synthetic_files
+        manifest = write_manifest(tmp_path, csv_path, schema_path, tmp_path / "unused", epochs=2)
+        return ("run", "--manifest", str(manifest), *self.GRID)
+
+    @staticmethod
+    def recording_pids(monkeypatch):
+        """Patch `run_experiment` to note each experiment's process id in a
+        file beside the run's output directory (a worker's memory does not
+        come back); return a reader of the ids a run's experiments ran in."""
+        real = cli.run_experiment
+
+        def noting(manifest, raw, name, seed, out_dir):
+            pids = out_dir.parent.with_name(out_dir.parent.name + ".pids")
+            pids.mkdir(exist_ok=True)
+            (pids / out_dir.name).write_text(str(os.getpid()))
+            return real(manifest, raw, name, seed, out_dir)
+
+        monkeypatch.setattr(cli, "run_experiment", noting)
+        return lambda out: {p.read_text() for p in out.with_name(out.name + ".pids").iterdir()}
+
+    def test_output_does_not_depend_on_the_lane_count(self, argv, tmp_path, monkeypatch, capsys):
+        pids_of = self.recording_pids(monkeypatch)
+        outs, printed, pids = [], [], []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = tmp_path / f"lanes{len(cpus)}"
+            assert run_cli(*argv, "--out", str(out)) == 0
+            outs.append(tree_bytes(out))
+            printed.append(capsys.readouterr().out)
+            pids.append(pids_of(out))
+        assert len(pids[0]) == 1 and len(pids[1]) == 2   # the second run did fork
+        assert list(outs[0]) == [
+            f"exclude-attack{c}-seed-{seed}/{name}"
+            for c in (1, 2) for seed in (3, 4)
+            for name in sorted(("cm.csv", "cm.txt", "checkpoint.json", "metrics.json", "sweep.csv"))
+        ] + ["summary.csv"]
+        assert outs[0] == outs[1]
+        assert printed[0] == printed[1]
+        assert len(printed[0].splitlines()) == 6   # 4 experiments, 2 spread lines
+
+    def test_each_line_reaches_a_stdout_file_once(self, argv, tmp_path, monkeypatch, capsys):
+        # a worker that inherited unwritten buffered output would write it again
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        path = tmp_path / "stdout.txt"
+        with path.open("w", encoding="utf-8") as fh:
+            monkeypatch.setattr(sys, "stdout", fh)
+            print("before the run")
+            assert run_cli(*argv, "--out", str(tmp_path / "out")) == 0
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "before the run"
+        assert len(lines) == 7 and len(set(lines)) == 7
+        assert [line.split(":")[0] for line in lines[1:]] == [
+            "attack1 seed 3", "attack1 seed 4", "attack1", "attack2 seed 3", "attack2 seed 4", "attack2",
+        ]
+
+    def test_a_lane_that_dies_fails_its_experiments(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent = os.getpid()
+        real = cli.run_experiment
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "run_experiment", dying)
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert multiprocessing.active_children() == []
+        error = "lane 1 worker ended (exit status 3) before this experiment finished"
+        rows = summary_rows(out)
+        assert [(r["excluded_class"], r["seed"], r["status"], r["error"]) for r in rows] == [
+            ("attack1", "3", "ok", ""), ("attack1", "4", "error", error),
+            ("attack2", "3", "ok", ""), ("attack2", "4", "error", error),
+        ]
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[1] == f"attack1 seed 4: failed: {error}"
+        assert printed[2].startswith("attack1: 1 of 2 seeds: ")
+
+    def test_interrupt_stops_every_lane(self, argv, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(cli, "run_experiment", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*argv, "--out", str(tmp_path / "out"))
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - started < 30
+
+    def test_a_lane_ends_with_the_run_process(self, synthetic_files, tmp_path):
+        # the run process is killed outright, so no cleanup of its own runs
+        csv_path, schema_path = synthetic_files
+        script = f"""
+import os, sys, time
+from oneshot_ids import cli
+os.sched_getaffinity = lambda pid: {{0, 1}}
+parent = os.getpid()
+def stalled(manifest, raw, name, seed, out_dir):
+    if os.getpid() != parent:
+        (out_dir.parent / "worker.pid").write_text(str(os.getpid()))
+    time.sleep(60)
+cli.run_experiment = stalled
+cli.main(sys.argv[1:])
+"""
+        out = tmp_path / "out"
+        proc = subprocess.Popen([
+            sys.executable, "-c", script, "run", "--dataset", str(csv_path),
+            "--schema", str(schema_path), "--out", str(out), *self.GRID,
+        ])
+        try:
+            deadline = time.monotonic() + 30
+            while not (out / "worker.pid").exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            worker = int((out / "worker.pid").read_text())
+        finally:
+            proc.kill()
+            proc.wait()
+        deadline = time.monotonic() + 10
+        while running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not running(worker)
+
+    def test_lane_count(self, monkeypatch):
+        # nothing is started here, so a large CPU set is safe to fake
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        assert [cli._lane_count(n) for n in (1, 3, 8, 20)] == [1, 3, 8, 8]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._lane_count(20) == 1
+
+    def test_one_lane_without_a_cpu_set(self, argv, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        pids_of = self.recording_pids(monkeypatch)
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert pids_of(out) == {str(os.getpid())}
+
+
+def running(pid: int) -> bool:
+    """Whether `pid` names a live process (an unreaped zombie is not one)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    stat = Path(f"/proc/{pid}/stat")
+    return not stat.exists() or stat.read_text().rsplit(")", 1)[1].split()[0] != "Z"
 
 
 class TestSynthCommand:
