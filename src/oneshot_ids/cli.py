@@ -2,9 +2,8 @@
 
 Subcommands::
 
-    oneshot-ids run     leave-one-attack-out experiments end to end
-    oneshot-ids metrics re-score a stored confusion matrix
-    oneshot-ids synth   write a synthetic Gaussian-cluster dataset
+    oneshot-ids run    leave-one-attack-out experiments end to end
+    oneshot-ids synth  write a synthetic Gaussian-cluster dataset
 
 `run` settings come from a flat key-value manifest file and/or flags
 (flags win). `run` trains one experiment per (excluded class, seed), where
@@ -36,8 +35,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .dataset import DatasetError, SchemaError, load_dataset, load_schema, prepare_experiment
-from .evaluator import (DEFAULT_VOTE_SWEEP, ConfusionMatrix, _checked_votes, _instances_per_class,
-                        metrics, sweep_to_csv, vote_sweep)
+from .evaluator import (DEFAULT_VOTE_SWEEP, _checked_votes, _instances_per_class, sweep_to_csv,
+                        vote_sweep)
 from .network import ConfigError, LossConfig, save_model
 from .trainer import TrainingConfig, run_training
 
@@ -163,6 +162,11 @@ _SETTINGS = {
 }
 
 
+# A manifest line: the key ends at the first "=" or blank, and one "="
+# between key and value is dropped, so a value may hold "=" in either form
+_MANIFEST_LINE = re.compile(r"([^=\s]*)\s*=?\s*(.*)")
+
+
 def _parse_manifest_file(path: Path) -> dict[str, str]:
     if not path.exists():
         raise ManifestError(f"manifest file {path} not found")
@@ -172,12 +176,8 @@ def _parse_manifest_file(path: Path) -> dict[str, str]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" in line:
-            key, _, value = line.partition("=")
-        else:
-            key, _, value = line.partition(" ")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
+        key, value = _MANIFEST_LINE.match(line).groups()
+        key = key.replace("-", "_")
         if not key or not value:
             raise ManifestError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         if key not in _SETTINGS:
@@ -507,19 +507,6 @@ def _write_summary(path: Path, rows: list[dict]) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
-    try:
-        cm = ConfusionMatrix.from_csv(args.cm)
-        report = metrics(cm, args.exclude)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    sys.stdout.write(report.to_kv_lines())
-    if args.out:
-        report.to_json(args.out)
-    return 0
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     from .synthetic import write_files
 
@@ -557,12 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
             action = "append" if key == "exclude" else "store"
             p_run.add_argument(flag, dest=key, action=action, help=help_text)
     p_run.set_defaults(func=cmd_run)
-
-    p_metrics = subs.add_parser("metrics", help="recompute metrics from a stored cm.csv")
-    p_metrics.add_argument("cm", help="confusion matrix CSV path")
-    p_metrics.add_argument("--exclude", help="class treated as the new attack")
-    p_metrics.add_argument("--out", help="also write metrics JSON here")
-    p_metrics.set_defaults(func=cmd_metrics)
 
     p_synth = subs.add_parser("synth", help="write a synthetic Gaussian-cluster dataset")
     p_synth.add_argument("--out", required=True, help="directory for synthetic.csv + synthetic.schema")

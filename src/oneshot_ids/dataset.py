@@ -227,6 +227,8 @@ def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
     or whose fields are the schema's column names in order, is treated as a
     header and skipped; any later malformed row, and any non-finite numeric
     cell (``inf``, ``nan``), is an error naming its line number and column.
+    The file must be UTF-8: a byte that is not is an error naming its line
+    and the byte.
 
     Line 1 and then each block of `_LOAD_BLOCK_ROWS` lines are read by one
     of two paths. numpy's C reader (`_c_block`) takes a block whose lines
@@ -243,19 +245,22 @@ def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
         raise DatasetError(f"{path}: file not found")
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     lineno = 0      # the last csv record read, as the row path numbers rows
-    with path.open(newline="", encoding="utf-8") as fh:
-        size = 1    # line 1 alone: the row path holds the header rule
-        while lines := list(itertools.islice(fh, size)):
-            block = _c_block(lines, schema) if lineno else None
-            if block is None:
-                # a quoted line break may carry the last record past the block
-                reader = csv.reader(itertools.chain(lines, fh))
-                block, lineno = _row_block(path, schema, reader, len(lines), lineno)
-            else:
-                lineno += len(lines)
-            if len(block[2]):
-                blocks.append(block)
-            size = _LOAD_BLOCK_ROWS
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            size = 1    # line 1 alone: the row path holds the header rule
+            while lines := list(itertools.islice(fh, size)):
+                block = _c_block(lines, schema) if lineno else None
+                if block is None:
+                    # a quoted line break may carry the last record past the block
+                    reader = csv.reader(itertools.chain(lines, fh))
+                    block, lineno = _row_block(path, schema, reader, len(lines), lineno)
+                else:
+                    lineno += len(lines)
+                if len(block[2]):
+                    blocks.append(block)
+                size = _LOAD_BLOCK_ROWS
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     if not blocks:
         raise DatasetError(f"{path}: no records")
     numeric, categorical, labels = (np.concatenate(part, axis=-1) for part in zip(*blocks))
@@ -267,6 +272,22 @@ def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
         next(numeric if col.kind == NUMERIC else categorical) for col in schema.feature_columns
     )
     return RawDataset(schema, columns, _fitted(labels))
+
+
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DatasetError:
+    """The error for a file that is not UTF-8, naming its first line that
+    does not decode and the byte that stops it. The file is read again in
+    binary, so only a failed load pays for the search."""
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return DatasetError(
+                    f"{path}: line {lineno}: byte 0x{line[bad.start]:02x} at column "
+                    f"{bad.start + 1} is not UTF-8"
+                )
+    return DatasetError(f"{path}: {exc}")
 
 
 def _positions(schema: Schema, kind: str) -> list[int]:

@@ -90,30 +90,6 @@ class ConfusionMatrix:
             for name, row in zip(self.class_names, self.counts):
                 fh.write(name + "," + ",".join(str(int(v)) for v in row) + "\n")
 
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "ConfusionMatrix":
-        lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
-        if len(lines) < 2:
-            raise EvaluationError(f"{path}: not a confusion matrix file")
-        header = lines[0].split(",")
-        names = tuple(h.strip() for h in header[1:])
-        if len(lines) - 1 != len(names):
-            raise EvaluationError(f"{path}: expected {len(names)} rows, got {len(lines) - 1}")
-        rows = []
-        for i, (name, ln) in enumerate(zip(names, lines[1:]), start=1):
-            parts = [p.strip() for p in ln.split(",")]
-            if len(parts) != len(names) + 1:
-                raise EvaluationError(f"{path}: malformed row {ln!r}")
-            if parts[0] != name:
-                raise EvaluationError(
-                    f"{path}: row {i} is labelled {parts[0]!r}, but header column {i} is {name!r}"
-                )
-            try:
-                rows.append([int(p) for p in parts[1:]])
-            except ValueError:
-                raise EvaluationError(f"{path}: non-integer count in row {ln!r}") from None
-        return cls(np.array(rows, dtype=np.int64), names)
-
     def to_text(self) -> str:
         """Aligned table with per-cell counts and row percentages."""
         rows = self.row_sums()
@@ -142,7 +118,7 @@ class MetricsReport:
     attack_fnr: dict[str, float]
     normal_tnr: float
     normal_fpr: float
-    excluded_class: str | None = None
+    excluded_class: str
     votes: int | None = None
 
     @property
@@ -170,23 +146,11 @@ class MetricsReport:
             json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 
-    def to_kv_lines(self) -> str:
-        lines = [f"overall_accuracy {self.overall_accuracy!r}"]
-        lines.append(f"normal_tnr {self.normal_tnr!r}")
-        lines.append(f"normal_fpr {self.normal_fpr!r}")
-        for name in self.attack_tpr:
-            lines.append(f"tpr[{name}] {self.attack_tpr[name]!r}")
-            lines.append(f"fnr[{name}] {self.attack_fnr[name]!r}")
-        if self.excluded_class is not None:
-            lines.append(f"excluded_class {self.excluded_class}")
-        return "\n".join(lines) + "\n"
 
-
-def metrics(cm: ConfusionMatrix, excluded_class: int | str | None = None) -> MetricsReport:
+def metrics(cm: ConfusionMatrix, excluded_class: int | str) -> MetricsReport:
     """Overall accuracy plus per-class rates from a confusion matrix;
     `excluded_class`, a name or an index, must be an attack class."""
-    if excluded_class is not None:
-        excluded_class = cm.class_names[attack_index(cm.class_names, excluded_class, EvaluationError)]
+    excluded_class = cm.class_names[attack_index(cm.class_names, excluded_class, EvaluationError)]
     rows = cm.row_sums()
     if np.any(rows == 0):
         zero = cm.class_names[int(np.argmin(rows))]

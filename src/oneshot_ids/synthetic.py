@@ -50,6 +50,10 @@ def gaussian_clusters(
         raise ValueError("need at least 2 features for the cluster layout")
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
+    if per_class < 1:
+        raise ValueError(f"per_class must be at least 1, got {per_class}")
+    if not (math.isfinite(separation) and separation > 0):
+        raise ValueError(f"separation must be a finite positive number, got {separation}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 90)))
     names = class_names(n_classes)
     centers = _ring_centers(n_classes, n_features, separation)
@@ -85,9 +89,9 @@ def write_files(
     seed: int = 0,
 ) -> tuple[Path, Path]:
     """Write dataset CSV + schema descriptor; returns their paths."""
+    rows, labels = gaussian_clusters(n_classes, per_class, n_features, separation, seed)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    rows, labels = gaussian_clusters(n_classes, per_class, n_features, separation, seed)
     csv_path = directory / "synthetic.csv"
     with csv_path.open("w", encoding="utf-8") as fh:
         for row, label in zip(rows, labels):

@@ -14,10 +14,7 @@ import numpy as np
 import pytest
 
 from oneshot_ids import cli, dataset
-from oneshot_ids.evaluator import ConfusionMatrix
 from oneshot_ids.synthetic import write_files
-
-from published_cms import KDD_DOS_EXCLUDED
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +67,20 @@ class TestRun:
         out = tmp_path / "out"
         manifest = write_manifest(tmp_path, tmp_path / "nope.csv", schema_path, out)
         assert run_cli("run", "--manifest", str(manifest)) == 2
+        assert not out.exists()
+
+    def test_dataset_that_is_not_utf8_exits_2_without_artifacts(self, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_bytes(
+            b"1.0,normal\n2.0,normal\n3.0,Web Attack \x96 Brute Force\n4.0,normal\n"
+        )
+        schema_path = tmp_path / "data.schema"
+        schema_path.write_text("column x numeric\ncolumn label label\nnormal normal\n")
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, csv_path, schema_path, out)
+        assert run_cli("run", "--manifest", str(manifest)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {csv_path}: line 3: byte 0x96 at column 16 is not UTF-8\n"
         assert not out.exists()
 
     def test_missing_required_key_exits_2(self, synthetic_files, tmp_path, capsys):
@@ -176,8 +187,6 @@ class TestRun:
         assert len(trace) == 3  # header + 2 epochs
 
     def test_summary_matches_recomputation_from_stored_cm(self, synthetic_files, tmp_path):
-        from oneshot_ids.evaluator import metrics
-
         csv_path, schema_path = synthetic_files
         out = tmp_path / "out"
         manifest = write_manifest(tmp_path, csv_path, schema_path, out)
@@ -185,11 +194,19 @@ class TestRun:
         for line in (out / "summary.csv").read_text().splitlines()[1:]:
             cells = line.split(",")
             name, accuracy = cells[0], float(cells[3])
-            cm = ConfusionMatrix.from_csv(out / f"exclude-{name}" / "cm.csv")
-            assert metrics(cm).overall_accuracy == pytest.approx(accuracy, abs=1e-12)
+            table = np.loadtxt(out / f"exclude-{name}" / "cm.csv", delimiter=",", dtype=str)
+            counts = table[1:, 1:].astype(np.int64)
+            assert np.trace(counts) / counts.sum() == pytest.approx(accuracy, abs=1e-12)
             payload = json.loads((out / f"exclude-{name}" / "metrics.json").read_text())
             assert payload["overall_accuracy"] == pytest.approx(accuracy, abs=1e-12)
             assert payload["votes"] == 5
+
+    def test_metrics_command_is_gone(self, capsys):
+        # a run's rates are in metrics.json (the designated j) and sweep.csv (every j)
+        with pytest.raises(SystemExit) as info:
+            run_cli("metrics", "cm.csv", "--exclude", "DoS")
+        assert info.value.code == 2
+        assert "invalid choice: 'metrics'" in capsys.readouterr().err
 
     def test_partial_failure_exit_code(self, synthetic_files, tmp_path, monkeypatch):
         csv_path, schema_path = synthetic_files
@@ -293,55 +310,6 @@ class TestReferenceLabels:
         manifest = write_manifest(tmp_path, csv_path, schema_path, out, exclude="attack1")
         assert run_cli("run", "--manifest", str(manifest)) == 0
         assert cli.REFERENCE_NOTE not in (out / "summary.csv").read_text()
-
-
-class TestMetricsCommand:
-    def write_cm(self, tmp_path, fixture=KDD_DOS_EXCLUDED):
-        cm = ConfusionMatrix(np.array(fixture["counts"]), fixture["class_names"])
-        path = tmp_path / "cm.csv"
-        cm.to_csv(path)
-        return path
-
-    def test_published_cm_rates(self, tmp_path, capsys):
-        path = self.write_cm(tmp_path)
-        assert run_cli("metrics", str(path), "--exclude", "DoS") == 0
-        out = capsys.readouterr().out
-        values = dict(line.split(" ", 1) for line in out.strip().splitlines())
-        assert float(values["overall_accuracy"]) == pytest.approx(23000 / 30000)
-        assert float(values["tpr[DoS]"]) == pytest.approx(2417 / 6000)
-        assert float(values["fnr[DoS]"]) == pytest.approx(1583 / 6000)
-        assert float(values["normal_tnr"]) == pytest.approx(4562 / 6000)
-        assert float(values["normal_fpr"]) == pytest.approx(1438 / 6000)
-
-    def test_diagonal_cm_is_100_percent(self, tmp_path, capsys):
-        path = tmp_path / "cm.csv"
-        ConfusionMatrix(np.diag([5, 5]), ("n", "a")).to_csv(path)
-        assert run_cli("metrics", str(path)) == 0
-        assert "overall_accuracy 1.0" in capsys.readouterr().out
-
-    def test_json_output(self, tmp_path):
-        path = self.write_cm(tmp_path)
-        out_path = tmp_path / "metrics.json"
-        assert run_cli("metrics", str(path), "--out", str(out_path)) == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["overall_accuracy"] == pytest.approx(23000 / 30000)
-
-    def test_malformed_cm_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "cm.csv"
-        path.write_text("not,a\ncm\n")
-        assert run_cli("metrics", str(path)) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_unknown_excluded_class_exits_2(self, tmp_path):
-        path = self.write_cm(tmp_path)
-        assert run_cli("metrics", str(path), "--exclude", "Worm") == 2
-
-    def test_benign_excluded_class_exits_2(self, tmp_path, capsys):
-        path = self.write_cm(tmp_path)
-        assert run_cli("metrics", str(path), "--exclude", "Normal") == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: cannot exclude benign class 'Normal'")
 
 
 def summary_rows(out):
@@ -636,6 +604,23 @@ class TestSynthCommand:
         assert run_cli("synth", "--out", str(tmp_path), "--features", "1") == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (("--per-class", "0"), "per_class"),
+            (("--per-class", "-3"), "per_class"),
+            (("--separation", "nan"), "separation"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else " ".join(v),
+    )
+    def test_bad_size_or_separation_exits_2_without_files(self, tmp_path, capsys, flags, name):
+        out = tmp_path / "synth"
+        assert run_cli("synth", "--out", str(out), *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} must be")
+        assert not out.exists()
+
 
 def build(tmp_path, synthetic_files, *flags, **overrides):
     """ExperimentManifest from a written manifest file plus `flags`."""
@@ -730,6 +715,15 @@ class TestManifestParsing:
             tmp_path, csv_path, schema_path, tmp_path / "out", reference="unsw"
         )
         assert run_cli("run", "--manifest", str(manifest)) == 2
+
+    @pytest.mark.parametrize(
+        "line", ["out runs/lr=0.1", "out = runs/lr=0.1", "out=runs/lr=0.1", "out\truns/lr=0.1"]
+    )
+    def test_key_ends_at_the_first_equals_or_blank(self, synthetic_files, tmp_path, line):
+        path = manifest_without(tmp_path, synthetic_files, "out")
+        path.write_text(path.read_text() + line + "\n")
+        manifest = cli.build_manifest(cli.build_parser().parse_args(["run", "--manifest", str(path)]))
+        assert manifest.out == Path("runs/lr=0.1")
 
     def test_malformed_manifest_line(self, tmp_path):
         manifest = tmp_path / "bad.manifest"

@@ -89,6 +89,20 @@ class TestLoad:
         with pytest.raises(DatasetError, match=expected):
             load_dataset(path, two_feature_schema())
 
+    @pytest.mark.parametrize("block_rows", [1, 4096])
+    def test_byte_that_is_not_utf8_names_file_line_and_byte(
+        self, tmp_path, monkeypatch, block_rows
+    ):
+        # CICIDS2017's labels hold the cp1252 dash 0x96, which is not UTF-8
+        path = tmp_path / "data.csv"
+        path.write_bytes(
+            b"1.0,2.0,normal\n3.0,4.0,normal\n5.0,6.0,Web Attack \x96 Brute Force\n7.0,8.0,normal\n"
+        )
+        monkeypatch.setattr(dataset, "_LOAD_BLOCK_ROWS", block_rows)
+        expected = r"data\.csv: line 3: byte 0x96 at column 20 is not UTF-8"
+        with pytest.raises(DatasetError, match=expected):
+            load_dataset(path, two_feature_schema())
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="not found"):
             load_dataset(tmp_path / "nope.csv", two_feature_schema())

@@ -25,3 +25,19 @@ def test_one_draw_gives_the_row_by_row_rows(args):
     assert rows.dtype == want_rows.dtype and rows.shape == want_rows.shape
     assert rows.tobytes() == want_rows.tobytes()
     assert labels == want_labels
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"per_class": 0}, "per_class must be at least 1, got 0"),
+        ({"per_class": -3}, "per_class must be at least 1, got -3"),
+        ({"separation": float("nan")}, "separation must be a finite positive number, got nan"),
+        ({"separation": float("inf")}, "separation must be a finite positive number, got inf"),
+        ({"separation": 0.0}, "separation must be a finite positive number, got 0.0"),
+        ({"separation": -1.0}, "separation must be a finite positive number, got -1.0"),
+    ],
+)
+def test_rejects_bad_size_or_separation_naming_the_argument(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gaussian_clusters(**kwargs)
