@@ -34,7 +34,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .dataset import DatasetError, SchemaError, load_dataset, load_schema, prepare_experiment
+from .dataset import (DatasetError, SchemaError, directive_lines, load_dataset, load_schema,
+                      prepare_experiment, write_csv)
 from .evaluator import (DEFAULT_VOTE_SWEEP, _checked_votes, _instances_per_class, sweep_to_csv,
                         vote_sweep)
 from .network import ConfigError, LossConfig, save_model
@@ -172,10 +173,7 @@ def _parse_manifest_file(path: Path) -> dict[str, str]:
         raise ManifestError(f"manifest file {path} not found")
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in directive_lines(path, ManifestError):
         key, value = _MANIFEST_LINE.match(line).groups()
         key = key.replace("-", "_")
         if not key or not value:
@@ -356,6 +354,7 @@ def _run_grid(manifest: ExperimentManifest, raw, grid: list[tuple[str, int]]) ->
                 "error": error,
             }
         row["reference_overall"] = _reference_overall(manifest.reference, name)
+        row["reference_note"] = REFERENCE_NOTE if row["reference_overall"] is not None else ""
         row["seed"] = seed
         return row
 
@@ -489,22 +488,7 @@ def _write_summary(path: Path, rows: list[dict]) -> None:
         "excluded_class", "status", "votes", "overall_accuracy",
         "new_class_tpr", "reference_overall", "reference_note", "error", "seed",
     )
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            ref = row.get("reference_overall")
-            cells = [
-                str(row["excluded_class"]),
-                row["status"],
-                str(row["votes"]),
-                repr(row["overall_accuracy"]) if row["overall_accuracy"] != "" else "",
-                repr(row["new_class_tpr"]) if row["new_class_tpr"] != "" else "",
-                repr(ref) if ref is not None else "",
-                REFERENCE_NOTE if ref is not None else "",
-                '"' + row["error"].replace('"', "'") + '"' if row["error"] else "",
-                str(row["seed"]),
-            ]
-            fh.write(",".join(cells) + "\n")
+    write_csv(path, [columns, *([row[column] for column in columns] for row in rows)])
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

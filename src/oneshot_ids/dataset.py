@@ -23,7 +23,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -118,8 +119,8 @@ def bundled_schema_path(name: str) -> Path:
 def load_schema(path: str | Path) -> Schema:
     """Parse a schema descriptor file.
 
-    Line format, one directive per line (blank lines and ``#`` comments
-    ignored)::
+    Line format, one directive per line (`directive_lines` skips blank
+    lines and ``#`` comments)::
 
         column <name> <kind> [v1|v2|...]   # kind: numeric|categorical|label|ignore
         normal <class name>
@@ -129,10 +130,7 @@ def load_schema(path: str | Path) -> Schema:
     columns: list[Column] = []
     normal = None
     label_map: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in directive_lines(path, SchemaError):
         parts = line.split()
         key = parts[0]
         if key == "column":
@@ -227,8 +225,8 @@ def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
     or whose fields are the schema's column names in order, is treated as a
     header and skipped; any later malformed row, and any non-finite numeric
     cell (``inf``, ``nan``), is an error naming its line number and column.
-    The file must be UTF-8: a byte that is not is an error naming its line
-    and the byte.
+    The file must be UTF-8: a byte that is not is an error naming its line,
+    the byte and its column.
 
     Line 1 and then each block of `_LOAD_BLOCK_ROWS` lines are read by one
     of two paths. numpy's C reader (`_c_block`) takes a block whose lines
@@ -260,7 +258,7 @@ def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
                     blocks.append(block)
                 size = _LOAD_BLOCK_ROWS
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+        _not_utf8(path, exc)
     if not blocks:
         raise DatasetError(f"{path}: no records")
     numeric, categorical, labels = (np.concatenate(part, axis=-1) for part in zip(*blocks))
@@ -274,20 +272,48 @@ def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
     return RawDataset(schema, columns, _fitted(labels))
 
 
-def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DatasetError:
-    """The error for a file that is not UTF-8, naming its first line that
-    does not decode and the byte that stops it. The file is read again in
-    binary, so only a failed load pays for the search."""
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> NoReturn:
+    """Raise the error for a file that is not UTF-8, naming its first line
+    that does not decode and the byte that stops it. The file is read again
+    in binary, so only a failed load pays for the search."""
     with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as bad:
-                return DatasetError(
-                    f"{path}: line {lineno}: byte 0x{line[bad.start]:02x} at column "
-                    f"{bad.start + 1} is not UTF-8"
-                )
-    return DatasetError(f"{path}: {exc}")
+            _decoded(path, lineno, line, DatasetError)
+    raise DatasetError(f"{path}: {exc}") from None
+
+
+def _decoded(path: Path, lineno: int, line: bytes, error: type[ValueError]) -> str:
+    """Line `lineno` of `path` decoded from UTF-8; a byte that is not raises
+    `error`, naming the file, the line, the byte and its column."""
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(
+            f"{path}: line {lineno}: byte 0x{line[exc.start]:02x} at column "
+            f"{exc.start + 1} is not UTF-8"
+        ) from None
+
+
+def directive_lines(path: Path, error: type[ValueError]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each line of a settings file (a
+    schema or a manifest) that is neither blank nor a ``#`` comment. Lines
+    end at "\\n", "\\r\\n" or "\\r"; a line that is not UTF-8 raises `error`."""
+    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
+        text = _decoded(path, lineno, line, error).strip()
+        if text and not text.startswith("#"):
+            yield lineno, text
+
+
+def write_csv(path: str | Path, rows: Iterable[Sequence], append: bool = False) -> None:
+    """Write `rows` to `path`, or add them to its end, in the program's one
+    CSV format: UTF-8, each line ending in "\\n", and a cell quoted, its
+    quotes doubled, only where it holds a comma, a quote or a line break."""
+    with Path(path).open("a" if append else "w", encoding="utf-8", newline="") as fh:
+        # the csv module quotes a cell for the line breaks of its terminator
+        # alone (Python 3.11 leaves "\r" bare under "\n"), so it writes
+        # "\r\n" and each line swaps that for "\n"
+        lines = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+        csv.writer(lines, lineterminator="\r\n").writerows(rows)
 
 
 def _positions(schema: Schema, kind: str) -> list[int]:

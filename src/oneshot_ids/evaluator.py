@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ExperimentSplit, attack_index
+from .dataset import ExperimentSplit, attack_index, write_csv
 from .network import SiameseModel, embed
 from .seeding import EVAL_STREAM, stream_rng
 
@@ -85,10 +85,8 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write("class," + ",".join(self.class_names) + "\n")
-            for name, row in zip(self.class_names, self.counts):
-                fh.write(name + "," + ",".join(str(int(v)) for v in row) + "\n")
+        rows = zip(self.class_names, self.counts.tolist())
+        write_csv(path, [("class", *self.class_names), *((name, *row) for name, row in rows)])
 
     def to_text(self) -> str:
         """Aligned table with per-cell counts and row percentages."""
@@ -426,11 +424,6 @@ def vote_sweep(
 
 def sweep_to_csv(rows: list[SweepRow], path: str | Path) -> None:
     """Vote-sweep table: overall accuracy, new-class TPR/FNR, benign TNR/FPR."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write("votes,overall_accuracy,new_class_tpr,new_class_fnr,normal_tnr,normal_fpr\n")
-        for row in rows:
-            r = row.report
-            fh.write(
-                f"{row.votes},{r.overall_accuracy!r},{r.new_class_tpr!r},"
-                f"{r.new_class_fnr!r},{r.normal_tnr!r},{r.normal_fpr!r}\n"
-            )
+    rates = ("overall_accuracy", "new_class_tpr", "new_class_fnr", "normal_tnr", "normal_fpr")
+    write_csv(path, [("votes", *rates),
+                     *((row.votes, *(getattr(row.report, r) for r in rates)) for row in rows)])

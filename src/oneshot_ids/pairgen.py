@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ExperimentSplit
+from .dataset import ExperimentSplit, write_csv
 
 class PairGenerationError(ValueError):
     """Requested batch cannot be satisfied; message reports the achievable maximum."""
@@ -45,15 +45,11 @@ class PairBatch:
     def dump(self, path: str | Path, append: bool = False) -> None:
         """Audit dump: one ``left_idx,right_idx,target`` line per pair, under
         a header line that only a fresh file (`append` false) gets."""
-        with Path(path).open("a" if append else "w", encoding="utf-8") as fh:
-            if not append:
-                fh.write("left_idx,right_idx,target\n")
-            # Python ints and bools format several times faster than numpy scalars
-            for left, right, similar in zip(
-                self.left_idx.tolist(), self.right_idx.tolist(), self.similar.tolist()
-            ):
-                target = "similar" if similar else "dissimilar"
-                fh.write(f"{left},{right},{target}\n")
+        # Python ints format several times faster than numpy scalars
+        targets = ["similar" if s else "dissimilar" for s in self.similar.tolist()]
+        header = [] if append else [("left_idx", "right_idx", "target")]
+        rows = zip(self.left_idx.tolist(), self.right_idx.tolist(), targets)
+        write_csv(path, itertools.chain(header, rows), append)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LABEL, NUMERIC, Column, RawDataset, Schema
+from .dataset import LABEL, NUMERIC, Column, RawDataset, Schema, write_csv
 
 NORMAL_NAME = "normal"
 
@@ -93,9 +93,7 @@ def write_files(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     csv_path = directory / "synthetic.csv"
-    with csv_path.open("w", encoding="utf-8") as fh:
-        for row, label in zip(rows, labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
+    write_csv(csv_path, ((*row.tolist(), label) for row, label in zip(rows, labels)))
     schema_path = directory / "synthetic.schema"
     with schema_path.open("w", encoding="utf-8") as fh:
         for i in range(n_features):

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import COMPUTE_DTYPE, ExperimentSplit
+from .dataset import COMPUTE_DTYPE, ExperimentSplit, write_csv
 from .network import (
     ConfigError,
     LossConfig,
@@ -76,10 +76,9 @@ class TrainingTrace:
         return len(self.losses)
 
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write("epoch,loss,seconds\n")
-            for epoch, (loss, secs) in enumerate(zip(self.losses, self.seconds), start=1):
-                fh.write(f"{epoch},{loss!r},{secs:.6f}\n")
+        epochs = enumerate(zip(self.losses, self.seconds), start=1)
+        write_csv(path, [("epoch", "loss", "seconds"),
+                         *((epoch, loss, f"{secs:.6f}") for epoch, (loss, secs) in epochs)])
 
 
 def run_training(

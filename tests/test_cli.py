@@ -83,6 +83,29 @@ class TestRun:
         assert err == f"error: {csv_path}: line 3: byte 0x96 at column 16 is not UTF-8\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "settings, tail, column",
+        [("schema", b"map Web\x96 a\n", 8), ("manifest", b"# caf\xe9\n", 6)],
+        ids=["schema", "manifest"],
+    )
+    def test_settings_file_that_is_not_utf8_exits_2_without_artifacts(
+        self, synthetic_files, tmp_path, capsys, settings, tail, column
+    ):
+        csv_path, schema_path = synthetic_files
+        schema = tmp_path / "data.schema"
+        schema.write_bytes(schema_path.read_bytes())
+        out = tmp_path / "out"
+        files = {"schema": schema, "manifest": write_manifest(tmp_path, csv_path, schema, out)}
+        bad = files[settings]
+        bad.write_bytes(bad.read_bytes() + tail)
+        line = len(bad.read_bytes().splitlines())
+        assert run_cli("run", "--manifest", str(files["manifest"])) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line {line}: byte 0x{tail[column - 1]:02x} at column {column} "
+            "is not UTF-8\n"
+        )
+        assert not out.exists()
+
     def test_missing_required_key_exits_2(self, synthetic_files, tmp_path, capsys):
         csv_path, schema_path = synthetic_files
         manifest = tmp_path / "broken.manifest"
@@ -225,6 +248,46 @@ class TestRun:
         failed = [r for r in rows if "error" in r and "boom" in r]
         assert len(failed) == 1
         assert not (out / "exclude-attack2" / "cm.csv").exists()
+
+    def test_error_text_is_written_as_is(self, synthetic_files, tmp_path, monkeypatch):
+        csv_path, schema_path = synthetic_files
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, csv_path, schema_path, out, exclude="attack1")
+
+        def failing(*args):
+            raise ValueError('bad "x", y')
+
+        monkeypatch.setattr(cli, "run_training", failing)
+        assert run_cli("run", "--manifest", str(manifest)) == 1
+        with (out / "summary.csv").open(newline="", encoding="utf-8") as fh:
+            assert [row["error"] for row in csv.DictReader(fh)] == ['bad "x", y']
+
+    def test_class_names_with_a_comma_or_quote_read_back(self, synthetic_files, tmp_path):
+        csv_path, schema_path = synthetic_files
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text(
+            csv_path.read_text(encoding="utf-8")
+            .replace(",attack1\n", ',"dos, hulk"\n')
+            .replace(",attack2\n", ',"ftp ""patator"""\n'),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, renamed, schema_path, out)
+        assert run_cli("run", "--manifest", str(manifest), "--exclude", "dos, hulk") == 0
+
+        def table(path):
+            with path.open(newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert [len(row) for row in rows] == [len(rows[0])] * len(rows), path.name
+            return rows
+
+        names = ["normal", "attack3", "dos, hulk", 'ftp "patator"']
+        cm = table(out / "exclude-dos--hulk" / "cm.csv")
+        assert cm[0] == ["class", *names]
+        assert [row[0] for row in cm[1:]] == names
+        assert len(table(out / "exclude-dos--hulk" / "sweep.csv")) == 3
+        summary = table(out / "summary.csv")
+        assert [dict(zip(summary[0], row))["excluded_class"] for row in summary[1:]] == ["dos, hulk"]
 
     def test_batch_dump_flag(self, synthetic_files, tmp_path):
         csv_path, schema_path = synthetic_files
@@ -729,6 +792,15 @@ class TestManifestParsing:
         manifest = tmp_path / "bad.manifest"
         manifest.write_text("dataset\n")
         assert run_cli("run", "--manifest", str(manifest)) == 2
+
+    def test_byte_that_is_not_utf8_names_file_line_byte_and_column(self, tmp_path):
+        # a bare "\r" ends line 1: lines end at "\n", "\r\n" or "\r"
+        path = tmp_path / "run.manifest"
+        path.write_bytes(b"# settings\repochs = 3\r\nout o\x96\n")
+        args = cli.build_parser().parse_args(["run", "--manifest", str(path)])
+        expected = r"run\.manifest: line 3: byte 0x96 at column 6 is not UTF-8"
+        with pytest.raises(cli.ManifestError, match=expected):
+            cli.build_manifest(args)
 
     def test_missing_manifest_file(self, tmp_path):
         assert run_cli("run", "--manifest", str(tmp_path / "none.manifest")) == 2

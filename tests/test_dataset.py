@@ -418,6 +418,14 @@ class TestSchema:
         with pytest.raises(SchemaError, match=rf"s\.schema:2: column 'proto': {problem}"):
             load_schema(path)
 
+    def test_byte_that_is_not_utf8_names_file_line_byte_and_column(self, tmp_path):
+        # a bare "\r" ends line 1: lines end at "\n", "\r\n" or "\r"
+        path = tmp_path / "s.schema"
+        path.write_bytes(b"column x numeric\rcolumn label label\r\nmap Web\x96 a\n")
+        expected = r"s\.schema: line 3: byte 0x96 at column 8 is not UTF-8"
+        with pytest.raises(SchemaError, match=expected):
+            load_schema(path)
+
     def test_unknown_kind(self):
         with pytest.raises(SchemaError, match="unknown kind"):
             Column("x", "float")
@@ -443,6 +451,19 @@ class TestSchema:
     def test_unknown_bundled_schema(self):
         with pytest.raises(SchemaError, match="no bundled schema"):
             bundled_schema_path("unsw")
+
+
+class TestWriteCsv:
+    def test_cells_with_a_comma_quote_or_line_break_read_back(self, tmp_path):
+        path = tmp_path / "out.csv"
+        rows = [["plain", "a,b", 'say "hi"', "cr\rbreak", "lf\nbreak"], ["", "x", "y", 0.1, 7]]
+        dataset.write_csv(path, rows[:1])
+        dataset.write_csv(path, rows[1:], append=True)
+        assert path.read_bytes() == (
+            b'plain,"a,b","say ""hi""","cr\rbreak","lf\nbreak"\n,x,y,0.1,7\n'
+        )
+        with path.open(newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [rows[0], ["", "x", "y", "0.1", "7"]]
 
 
 def kdd_like_fixture(tmp_path, n_rows=100):
