@@ -322,23 +322,44 @@ def _vote_rounds(
         drawn.append(drawn_k)
     tables = tables or [None] * n
     predictions = np.empty(q, dtype=np.int64)
-    buffer = np.empty((min(q, _CLASSIFY_CHUNK), j, n), dtype=pool.dtype)
+    buffer = np.empty((n, min(q, _CLASSIFY_CHUNK), j), dtype=pool.dtype)
     for start in range(0, q, _CLASSIFY_CHUNK):
         block = slice(start, start + _CLASSIFY_CHUNK)
         rows = positions[block]
-        b = len(rows)
-        dist = buffer[:b]                                # (b, j, n)
+        dist = buffer[:, :len(rows)]                     # (n, b, j), each class contiguous
         x = pool[rows]
         for k, (ref, drawn_k, table) in enumerate(zip(refs, drawn, tables)):
             if table is None:
-                _pair_distances(x, ref, drawn_k[block], dist[:, :, k])
+                _pair_distances(x, ref, drawn_k[block], dist[k])
             else:
                 # flat indices into the (len(pool), len(ref)) table
-                dist[:, :, k] = table.ravel()[rows[:, None] * len(ref) + drawn_k[block]]
-        nearest = np.argmin(dist, axis=-1) + n * np.arange(b)[:, None]
-        votes = np.bincount(nearest.ravel(), minlength=b * n).reshape(b, n)
-        predictions[block] = _majority_winner(votes, dist.sum(axis=1))
+                np.take(table, rows[:, None] * len(ref) + drawn_k[block], out=dist[k])
+        predictions[block] = _majority_winner(*_round_votes(dist))
     return predictions
+
+
+def _round_votes(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Votes and cumulative distance, each (b, n), from the class-major
+    (n, b, j) distances of b instances' j rounds.
+
+    A round's vote goes to the first class at the round's minimum, the
+    class `argmin` over the classes would pick. The cumulative distance
+    adds the rounds one at a time, in round order, which is the order in
+    which a sum over the round axis of a (b, j, n) block adds them.
+    """
+    n, b, j = dist.shape
+    at_min = dist == np.minimum.reduce(dist, axis=0)
+    # at_min[k]: class k or an earlier class is at the round's minimum
+    for k in range(1, n):
+        np.logical_or(at_min[k - 1], at_min[k], out=at_min[k])
+    # the rounds won by classes 0..k, counted by one matrix-vector product
+    # (exact: a count of at most j is a whole number the dtype holds)
+    upto = at_min.reshape(n * b, j).astype(dist.dtype) @ np.ones(j, dtype=dist.dtype)
+    votes = np.diff(upto.reshape(n, b), axis=0, prepend=0).astype(np.int64)
+    cumdist = dist[:, :, 0].copy()
+    for r in range(1, j):
+        cumdist += dist[:, :, r]
+    return votes.T, cumdist.T
 
 
 def classify(

@@ -13,6 +13,8 @@ from oneshot_ids.evaluator import (
     VoteConfig,
     _majority_winner,
     _pair_distances,
+    _round_votes,
+    _vote_rounds,
     classify,
     evaluate,
     metrics,
@@ -245,6 +247,90 @@ class TestMajorityWinner:
         votes = np.array([[1, 3], [3, 1]])
         cum = np.array([[0.0, 0.0], [0.0, 0.0]])
         assert _majority_winner(votes, cum).tolist() == [1, 0]
+
+
+def argmin_vote_rounds(pool, positions, refs, j, rng, own=None, tables=None):
+    """`_vote_rounds` as it was before the class-major kernel: a (b, j, n)
+    block per chunk, each round's nearest class by `argmin`, one
+    `bincount` of the votes, and the cumulative distance as a sum over the
+    round axis."""
+    q, n = len(positions), len(refs)
+    drawn = []
+    for k, ref in enumerate(refs):
+        if k == own:
+            drawn_k = rng.integers(0, len(ref) - 1, size=(q, j))
+            drawn_k += drawn_k >= positions[:, None]
+        else:
+            drawn_k = rng.integers(0, len(ref), size=(q, j))
+        drawn.append(drawn_k)
+    tables = tables or [None] * n
+    predictions = np.empty(q, dtype=np.int64)
+    buffer = np.empty((min(q, evaluator._CLASSIFY_CHUNK), j, n), dtype=pool.dtype)
+    for start in range(0, q, evaluator._CLASSIFY_CHUNK):
+        block = slice(start, start + evaluator._CLASSIFY_CHUNK)
+        rows = positions[block]
+        b = len(rows)
+        dist = buffer[:b]
+        x = pool[rows]
+        for k, (ref, drawn_k, table) in enumerate(zip(refs, drawn, tables)):
+            if table is None:
+                _pair_distances(x, ref, drawn_k[block], dist[:, :, k])
+            else:
+                dist[:, :, k] = table.ravel()[rows[:, None] * len(ref) + drawn_k[block]]
+        nearest = np.argmin(dist, axis=-1) + n * np.arange(b)[:, None]
+        votes = np.bincount(nearest.ravel(), minlength=b * n).reshape(b, n)
+        predictions[block] = _majority_winner(votes, dist.sum(axis=1))
+    return predictions
+
+
+class TestVoteKernel:
+    """The class-major vote kernel against the argmin kernel it replaced:
+    the same predictions, votes and cumulative distances, bit for bit."""
+
+    @staticmethod
+    def tied_refs(seed):
+        # float32 embeddings, as the trainer returns them; classes 1 and 3
+        # share their three rows, so a round that draws the same row from
+        # both is an exact cross-class distance tie
+        rng = np.random.default_rng(seed)
+        refs = [rng.normal(size=(size, 3)).astype(np.float32) for size in (7, 3, 5, 3)]
+        refs[3] = refs[1].copy()
+        return refs
+
+    @pytest.mark.parametrize("j", [1, 2, 5, 30])
+    def test_round_votes_match_argmin_and_round_axis_sum(self, j):
+        rng = np.random.default_rng(j)
+        # few distinct values, so many rounds have their minimum in
+        # several classes
+        dist = rng.integers(0, 4, size=(5, 37, j)).astype(np.float32) / 3
+        votes, cumdist = _round_votes(dist)
+        block = np.ascontiguousarray(dist.transpose(1, 2, 0))   # (b, j, n)
+        nearest = np.argmin(block, axis=-1)
+        expected = np.stack([(nearest == k).sum(axis=1) for k in range(5)], axis=1)
+        assert (np.sort(block, axis=-1)[..., 0] == np.sort(block, axis=-1)[..., 1]).any()
+        assert votes.dtype == np.int64 and np.array_equal(votes, expected)
+        assert cumdist.dtype == np.float32
+        assert np.ascontiguousarray(cumdist).tobytes() == block.sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("tabled", [True, False], ids=["table", "on-demand"])
+    @pytest.mark.parametrize("own", [None, 1], ids=["excluded", "own-class"])
+    @pytest.mark.parametrize("j", [1, 2, 5, 30])
+    def test_predictions_match_argmin_kernel(self, j, own, tabled, monkeypatch):
+        # chunks of 16 rows, the last one partial
+        monkeypatch.setattr(evaluator, "_CLASSIFY_CHUNK", 16)
+        refs = self.tied_refs(j)
+        pool = refs[own] if own is not None else np.random.default_rng(100 + j).normal(
+            size=(6, 3)).astype(np.float32)
+        positions = np.random.default_rng(j + 1).integers(0, len(pool), size=45)
+        tables = [evaluator._distance_table(pool, ref) for ref in refs] if tabled else None
+        got = _vote_rounds(pool, positions, refs, j, np.random.default_rng(3), own, tables)
+        expected = argmin_vote_rounds(
+            pool, positions, refs, j, np.random.default_rng(3), own, tables
+        )
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+        # the shared rows took votes: some prediction is one of the tied classes
+        assert np.isin(got, [1, 3]).any()
 
 
 class TestClassify:
