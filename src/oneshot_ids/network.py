@@ -5,11 +5,15 @@ weight sharing is structural rather than synchronised. Embeddings are
 produced by a plain MLP (hidden activations, linear output); pair distance
 is the Euclidean norm between the two embeddings.
 
-A training step is one twin pass: the left rows of every pair stacked on
-the right rows go through one forward trace, and one backprop carries the
-pair gradient down as +g for the left half and -g for the right half, so
-both twins' contributions land in the shared parameters together.
-Activation derivatives are read from the stored activations.
+A training step works on the step's distinct feature rows: each is
+embedded once in one forward trace, however many pairs it is in, and each
+pair's embedding difference is read from those embeddings by position.
+The loss gradient with respect to a row's embedding is the sum over its
+pairs of +g where it is the left instance and -g where it is the right
+one (g being the pair's gradient with respect to the difference), so
+those sums go down one backprop together, and both twins' contributions
+land in the shared parameters at once. Activation derivatives are read
+from the stored activations.
 
 The model's parameters, their gradients and their momentum are one
 contiguous 1-D array each (weight matrices in layer order, then biases),
@@ -295,17 +299,6 @@ def _pair_terms(d: np.ndarray, similar: np.ndarray, loss: LossConfig, model: Sia
     return losses, coeff.astype(dtype, copy=False), penalty
 
 
-def _twin_pass(model: SiameseModel, left: np.ndarray, right: np.ndarray):
-    """One forward trace over the stacked [left; right] rows, cast to the
-    model's dtype.
-
-    Returns the trace and the embedding differences e_left - e_right.
-    """
-    acts = _forward_trace(model, np.concatenate((left, right), dtype=model.dtype))
-    n = len(left)
-    return acts, acts[-1][:n] - acts[-1][n:]
-
-
 def _backprop(model: SiameseModel, acts: list[np.ndarray], upstream: np.ndarray) -> Gradients:
     """Parameter gradients from dL/d(output) for every traced row."""
     _, act_deriv = _ACTIVATIONS[model.activation]
@@ -323,31 +316,52 @@ def _backprop(model: SiameseModel, acts: list[np.ndarray], upstream: np.ndarray)
     return grads
 
 
+def _row_sums(g: np.ndarray, left: np.ndarray, right: np.ndarray, n_rows: int) -> np.ndarray:
+    """dL/d(embedding) for each of `n_rows` rows: the sum of g[k] over the
+    pairs k whose left row it is, minus the sum over those whose right row
+    it is, in g's dtype.
+
+    One `np.bincount` over flat (row, column) indices adds every slot; it
+    sums in float64.
+    """
+    width = g.shape[1]
+    slots = np.concatenate((left, right))[:, None] * width + np.arange(width)
+    sums = np.bincount(slots.ravel(), np.concatenate((g, -g)).ravel(), minlength=n_rows * width)
+    return sums.reshape(n_rows, width).astype(g.dtype, copy=False)
+
+
 def batch_gradients(
-    model: SiameseModel, left: np.ndarray, right: np.ndarray, similar: np.ndarray, loss: LossConfig
+    model: SiameseModel,
+    left: np.ndarray,
+    right: np.ndarray,
+    similar: np.ndarray,
+    rows: np.ndarray,
+    loss: LossConfig,
 ) -> tuple[Gradients, float]:
     """Exact gradients of the batch loss for every weight and bias.
 
-    Pair k is the feature rows left[k] and right[k], similar or not by the
-    bool mask similar[k]. Both twins backpropagate into the same parameter
-    set in one pass. Returns the gradients together with the batch loss.
+    Pair k is the feature rows rows[left[k]] and rows[right[k]], similar
+    or not by the bool mask similar[k]; `left` and `right` are positions
+    into `rows`, one per pair. Each row of `rows` is embedded once, and
+    both twins backpropagate into the same parameter set in one pass, so
+    a row that several pairs share costs one row's work. Returns the
+    gradients together with the batch loss.
     """
     n = len(left)
     if n == 0:
         raise ValueError("batch is empty")
     if len(right) != n or len(similar) != n:
         raise ValueError(f"{n} left rows, {len(right)} right rows and {len(similar)} targets")
-    acts, diff = _twin_pass(model, left, right)
-    upstream = np.empty_like(acts[-1])   # [g; -g]: +g for the left rows, -g for the right
+    acts = _forward_trace(model, np.asarray(rows, dtype=model.dtype))
+    emb = acts[-1]
+    diff = np.take(emb, left, axis=0)
+    diff -= np.take(emb, right, axis=0)
     # the distances as `evaluator._pair_distances` computes them (square,
-    # sum, root: bit-identical to np.linalg.norm), squaring into the left
-    # half of upstream before g is written there
-    squares = np.multiply(diff, diff, out=upstream[:n])
-    d = np.sqrt(np.add.reduce(squares, axis=-1))
+    # sum, root: bit-identical to np.linalg.norm)
+    d = np.sqrt(np.add.reduce(np.square(diff), axis=-1))
     losses, coeff, penalty = _pair_terms(d, similar, loss, model)
-    np.multiply(coeff[:, None], diff, out=upstream[:n])
-    np.negative(upstream[:n], out=upstream[n:])
-    grads = _backprop(model, acts, upstream)
+    diff *= coeff[:, None]    # g = dL/d(e_left - e_right), pair by pair
+    grads = _backprop(model, acts, _row_sums(diff, left, right, len(emb)))
     if loss.kind == REGULARIZED_LOG and loss.l2 > 0:
         for k, w in enumerate(model.weights):
             grads.d_weights[k] += 2.0 * loss.l2 * w

@@ -2,10 +2,14 @@
 
 By default one pair batch is generated in the first epoch and swept
 repeatedly, one optimizer step per `minibatch_size` consecutive pairs;
-`fresh_batch_per_epoch` regenerates the batch every epoch instead. Each
-step gathers its pairs' feature rows from the dataset matrix. Everything is
-deterministic given the config seed. The model trains, and is returned, in
-float32 (`COMPUTE_DTYPE`): its float64 initial draws are rounded once.
+`fresh_batch_per_epoch` regenerates the batch every epoch instead. The
+class-balanced sampler draws a small class's rows many times, so a step
+works on its distinct rows: once per generated batch, `_step_plan` lists
+each step's distinct dataset rows and each pair's positions among them,
+and each step gathers only those rows from the dataset matrix, which
+`batch_gradients` embeds once each. Everything is deterministic given the
+config seed. The model trains, and is returned, in float32
+(`COMPUTE_DTYPE`): its float64 initial draws are rounded once.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .pairgen import PairBatch, generate_training_batch
 from .seeding import INIT_STREAM, PAIR_STREAM, stream_rng
 
 DEFAULT_ARCHITECTURE = (64, 32, 16)   # hidden widths then embedding width
+_PLAN_PAIRS = 8192    # pairs per np.unique call while `_step_plan` builds a plan
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,51 @@ class TrainingTrace:
                          *((epoch, loss, f"{secs:.6f}") for epoch, (loss, secs) in epochs)])
 
 
+@dataclass(frozen=True)
+class _StepPlan:
+    """Each step's distinct dataset rows, and each pair's rows as positions
+    among its step's.
+
+    Step s's distinct rows are `rows[bounds[s]:bounds[s + 1]]`, in
+    ascending order; pair k of step s is that block's rows `left[k]` and
+    `right[k]`.
+    """
+
+    rows: np.ndarray       # (<= 2B,) int64 dataset rows, step after step
+    bounds: np.ndarray     # (steps + 1,) int64 offsets into `rows`
+    left: np.ndarray       # (B,) int64 positions within the pair's step
+    right: np.ndarray
+
+
+def _step_plan(batch: PairBatch, minibatch_size: int, n_rows: int) -> _StepPlan:
+    """The plan for sweeping `batch` in steps of `minibatch_size` pairs over
+    a dataset of `n_rows` rows.
+
+    One `np.unique` over (step, row) keys lists a group of steps' distinct
+    rows and numbers each pair's rows among them. A group is as many whole
+    steps as fit in `_PLAN_PAIRS` pairs (at least one), which bounds the
+    scratch memory of a large batch.
+    """
+    b = len(batch)
+    group = max(1, _PLAN_PAIRS // minibatch_size) * minibatch_size
+    rows, bounds = [], [np.zeros(1, dtype=np.int64)]
+    positions = np.empty((2, b), dtype=np.int64)     # left, then right
+    for start in range(0, b, group):
+        pairs = slice(start, start + group)
+        keys = np.concatenate((batch.left_idx[pairs], batch.right_idx[pairs]))
+        steps = np.tile(np.arange(len(keys) // 2) // minibatch_size, 2)
+        keys += steps * n_rows
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        step_of, distinct_rows = np.divmod(distinct, n_rows)
+        # where each step of the group starts among its distinct keys
+        first = np.searchsorted(step_of, np.arange(steps[-1] + 2))
+        inverse -= first[steps]
+        positions[:, pairs] = inverse.reshape(2, -1)
+        rows.append(distinct_rows)
+        bounds.append(first[1:] + bounds[-1][-1])
+    return _StepPlan(np.concatenate(rows), np.concatenate(bounds), *positions)
+
+
 def run_training(
     split: ExperimentSplit,
     cfg: TrainingConfig,
@@ -108,14 +158,15 @@ def run_training(
             )
             if on_batch is not None:
                 on_batch(batch)
+            plan = _step_plan(batch, cfg.minibatch_size, len(rows))
         epoch_loss = 0.0
-        for start in range(0, len(batch), cfg.minibatch_size):
+        for s, start in enumerate(range(0, len(batch), cfg.minibatch_size)):
             step = slice(start, start + cfg.minibatch_size)
             similar = batch.similar[step]
             # np.take gathers rows in about half the time of rows[idx]
+            distinct = np.take(rows, plan.rows[plan.bounds[s]:plan.bounds[s + 1]], axis=0)
             grads, loss_value = batch_gradients(
-                model, np.take(rows, batch.left_idx[step], axis=0),
-                np.take(rows, batch.right_idx[step], axis=0), similar, cfg.loss,
+                model, plan.left[step], plan.right[step], similar, distinct, cfg.loss
             )
             # step on the per-pair mean so the step size is independent of
             # the minibatch size

@@ -48,15 +48,33 @@ def forward_oracle(model, x):
 
 
 def make_batch(x1, x2, similar):
-    """(left, right, similar) step arguments; rows of x1 pair with rows of x2."""
-    return np.atleast_2d(x1), np.atleast_2d(x2), np.asarray(similar, dtype=bool)
+    """(left, right, similar, rows) step arguments in which row k of x1
+    pairs with row k of x2: `rows` stacks x1 on x2, so no row is shared."""
+    x1, x2 = np.atleast_2d(x1), np.atleast_2d(x2)
+    left, right = np.arange(len(x1)), len(x1) + np.arange(len(x2))
+    return left, right, np.asarray(similar, dtype=bool), np.concatenate((x1, x2))
 
 
-def random_batch(rng, width, n_pairs):
+def random_rows(rng, width, n_pairs):
+    """(x1, x2, similar): the feature rows and targets of n_pairs pairs."""
     x1 = rng.random((n_pairs, width))
     x2 = rng.random((n_pairs, width))
     similar = [rng.random() < 0.5 for _ in range(n_pairs)]
-    return make_batch(x1, x2, similar)
+    return x1, x2, np.asarray(similar, dtype=bool)
+
+
+def random_batch(rng, width, n_pairs):
+    return make_batch(*random_rows(rng, width, n_pairs))
+
+
+def repeated_rows_batch(rng, width):
+    """Step arguments over 5 distinct rows in which rows repeat: row 0 is in
+    five pairs, on the left of three and the right of two; row 3 is on both
+    sides of different pairs; one pair joins row 4 to itself."""
+    left = np.array([0, 0, 1, 2, 3, 0, 4, 1])
+    right = np.array([1, 2, 0, 3, 0, 4, 4, 3])
+    similar = np.array([True, False, False, True, False, True, False, True])
+    return left, right, similar, rng.random((5, width))
 
 
 def pair_losses(d, similar, model=None, **loss):
@@ -75,9 +93,9 @@ def log_loss(s, similar, l2, model):
     return float(np.sum(losses) + penalty)
 
 
-# The unfused step, kept as the reference for the stacked twin pass: one
-# forward trace and one backprop per twin, each activation derivative
-# recomputed from its pre-activation.
+# The unfused step, kept as the reference for the distinct-row step: one
+# forward trace and one backprop per twin over every pair's own copy of its
+# rows, each activation derivative recomputed from its pre-activation.
 _REFERENCE_ACTIVATIONS = {
     "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(float)),
     "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
@@ -110,9 +128,9 @@ def unfused_gradients(model, batch, loss_cfg):
             if k > 0:
                 delta = (delta @ model.weights[k].T) * act_deriv(pres[k - 1])
 
-    x1, x2, similar = batch
-    acts1, pres1 = trace(x1)
-    acts2, pres2 = trace(x2)
+    left, right, similar, rows = batch
+    acts1, pres1 = trace(rows[left])
+    acts2, pres2 = trace(rows[right])
     diff = acts1[-1] - acts2[-1]
     losses, coeff, penalty = _pair_terms(
         np.linalg.norm(diff, axis=1), similar.astype(float), loss_cfg, model
@@ -401,6 +419,54 @@ class TestGradients:
         for got, want in zip(grads.d_weights + grads.d_biases, ref_w + ref_b):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
+    @pytest.mark.parametrize("kind", [CONTRASTIVE, REGULARIZED_LOG])
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu", "tanh"])
+    def test_repeated_rows_match_finite_differences(self, kind, activation):
+        rng = np.random.default_rng(17)
+        model = init_model([3, 4, 2], activation=activation, rng=rng)
+        batch = repeated_rows_batch(rng, 3)
+        cfg = LossConfig(kind=kind)
+        grads, _ = batch_gradients(model, *batch, cfg)
+        fd_w, fd_b = fd_gradients(model, batch, cfg)
+        assert max_relative_error(grads.d_weights, fd_w) < 1e-4
+        assert max_relative_error(grads.d_biases, fd_b) < 1e-4
+
+    @pytest.mark.parametrize("kind", [CONTRASTIVE, REGULARIZED_LOG])
+    def test_repeated_rows_match_every_pair_on_its_own_rows(self, kind):
+        # the same step with each pair's rows copied out, so nothing is
+        # shared: only the float64 summation order differs
+        rng = np.random.default_rng(23)
+        model = init_model([3, 5, 2], rng=rng)
+        left, right, similar, rows = repeated_rows_batch(rng, 3)
+        cfg = LossConfig(kind=kind)
+        grads, loss = batch_gradients(model, left, right, similar, rows, cfg)
+        copied, copied_loss = batch_gradients(
+            model, *make_batch(rows[left], rows[right], similar), cfg
+        )
+        ref_w, ref_b, ref_loss = unfused_gradients(model, (left, right, similar, rows), cfg)
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+        np.testing.assert_allclose(copied_loss, ref_loss, rtol=1e-12)
+        scale = max(float(np.max(np.abs(g))) for g in ref_w + ref_b)
+        for got, other, want in zip(grads.d_weights + grads.d_biases,
+                                    copied.d_weights + copied.d_biases, ref_w + ref_b):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(other, want, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_each_row_embedded_once(self, monkeypatch):
+        traced = []
+        real = network._forward_trace
+
+        def recording(model, x):
+            traced.append(len(x))
+            return real(model, x)
+
+        monkeypatch.setattr(network, "_forward_trace", recording)
+        rng = np.random.default_rng(1)
+        model = init_model([3, 4, 2], rng=rng)
+        batch = repeated_rows_batch(rng, 3)
+        batch_gradients(model, *batch, LossConfig())
+        assert traced == [5]      # 8 pairs over 5 distinct rows
+
     def test_one_trace_and_one_backprop_per_step(self, monkeypatch):
         calls = []
 
@@ -422,12 +488,10 @@ class TestGradients:
     def test_duplicated_batch_doubles_everything(self):
         rng = np.random.default_rng(4)
         model = init_model([4, 3, 2], rng=rng)
-        left, right, similar = random_batch(rng, 4, 6)
-        doubled = make_batch(
-            np.vstack([left, left]), np.vstack([right, right]), np.tile(similar, 2)
-        )
+        x1, x2, similar = random_rows(rng, 4, 6)
+        doubled = make_batch(np.vstack([x1, x1]), np.vstack([x2, x2]), np.tile(similar, 2))
         cfg = LossConfig(kind=CONTRASTIVE)
-        g1, l1 = batch_gradients(model, left, right, similar, cfg)
+        g1, l1 = batch_gradients(model, *make_batch(x1, x2, similar), cfg)
         g2, l2 = batch_gradients(model, *doubled, cfg)
         assert l2 == pytest.approx(2 * l1, rel=1e-12)
         for a, b in zip(g1.d_weights, g2.d_weights):
@@ -436,10 +500,10 @@ class TestGradients:
     def test_twin_swap_symmetry(self):
         rng = np.random.default_rng(12)
         model = init_model([4, 3, 2], rng=rng)
-        left, right, similar = random_batch(rng, 4, 6)
+        x1, x2, similar = random_rows(rng, 4, 6)
         cfg = LossConfig(kind=CONTRASTIVE)
-        g1, l1 = batch_gradients(model, left, right, similar, cfg)
-        g2, l2 = batch_gradients(model, right, left, similar, cfg)
+        g1, l1 = batch_gradients(model, *make_batch(x1, x2, similar), cfg)
+        g2, l2 = batch_gradients(model, *make_batch(x2, x1, similar), cfg)
         assert l1 == pytest.approx(l2, rel=1e-12)
         for a, b in zip(g1.d_weights, g2.d_weights):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
@@ -455,9 +519,9 @@ class TestGradients:
         # one right row or one target would otherwise broadcast over every pair
         rng = np.random.default_rng(2)
         model = init_model([4, 3, 2], rng=rng)
-        left, right, similar = random_batch(rng, 4, 6)
+        left, right, similar, rows = random_batch(rng, 4, 6)
         with pytest.raises(ValueError, match="6 left rows"):
-            batch_gradients(model, left, right[:n_right], similar[:n_similar], LossConfig())
+            batch_gradients(model, left, right[:n_right], similar[:n_similar], rows, LossConfig())
 
     @pytest.mark.parametrize("kind", [CONTRASTIVE, REGULARIZED_LOG])
     def test_pair_terms_read_bool_mask_as_float_targets(self, kind):
@@ -511,9 +575,9 @@ class TestStepValues:
     def test_loss_reads_the_norm_of_the_embedding_difference(self, activation):
         rng = np.random.default_rng(9)
         model = init_model([6, 5, 3], activation=activation, rng=rng).copy(np.float32)
-        left, right, similar = random_batch(rng, 6, 50)
-        _, loss = batch_gradients(model, left, right, similar, LossConfig())
-        d = np.linalg.norm(embed(model, left) - embed(model, right), axis=1)
+        x1, x2, similar = random_rows(rng, 6, 50)
+        _, loss = batch_gradients(model, *make_batch(x1, x2, similar), LossConfig())
+        d = np.linalg.norm(embed(model, x1) - embed(model, x2), axis=1)
         want, _ = weighted_contrastive_terms(d.astype(np.float64), similar.astype(float), 1.0)
         assert loss == float(np.sum(want))
 
@@ -621,10 +685,10 @@ class TestFloat32:
     def test_step_stays_float32(self, kind, activation):
         rng = np.random.default_rng(3)
         model = init_model([5, 6, 4, 3], activation=activation, rng=rng).copy(np.float32)
-        left, right, similar = random_batch(rng, 5, 40)   # float64 feature rows
-        grads, _ = batch_gradients(model, left, right, similar, LossConfig(kind=kind))
+        batch = random_batch(rng, 5, 40)   # float64 feature rows
+        grads, _ = batch_gradients(model, *batch, LossConfig(kind=kind))
         state = init_momentum_state(model)
-        grads.scale(1.0 / len(left))
+        grads.scale(1.0 / len(batch[0]))
         apply_update(model, grads, state, learning_rate=0.01)
         arrays = (
             grads.d_weights + grads.d_biases + [grads.flat, state.velocity, model.params]

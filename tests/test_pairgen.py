@@ -230,7 +230,9 @@ class TestPairBatchApi:
         right = split.dataset.matrix[batch.right_idx]
         d = np.linalg.norm(left @ model.weights[0] - right @ model.weights[0], axis=1)
         expected = np.sum(np.where(batch.similar, d**2, np.maximum(1.0 - d, 0.0) ** 2))
-        _, loss = batch_gradients(model, left, right, batch.similar, LossConfig())
+        _, loss = batch_gradients(
+            model, batch.left_idx, batch.right_idx, batch.similar, split.dataset.matrix, LossConfig()
+        )
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_dump_format(self, tmp_path):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oneshot_ids import TrainingConfig, init_model, prepare_experiment, run_training, trainer
+from oneshot_ids import TrainingConfig, init_model, network, prepare_experiment, run_training, trainer
+from oneshot_ids.dataset import COMPUTE_DTYPE
+from oneshot_ids.network import apply_update, init_momentum_state
 from oneshot_ids.pairgen import generate_training_batch
 from oneshot_ids.seeding import INIT_STREAM, PAIR_STREAM, stream_rng
 from oneshot_ids.synthetic import make_raw
@@ -166,9 +168,9 @@ class TestBatchUsage:
             batches.append(generate_training_batch(*args))
             return batches[-1]
 
-        def step(model, left, right, similar, loss):
-            steps.append((left, right, similar))
-            return real_step(model, left, right, similar, loss)
+        def step(model, left, right, similar, rows, loss):
+            steps.append((rows[left], rows[right], similar))
+            return real_step(model, left, right, similar, rows, loss)
 
         real_step = trainer.batch_gradients
         monkeypatch.setattr(trainer, "generate_training_batch", generate)
@@ -192,6 +194,102 @@ class TestBatchUsage:
             assert np.array_equal(left, matrix[batch.left_idx])
             assert np.array_equal(right, matrix[batch.right_idx])
             assert np.array_equal(similar, batch.similar)
+
+
+@pytest.fixture(scope="module")
+def acceptance_split():
+    """The acceptance suite's data and split (5 classes x 500 rows x 20
+    features, attack2 withheld)."""
+    raw = make_raw(n_classes=5, per_class=500, n_features=20, separation=4.0, seed=7)
+    return prepare_experiment(raw, "attack2", seed=11)
+
+
+def stacked_step(model, left_rows, right_rows, similar, loss):
+    """The train step as it was before it worked on distinct rows: one
+    forward trace over the stacked [left; right] feature rows and one
+    backprop of [g; -g]."""
+    acts = network._forward_trace(model, np.concatenate((left_rows, right_rows), dtype=model.dtype))
+    n = len(left_rows)
+    diff = acts[-1][:n] - acts[-1][n:]
+    d = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    losses, coeff, penalty = network._pair_terms(d, similar, loss, model)
+    g = coeff[:, None] * diff
+    grads = network._backprop(model, acts, np.concatenate((g, -g)))
+    if loss.kind == network.REGULARIZED_LOG and loss.l2 > 0:
+        for k, w in enumerate(model.weights):
+            grads.d_weights[k] += 2.0 * loss.l2 * w
+    return grads, float(losses.sum() + penalty)
+
+
+def stacked_training(split, cfg):
+    """`run_training` for one fixed batch, each step on its pairs' stacked
+    rows; the model and the per-epoch losses."""
+    ds = split.dataset
+    model = init_model((ds.width, *cfg.architecture), cfg.activation,
+                       stream_rng(cfg.seed, INIT_STREAM)).copy(COMPUTE_DTYPE)
+    state = init_momentum_state(model, cfg.momentum)
+    batch = generate_training_batch(split, cfg.train_batch_size, stream_rng(cfg.seed, PAIR_STREAM))
+    losses = []
+    for _ in range(cfg.n_epochs):
+        total = 0.0
+        for start in range(0, len(batch), cfg.minibatch_size):
+            step = slice(start, start + cfg.minibatch_size)
+            grads, loss = stacked_step(model, ds.matrix[batch.left_idx[step]],
+                                       ds.matrix[batch.right_idx[step]], batch.similar[step],
+                                       cfg.loss)
+            grads.scale(1.0 / len(batch.similar[step]))
+            apply_update(model, grads, state, cfg.learning_rate)
+            total += loss
+        losses.append(total / len(batch))
+    return model, losses
+
+
+class TestStepPlan:
+    """Each step's distinct rows and its pairs' positions among them, built
+    once per generated batch."""
+
+    @pytest.mark.parametrize("minibatch", [256, 1000, 1024, 10000])
+    def test_positions_give_back_the_batch(self, acceptance_split, minibatch):
+        split = acceptance_split
+        batch = generate_training_batch(split, 30000, stream_rng(11, PAIR_STREAM))
+        plan = trainer._step_plan(batch, minibatch, len(split.dataset.matrix))
+        n_steps = -(-len(batch) // minibatch)
+        assert plan.bounds.tolist()[::n_steps] == [0, len(plan.rows)]
+        assert len(plan.bounds) == n_steps + 1
+        assert plan.left.shape == plan.right.shape == (len(batch),)
+        # the class-balanced sampler repeats the small classes' rows
+        assert len(plan.rows) < 2 * len(batch)
+        for s in range(n_steps):
+            step = slice(s * minibatch, (s + 1) * minibatch)
+            rows = plan.rows[plan.bounds[s]:plan.bounds[s + 1]]
+            assert np.all(np.diff(rows) > 0)      # distinct, ascending
+            assert np.array_equal(rows[plan.left[step]], batch.left_idx[step])
+            assert np.array_equal(rows[plan.right[step]], batch.right_idx[step])
+
+    @pytest.mark.parametrize("fresh, plans", [(False, 1), (True, 4)], ids=["fixed", "fresh"])
+    def test_built_once_per_generated_batch(self, small_experiment, monkeypatch, fresh, plans):
+        built = []
+
+        def counted(*args):
+            built.append(args[0])
+            return step_plan(*args)
+
+        step_plan = trainer._step_plan
+        monkeypatch.setattr(trainer, "_step_plan", counted)
+        seen = []
+        run_training(small_experiment, quick_cfg(n_epochs=4, fresh_batch_per_epoch=fresh),
+                     on_batch=seen.append)
+        assert len(built) == plans
+        assert all(a is b for a, b in zip(built, seen, strict=True))
+
+    def test_training_matches_stacked_rows(self, acceptance_split):
+        # 2 epochs of 8 steps; only float32 summation order differs
+        cfg = TrainingConfig(n_epochs=2, train_batch_size=2048, minibatch_size=256, seed=11)
+        model, trace = run_training(acceptance_split, cfg)
+        ref_model, ref_losses = stacked_training(acceptance_split, cfg)
+        assert trace.steps == 16
+        np.testing.assert_allclose(trace.losses, ref_losses, rtol=1e-5)
+        np.testing.assert_allclose(model.params, ref_model.params, rtol=1e-5, atol=1e-6)
 
 
 class TestLossCurve:
