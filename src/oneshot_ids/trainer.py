@@ -109,7 +109,7 @@ def _step_plan(batch: PairBatch, minibatch_size: int, n_rows: int) -> _StepPlan:
     One `np.unique` over (step, row) keys lists a group of steps' distinct
     rows and numbers each pair's rows among them. A group is as many whole
     steps as fit in `_PLAN_PAIRS` pairs (at least one), which bounds the
-    scratch memory of a large batch.
+    temporary memory of a large batch.
     """
     b = len(batch)
     group = max(1, _PLAN_PAIRS // minibatch_size) * minibatch_size

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from oneshot_ids import TrainingConfig, init_model, network, prepare_experiment, run_training, trainer
+from oneshot_ids import TrainingConfig, init_model, prepare_experiment, run_training, trainer
 from oneshot_ids.dataset import COMPUTE_DTYPE
-from oneshot_ids.network import apply_update, init_momentum_state
+from oneshot_ids.network import Gradients, apply_update, init_momentum_state
 from oneshot_ids.pairgen import generate_training_batch
 from oneshot_ids.seeding import INIT_STREAM, PAIR_STREAM, stream_rng
 from oneshot_ids.synthetic import make_raw
+
+from test_network import unfused_gradients
 
 
 @pytest.fixture(scope="module")
@@ -204,26 +206,10 @@ def acceptance_split():
     return prepare_experiment(raw, "attack2", seed=11)
 
 
-def stacked_step(model, left_rows, right_rows, similar, loss):
-    """The train step as it was before it worked on distinct rows: one
-    forward trace over the stacked [left; right] feature rows and one
-    backprop of [g; -g]."""
-    acts = network._forward_trace(model, np.concatenate((left_rows, right_rows), dtype=model.dtype))
-    n = len(left_rows)
-    diff = acts[-1][:n] - acts[-1][n:]
-    d = np.sqrt(np.add.reduce(diff * diff, axis=-1))
-    losses, coeff, penalty = network._pair_terms(d, similar, loss, model)
-    g = coeff[:, None] * diff
-    grads = network._backprop(model, acts, np.concatenate((g, -g)))
-    if loss.kind == network.REGULARIZED_LOG and loss.l2 > 0:
-        for k, w in enumerate(model.weights):
-            grads.d_weights[k] += 2.0 * loss.l2 * w
-    return grads, float(losses.sum() + penalty)
-
-
-def stacked_training(split, cfg):
-    """`run_training` for one fixed batch, each step on its pairs' stacked
-    rows; the model and the per-epoch losses."""
+def own_rows_training(split, cfg):
+    """`run_training` for one fixed batch, each step by `unfused_gradients`
+    on every pair's own copies of its rows; the model and the per-epoch
+    losses."""
     ds = split.dataset
     model = init_model((ds.width, *cfg.architecture), cfg.activation,
                        stream_rng(cfg.seed, INIT_STREAM)).copy(COMPUTE_DTYPE)
@@ -234,9 +220,12 @@ def stacked_training(split, cfg):
         total = 0.0
         for start in range(0, len(batch), cfg.minibatch_size):
             step = slice(start, start + cfg.minibatch_size)
-            grads, loss = stacked_step(model, ds.matrix[batch.left_idx[step]],
-                                       ds.matrix[batch.right_idx[step]], batch.similar[step],
-                                       cfg.loss)
+            d_weights, d_biases, loss = unfused_gradients(
+                model, (batch.left_idx[step], batch.right_idx[step], batch.similar[step], ds.matrix),
+                cfg.loss,
+            )
+            grads = Gradients(model.layer_sizes,
+                              np.concatenate([a.ravel() for a in d_weights + d_biases]))
             grads.scale(1.0 / len(batch.similar[step]))
             apply_update(model, grads, state, cfg.learning_rate)
             total += loss
@@ -282,11 +271,11 @@ class TestStepPlan:
         assert len(built) == plans
         assert all(a is b for a, b in zip(built, seen, strict=True))
 
-    def test_training_matches_stacked_rows(self, acceptance_split):
-        # 2 epochs of 8 steps; only float32 summation order differs
+    def test_training_matches_every_pair_on_its_own_rows(self, acceptance_split):
+        # 2 epochs of 8 steps; only float32 rounding differs
         cfg = TrainingConfig(n_epochs=2, train_batch_size=2048, minibatch_size=256, seed=11)
         model, trace = run_training(acceptance_split, cfg)
-        ref_model, ref_losses = stacked_training(acceptance_split, cfg)
+        ref_model, ref_losses = own_rows_training(acceptance_split, cfg)
         assert trace.steps == 16
         np.testing.assert_allclose(trace.losses, ref_losses, rtol=1e-5)
         np.testing.assert_allclose(model.params, ref_model.params, rtol=1e-5, atol=1e-6)
