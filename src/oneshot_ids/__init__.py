@@ -1,87 +1,35 @@
-"""One-shot intrusion detection with twin-network similarity learning."""
+"""One-shot intrusion detection with twin-network similarity learning.
 
-from .dataset import (
-    DatasetError,
-    EncodedDataset,
-    Encoder,
-    ExperimentSplit,
-    RawDataset,
-    Schema,
-    SchemaError,
-    encode,
-    fit_encoder,
-    load_dataset,
-    load_schema,
-    prepare_experiment,
-)
-from .evaluator import (
-    DEFAULT_VOTE_SWEEP,
-    ConfusionMatrix,
-    EvaluationError,
-    MetricsReport,
-    VoteConfig,
-    classify,
-    evaluate,
-    metrics,
-    vote_sweep,
-)
-from .network import (
-    LossConfig,
-    SiameseModel,
-    apply_update,
-    batch_gradients,
-    embed,
-    init_model,
-    init_momentum_state,
-    load_model,
-    save_model,
-)
-from .pairgen import (
-    PairBatch,
-    PairGenerationError,
-    generate_training_batch,
-    pair_counts,
-)
-from .trainer import TrainingConfig, TrainingTrace, run_training
+The package root holds the pipeline a user runs (load a capture, withhold
+an attack class, train on pairs, score the new class by voting) and the
+errors it raises. Every other name stays importable from its own module.
+"""
+
+from .dataset import DatasetError, SchemaError, load_dataset, load_schema, prepare_experiment
+from .evaluator import ConfusionMatrix, EvaluationError, MetricsReport, metrics, vote_sweep
+from .network import ConfigError, LossConfig, save_model
+from .pairgen import PairGenerationError
+from .trainer import TrainingConfig, run_training
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfusionMatrix",
-    "DatasetError",
-    "DEFAULT_VOTE_SWEEP",
-    "EncodedDataset",
-    "Encoder",
-    "EvaluationError",
-    "ExperimentSplit",
-    "LossConfig",
-    "MetricsReport",
-    "PairBatch",
-    "PairGenerationError",
-    "RawDataset",
-    "Schema",
-    "SchemaError",
-    "SiameseModel",
-    "TrainingConfig",
-    "TrainingTrace",
-    "VoteConfig",
-    "apply_update",
-    "batch_gradients",
-    "classify",
-    "embed",
-    "encode",
-    "evaluate",
-    "fit_encoder",
-    "generate_training_batch",
-    "init_model",
-    "init_momentum_state",
-    "load_dataset",
-    "load_model",
+    # the pipeline, in the order a run calls it
     "load_schema",
-    "metrics",
-    "pair_counts",
+    "load_dataset",
     "prepare_experiment",
+    "TrainingConfig",
+    "LossConfig",
     "run_training",
-    "save_model",
     "vote_sweep",
+    "metrics",
+    "ConfusionMatrix",
+    "MetricsReport",
+    "save_model",
+    # its errors
+    "SchemaError",
+    "DatasetError",
+    "ConfigError",
+    "PairGenerationError",
+    "EvaluationError",
 ]

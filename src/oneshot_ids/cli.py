@@ -34,8 +34,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .dataset import (DatasetError, SchemaError, directive_lines, load_dataset, load_schema,
-                      prepare_experiment, write_csv)
+from .dataset import (DatasetError, SchemaError, attack_index, directive_lines, load_dataset,
+                      load_schema, prepare_experiment, write_csv)
 from .evaluator import (DEFAULT_VOTE_SWEEP, _checked_votes, _instances_per_class, sweep_to_csv,
                         vote_sweep)
 from .network import ConfigError, LossConfig, save_model
@@ -250,7 +250,7 @@ def _resolve_excluded(manifest: ExperimentManifest, raw) -> list[str]:
     if names == [ALL_ATTACKS]:
         names = list(raw.class_names[1:])
     for name in names:
-        _parsed("exclude", raw.attack_index, name)
+        _parsed("exclude", lambda n: attack_index(raw.class_names, n), name)
     slugs = [_slug(name) for name in names]
     for k, slug in enumerate(slugs):
         if slug in slugs[:k]:
@@ -282,7 +282,7 @@ def run_experiment(
 
     out_dir.mkdir(parents=True, exist_ok=True)
     report_j = _report_j(manifest.votes)
-    designated = next(r for r in rows if r.votes == report_j)
+    designated = next(r for r in rows if r.report.votes == report_j)
     designated.cm.to_csv(out_dir / "cm.csv")
     (out_dir / "cm.txt").write_text(designated.cm.to_text(), encoding="utf-8")
     designated.report.to_json(out_dir / "metrics.json")

@@ -91,6 +91,8 @@ class Schema:
         labels = [c for c in self.columns if c.kind == LABEL]
         if len(labels) != 1:
             raise SchemaError(f"schema must declare exactly one label column, found {len(labels)}")
+        if not self.feature_columns:
+            raise SchemaError("schema declares no numeric or categorical column")
 
     @property
     def feature_columns(self) -> tuple[Column, ...]:
@@ -149,7 +151,10 @@ def load_schema(path: str | Path) -> Schema:
             raise SchemaError(f"{path}:{lineno}: unrecognised directive {line!r}")
     if not columns:
         raise SchemaError(f"{path}: no columns declared")
-    return Schema(tuple(columns), normal, label_map)
+    try:
+        return Schema(tuple(columns), normal, label_map)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -194,10 +199,6 @@ class RawDataset:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def attack_index(self, excluded: int | str) -> int:
-        """Index into `class_names` of a class that may be withheld."""
-        return attack_index(self.class_names, excluded)
 
 
 def attack_index(
@@ -387,8 +388,8 @@ def _c_block(lines: list[str], schema: Schema) -> tuple[np.ndarray, np.ndarray, 
 
     The C reader neither counts the fields of a row (`usecols` accepts extra
     ones and short rows missing an unread column) nor skips a whitespace-only
-    line, so every line must hold one comma per column boundary; a
-    one-column schema has no comma to tell a blank line by. Its numbers are
+    line, so every line must hold one comma per column boundary (a schema
+    has at least a feature and a label column). Its numbers are
     `float()`'s wherever both parse a cell, and a cell only `float()` parses
     (``1_000``) raises here.
     """
@@ -397,8 +398,7 @@ def _c_block(lines: list[str], schema: Schema) -> tuple[np.ndarray, np.ndarray, 
     limit = csv.field_size_limit()
     text = "".join(lines)
     if (
-        not commas
-        or any(char in text for char in _ROW_PATH_CHARS)
+        any(char in text for char in _ROW_PATH_CHARS)
         or any(line.count(",") != commas or len(line) > limit for line in lines)
     ):
         return None
@@ -607,7 +607,7 @@ def prepare_experiment(raw: RawDataset, excluded_class: int | str, seed: int) ->
     rows nor any excluded-class row can influence the feature space. The
     split is deterministic given the seed.
     """
-    excluded_class = raw.attack_index(excluded_class)
+    excluded_class = attack_index(raw.class_names, excluded_class)
     # a retained class's testing pool needs 2 rows (an instance is never its
     # own reference), the excluded class's unlabelled pool 1
     for c, count in enumerate(np.bincount(raw.codes, minlength=len(raw.class_names))):

@@ -283,10 +283,17 @@ def _embedded_pools(
         for c in range(split.n_classes)
     ]
     budget = per_class * total_votes
-    tables = [
-        [_distance_table(rows, ref) if len(rows) * len(ref) <= budget else None for ref in refs]
-        for rows in evals
-    ]
+    tables: list[list[np.ndarray | None]] = [[None] * len(refs) for _ in evals]
+    for c, rows in enumerate(evals):
+        for k, ref in enumerate(refs):
+            if len(rows) * len(ref) > budget:
+                continue
+            if k < c and split.excluded_class not in (c, k):
+                # evals[c] is refs[c] for two retained classes, so (c, k) is
+                # the table (k, c) transposed, to the bit
+                tables[c][k] = np.ascontiguousarray(tables[k][c].T)
+            else:
+                tables[c][k] = _distance_table(rows, ref)
     return _EmbeddedPools(refs, evals, tables)
 
 
@@ -417,7 +424,6 @@ def evaluate(
 
 @dataclass(frozen=True)
 class SweepRow:
-    votes: int
     cm: ConfusionMatrix
     report: MetricsReport
 
@@ -439,12 +445,13 @@ def vote_sweep(
         rng = stream_rng(seed, EVAL_STREAM, j)
         cm = evaluate(model, split, test_batch_size, VoteConfig(j), rng, pools=pools)
         report = replace(metrics(cm, split.excluded_class), votes=j)
-        rows.append(SweepRow(j, cm, report))
+        rows.append(SweepRow(cm, report))
     return rows
 
 
 def sweep_to_csv(rows: list[SweepRow], path: str | Path) -> None:
     """Vote-sweep table: overall accuracy, new-class TPR/FNR, benign TNR/FPR."""
     rates = ("overall_accuracy", "new_class_tpr", "new_class_fnr", "normal_tnr", "normal_fpr")
+    reports = [row.report for row in rows]
     write_csv(path, [("votes", *rates),
-                     *((row.votes, *(getattr(row.report, r) for r in rates)) for row in rows)])
+                     *((r.votes, *(getattr(r, rate) for rate in rates)) for r in reports)])

@@ -419,8 +419,13 @@ def save_model(model: SiameseModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> SiameseModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    """The model `save_model` wrote to `path`; a file that is not such a
+    checkpoint raises ValueError, naming the path."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise ValueError(f"{path}: not a model checkpoint: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a model checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
@@ -428,6 +433,9 @@ def load_model(path: str | Path) -> SiameseModel:
     dtype = payload.get("dtype", "float64")
     if dtype not in ("float32", "float64"):
         raise ValueError(f"{path}: unsupported parameter dtype {dtype!r}")
+    for key in ("layer_sizes", "weights", "biases", "activation"):
+        if key not in payload:
+            raise ValueError(f"{path}: checkpoint has no {key!r}")
     try:
         return SiameseModel(
             tuple(payload["layer_sizes"]),

@@ -168,7 +168,7 @@ class TestCriterion3PairBatches:
 
 class TestCriterion4SyntheticOneShot:
     def test_unseen_class_detection(self, trained):
-        row = next(r for r in trained.sweep_rows if r.votes == 5)
+        row = next(r for r in trained.sweep_rows if r.report.votes == 5)
         tpr = row.report.new_class_tpr
         overall = row.report.overall_accuracy
         elapsed = trained.train_seconds + trained.eval_seconds
@@ -182,7 +182,7 @@ class TestCriterion4SyntheticOneShot:
 
 class TestCriterion5VotingSweep:
     def test_j5_not_worse_than_j1(self, trained):
-        by_j = {r.votes: r.report.overall_accuracy for r in trained.sweep_rows}
+        by_j = {r.report.votes: r.report.overall_accuracy for r in trained.sweep_rows}
         report(
             5,
             by_j[5] >= by_j[1] - 0.01,

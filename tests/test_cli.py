@@ -106,6 +106,20 @@ class TestRun:
         )
         assert not out.exists()
 
+    def test_schema_without_a_feature_column_exits_2_naming_it(
+        self, synthetic_files, tmp_path, capsys
+    ):
+        csv_path, _ = synthetic_files
+        schema = tmp_path / "labels.schema"
+        schema.write_text("column label label\nnormal normal\n", encoding="utf-8")
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, csv_path, schema, out)
+        assert run_cli("run", "--manifest", str(manifest)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {schema}: schema declares no numeric or categorical column\n"
+        )
+        assert not out.exists()
+
     def test_missing_required_key_exits_2(self, synthetic_files, tmp_path, capsys):
         csv_path, schema_path = synthetic_files
         manifest = tmp_path / "broken.manifest"

@@ -18,6 +18,7 @@ from oneshot_ids.dataset import (
     RawDataset,
     Schema,
     SchemaError,
+    attack_index,
     bundled_schema_path,
     encode,
     fit_encoder,
@@ -309,8 +310,12 @@ class TestReaderPaths:
         assert got.class_names == ("normal", "dos", "other")
 
     def test_one_column_schema(self, tmp_path):
-        schema = Schema((Column("label", LABEL),), normal_label="normal")
-        path = write_csv(tmp_path, "label\nnormal\n  \nattack\n\nnormal\n")
+        # a label alone is no schema; the smallest one, a feature and a label,
+        # has a comma on every record line to tell a blank line by
+        with pytest.raises(SchemaError, match="no numeric or categorical column"):
+            Schema((Column("label", LABEL),), normal_label="normal")
+        schema = Schema((Column("x", NUMERIC), Column("label", LABEL)), normal_label="normal")
+        path = write_csv(tmp_path, "x,label\n1,normal\n  \n2,attack\n\n3,normal\n")
         got, want = read_both_ways(path, schema)
         assert_same_outcome(got, want)
         assert got.labels.tolist() == ["normal", "attack", "normal"]
@@ -343,7 +348,10 @@ class TestReaderPaths:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_generated_files(self, tmp_path_factory, data):
-        kinds = data.draw(st.lists(st.sampled_from([NUMERIC, CATEGORICAL, IGNORE]), max_size=4))
+        # a schema holds a feature column and the label column, anywhere
+        kinds = data.draw(st.lists(st.sampled_from([NUMERIC, CATEGORICAL, IGNORE]), max_size=3))
+        feature = data.draw(st.sampled_from([NUMERIC, CATEGORICAL]))
+        kinds.insert(data.draw(st.integers(0, len(kinds))), feature)
         kinds.insert(data.draw(st.integers(0, len(kinds))), LABEL)
         label_map = data.draw(st.sampled_from([{}, {"n": "normal", "x": "attack"}]))
         schema = Schema(
@@ -380,6 +388,22 @@ class TestSchema:
             Schema((Column("x", NUMERIC),))
         with pytest.raises(SchemaError, match="exactly one label"):
             Schema((Column("a", LABEL), Column("b", LABEL)))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("column x numeric\nnormal normal\n", "must declare exactly one label column, found 0"),
+            ("column label label\nnormal normal\n", "declares no numeric or categorical column"),
+            ("column x ignore\ncolumn label label\n", "declares no numeric or categorical column"),
+        ],
+        ids=["no-label", "label-only", "ignored-only"],
+    )
+    def test_schema_level_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "s.schema"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            load_schema(path)
+        assert str(info.value) == f"{path}: schema {message}"
 
     def test_parse_directives(self, tmp_path):
         path = tmp_path / "s.schema"
@@ -664,11 +688,11 @@ class TestClassInventory:
     def test_attack_index_rejects(self, excluded, message):
         raw = RawDataset(two_feature_schema(), [[1.0] * 3, [2.0] * 3], ["b", "normal", "a"])
         with pytest.raises(DatasetError, match=message):
-            raw.attack_index(excluded)
+            attack_index(raw.class_names, excluded)
 
     def test_attack_index_accepts_name_or_index(self):
         raw = RawDataset(two_feature_schema(), [[1.0] * 3, [2.0] * 3], ["b", "normal", "a"])
-        assert [raw.attack_index(c) for c in ("a", "b", 1, 2)] == [1, 2, 1, 2]
+        assert [attack_index(raw.class_names, c) for c in ("a", "b", 1, 2)] == [1, 2, 1, 2]
 
 
 class TestSplit:
@@ -680,14 +704,14 @@ class TestSplit:
     def test_even_class_halves(self):
         raw = self.make_raw({"normal": 10, "r2l": 52, "dos": 8})
         split = prepare_experiment(raw, "dos", seed=0)
-        r2l = raw.attack_index("r2l")
+        r2l = attack_index(raw.class_names, "r2l")
         assert len(split.training_pools[r2l]) == 26
         assert len(split.testing_pools[r2l]) == 26
 
     def test_odd_count_extra_to_first_pool(self):
         raw = self.make_raw({"normal": 10, "a": 5, "b": 8})
         split = prepare_experiment(raw, "b", seed=0)
-        a = raw.attack_index("a")
+        a = attack_index(raw.class_names, "a")
         assert len(split.training_pools[a]) == 3
         assert len(split.testing_pools[a]) == 2
 

@@ -333,6 +333,32 @@ class TestVoteKernel:
         assert np.isin(got, [1, 3]).any()
 
 
+class TestEmbeddedPools:
+    def test_retained_tables_built_once_each(self, monkeypatch):
+        built = record_table_builds(monkeypatch)
+        # the benign class and three retained attacks, attack1 withheld; the
+        # pools differ in size, so each copied table has another shape than
+        # the table it is the transpose of
+        split = build_split(
+            {0: 4, 2: 4, 3: 4, 4: 4}, excluded_class=1, labelled=5, unlabelled=6,
+            testing_sizes={0: 7, 2: 3, 3: 9, 4: 5},
+        )
+        matrix = split.dataset.matrix
+        matrix[:] = np.random.default_rng(5).uniform(size=matrix.shape)
+        model = init_model([split.dataset.width, 5, 3], rng=5)
+        # a budget of 100 instances x 30 votes tables every class pair
+        pools = evaluator._embedded_pools(model, split, 500, 30)
+        # of the 25 tables, the 6 pairs of distinct retained classes build one each
+        assert len(built) == 25 - 6
+        for c in range(5):
+            for k in range(5):
+                table = pools.tables[c][k]
+                expected = evaluator._distance_table(pools.evals[c], pools.refs[k])
+                assert table.flags.c_contiguous and table.dtype == expected.dtype
+                assert table.shape == expected.shape
+                assert table.tobytes() == expected.tobytes()
+
+
 class TestClassify:
     def test_j1_equals_brute_force_nearest_neighbor(self):
         split = separated_split(pool=1)
@@ -505,7 +531,9 @@ class TestEvaluate:
             {0: 3, 2: 3, 3: 3}, excluded_class=1, labelled=31, unlabelled=30,
             testing_sizes={0: 34, 2: 30, 3: 32},
         )
-        for split, test_batch_size, tables in ((small, 400, 16), (large, 80, 0)):
+        # the small split's 16 tables take 13 builds: a table between two
+        # retained classes is built once and copied transposed for the other
+        for split, test_batch_size, tables in ((small, 400, 13), (large, 80, 0)):
             # rows without class structure, so every vote turns on which
             # references were drawn
             matrix = split.dataset.matrix
@@ -533,14 +561,14 @@ class TestVoteSweep:
         model = identity_model(split.dataset.width)
         rows = vote_sweep(model, split, 20, (1,), seed=0)
         assert len(rows) == 1
-        assert rows[0].votes == 1
         assert rows[0].report.votes == 1
+        assert rows[0].report.to_dict()["votes"] == 1
 
     def test_full_sweep_shape(self):
         split = separated_split()
         model = identity_model(split.dataset.width)
         rows = vote_sweep(model, split, 20, (1, 5, 10, 15, 20, 25, 30), seed=0)
-        assert [r.votes for r in rows] == [1, 5, 10, 15, 20, 25, 30]
+        assert [r.report.votes for r in rows] == [1, 5, 10, 15, 20, 25, 30]
 
     def test_perfect_separation_invariant_over_j(self):
         split = separated_split()
@@ -570,12 +598,12 @@ class TestVoteSweep:
         js = (1, 5, 12)
         rows = vote_sweep(model, split, test_batch_size, js, seed=6)
         # a sweep of 18 votes per instance tables some class pairs at 40
-        # instances and all 16 at 400
-        assert 0 < len(built) <= 16
-        assert len(built) == 16 or test_batch_size == 40
+        # instances and all 16 at 400, in 13 builds (3 are transposed copies)
+        assert 0 < len(built) <= 13
+        assert len(built) == 13 or test_batch_size == 40
         for row, j in zip(rows, js):
             cm = evaluate(model, split, test_batch_size, VoteConfig(j), stream_rng(6, EVAL_STREAM, j))
-            assert row.votes == j
+            assert row.report.votes == j
             assert np.array_equal(row.cm.counts, cm.counts)
 
     def test_embeds_each_pool_row_once_per_sweep(self, monkeypatch):

@@ -921,6 +921,41 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="not a model checkpoint"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("not-json", "not a model checkpoint: Expecting value"),
+            ("list", "not a model checkpoint"),
+            ("number", "not a model checkpoint"),
+            ("layer_sizes", "checkpoint has no 'layer_sizes'"),
+            ("weights", "checkpoint has no 'weights'"),
+            ("biases", "checkpoint has no 'biases'"),
+            ("activation", "checkpoint has no 'activation'"),
+            ("bias-width", r"layer 0: weight \(4, 3\) and bias \(4,\)"),
+            ("layer-widths", r"layer 1: weight \(3, 2\) and bias \(2,\)"),
+        ],
+    )
+    def test_rejects_malformed_checkpoint_naming_the_path(self, tmp_path, case, message):
+        import json
+        import re
+
+        path = tmp_path / "checkpoint.json"
+        save_model(init_model([4, 3, 2], rng=0), path)
+        payload = json.loads(path.read_text())
+        if case == "list":
+            payload = [payload]
+        elif case == "number":
+            payload = 7
+        elif case == "bias-width":
+            payload["biases"][0] = [0.0] * 4
+        elif case == "layer-widths":
+            payload["layer_sizes"] = [4, 3, 3]
+        elif case != "not-json":
+            del payload[case]
+        path.write_text("not json" if case == "not-json" else json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + message):
+            load_model(path)
+
     def test_rejects_unknown_version(self, tmp_path):
         model = init_model([3, 2], rng=0)
         path = tmp_path / "checkpoint.json"

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oneshot_ids import TrainingConfig, init_model, prepare_experiment, run_training, trainer
+from oneshot_ids import TrainingConfig, prepare_experiment, run_training, trainer
 from oneshot_ids.dataset import COMPUTE_DTYPE
-from oneshot_ids.network import Gradients, apply_update, init_momentum_state
+from oneshot_ids.network import Gradients, apply_update, init_model, init_momentum_state
 from oneshot_ids.pairgen import generate_training_batch
 from oneshot_ids.seeding import INIT_STREAM, PAIR_STREAM, stream_rng
 from oneshot_ids.synthetic import make_raw
