@@ -162,7 +162,8 @@ class RawDataset:
     """A parsed dataset in file order, stored by column.
 
     `columns` holds one array per schema feature column, in schema feature
-    order: float64 for a numeric column, str for a categorical one.
+    order: float64 for a numeric column, whose cells are finite
+    (`load_dataset` rejects any other), str for a categorical one.
     `labels` holds each row's class name, after the schema's `label_map`.
     The class inventory is decided here, once: `class_names` lists the
     observed classes, the schema's benign class first and then the attack
@@ -479,9 +480,13 @@ class Encoder:
         offset = 0
         for col, values in zip(self.columns, columns, strict=True):
             if col.kind == NUMERIC:
-                # a constant feature encodes as 0.0
+                # a constant feature encodes as 0.0. The range is finite, so
+                # a cell far outside it overflows to an infinity, which clips
+                # to 0 or 1
                 if col.hi > col.lo:
-                    out[:, offset] = np.clip((values - col.lo) / (col.hi - col.lo), 0.0, 1.0)
+                    with np.errstate(over="ignore"):
+                        scaled = (values - col.lo) / (col.hi - col.lo)
+                    out[:, offset] = np.clip(scaled, 0.0, 1.0)
             else:
                 # a declared vocabulary need not be sorted; an unseen
                 # category encodes as an all-zeros group
@@ -508,6 +513,10 @@ def fit_encoder(raw: RawDataset, fit_rows: Sequence[int]) -> Encoder:
     for col, values in zip(raw.schema.feature_columns, raw.columns):
         if col.kind == NUMERIC:
             lo, hi = float(values[fit_rows].min()), float(values[fit_rows].max())
+            if not math.isfinite(hi - lo):
+                raise DatasetError(
+                    f"column {col.name!r}: fitted range {lo!r} to {hi!r} is wider than float64 holds"
+                )
             fitted.append(FittedColumn(col.name, NUMERIC, lo=lo, hi=hi))
         elif col.values:
             fitted.append(FittedColumn(col.name, CATEGORICAL, values=col.values))
@@ -543,11 +552,9 @@ class EncodedDataset:
 
 
 def encode(raw: RawDataset, encoder: Encoder) -> EncodedDataset:
-    """Transform every row of `raw` with a fitted encoder."""
-    matrix = encoder.transform(raw.columns)
-    if not np.all(np.isfinite(matrix)):
-        raise DatasetError("encoding produced non-finite values")
-    return EncodedDataset(matrix, raw.codes, raw.class_names, encoder)
+    """Transform every row of `raw` with a fitted encoder. Finite cells and
+    finite fitted ranges encode into [0, 1]."""
+    return EncodedDataset(encoder.transform(raw.columns), raw.codes, raw.class_names, encoder)
 
 
 @dataclass

@@ -436,6 +436,8 @@ def load_model(path: str | Path) -> SiameseModel:
     for key in ("layer_sizes", "weights", "biases", "activation"):
         if key not in payload:
             raise ValueError(f"{path}: checkpoint has no {key!r}")
+        if key != "activation" and not isinstance(payload[key], list):
+            raise ValueError(f"{path}: checkpoint {key!r} is not a list")
     try:
         return SiameseModel(
             tuple(payload["layer_sizes"]),
@@ -443,5 +445,5 @@ def load_model(path: str | Path) -> SiameseModel:
             [np.array(b, dtype=dtype) for b in payload["biases"]],
             payload["activation"],
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:   # a list entry of the wrong type, or a bad shape
         raise ValueError(f"{path}: {exc}") from None

@@ -601,8 +601,9 @@ from oneshot_ids import cli
 os.sched_getaffinity = lambda pid: {{0, 1}}
 parent = os.getpid()
 def stalled(manifest, raw, name, seed, out_dir):
-    if os.getpid() != parent:
-        (out_dir.parent / "worker.pid").write_text(str(os.getpid()))
+    if os.getpid() != parent:   # renamed into place, so never read half written
+        (out_dir.parent / "worker.tmp").write_text(str(os.getpid()))
+        os.replace(out_dir.parent / "worker.tmp", out_dir.parent / "worker.pid")
     time.sleep(60)
 cli.run_experiment = stalled
 cli.main(sys.argv[1:])

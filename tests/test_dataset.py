@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -422,6 +423,23 @@ class TestSchema:
         assert schema.map_label("dos_hulk") == "dos"
         assert schema.map_label("other") == "other"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("column x numeric a|b\n", ":1: column 'x': only categorical columns take values"),
+            ("column x\n", ":1: expected 'column <name> <kind> [values]'"),
+            ("column x categorical a b\n", ":1: expected 'column <name> <kind> [values]'"),
+            ("normal normal\n", ": no columns declared"),
+        ],
+        ids=["values-on-numeric", "two-fields", "five-fields", "normal-only"],
+    )
+    def test_directive_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "s.schema"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            load_schema(path)
+        assert str(info.value) == f"{path}{message}"
+
     def test_parse_rejects_junk(self, tmp_path):
         path = tmp_path / "s.schema"
         path.write_text("column x numeric\nwhatever\n", encoding="utf-8")
@@ -581,6 +599,26 @@ class TestEncoder:
         raw = RawDataset(schema, [[1.0]], ["n"])
         with pytest.raises(DatasetError, match="fit_rows is empty"):
             fit_encoder(raw, [])
+
+    def test_range_wider_than_float64_names_the_column(self):
+        schema = Schema((Column("x", NUMERIC), Column("label", LABEL)), normal_label="n")
+        raw = RawDataset(schema, [[-1e308, 1e308]], ["n", "a"])
+        with pytest.raises(DatasetError, match=r"^column 'x': fitted range -1e\+308 to 1e\+308 "):
+            fit_encoder(raw, [0, 1])
+
+    @pytest.mark.parametrize(
+        "fitted, far, expected",
+        [((1e308, 1.7e308), -1e308, 0.0), ((0.0, 1e-300), 1e10, 1.0)],
+        ids=["subtract", "divide"],
+    )
+    def test_cell_overflowing_its_scale_clamps_without_warning(self, fitted, far, expected):
+        schema = Schema((Column("x", NUMERIC), Column("label", LABEL)), normal_label="n")
+        raw = RawDataset(schema, [[*fitted, far]], ["n", "a", "n"])
+        enc = fit_encoder(raw, [0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = encode(raw, enc).matrix
+        assert matrix[:, 0].tolist() == [0.0, 1.0, expected]
 
     def test_out_of_range_clamped(self):
         schema = Schema((Column("x", NUMERIC), Column("label", LABEL)), normal_label="n")

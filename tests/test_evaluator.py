@@ -215,6 +215,10 @@ class TestConfusionMatrixIO:
         with pytest.raises(EvaluationError, match="square"):
             ConfusionMatrix(np.ones((2, 3), dtype=int), ("a", "b"))
 
+    def test_rejects_names_not_matching_size(self):
+        with pytest.raises(EvaluationError, match="class name count does not match matrix size"):
+            ConfusionMatrix(np.eye(3, dtype=int), ("a", "b"))
+
     def test_report_json(self, tmp_path):
         report = metrics(published_cm(KDD_DOS_EXCLUDED), "DoS")
         path = tmp_path / "metrics.json"

@@ -931,6 +931,10 @@ class TestCheckpoint:
             ("weights", "checkpoint has no 'weights'"),
             ("biases", "checkpoint has no 'biases'"),
             ("activation", "checkpoint has no 'activation'"),
+            ("layer_sizes-number", "checkpoint 'layer_sizes' is not a list"),
+            ("weights-number", "checkpoint 'weights' is not a list"),
+            ("biases-number", "checkpoint 'biases' is not a list"),
+            ("layer-size-list", r"int\(\) argument must be"),
             ("bias-width", r"layer 0: weight \(4, 3\) and bias \(4,\)"),
             ("layer-widths", r"layer 1: weight \(3, 2\) and bias \(2,\)"),
         ],
@@ -950,6 +954,10 @@ class TestCheckpoint:
             payload["biases"][0] = [0.0] * 4
         elif case == "layer-widths":
             payload["layer_sizes"] = [4, 3, 3]
+        elif case == "layer-size-list":
+            payload["layer_sizes"][0] = [4]
+        elif case.endswith("-number"):
+            payload[case.removesuffix("-number")] = 5
         elif case != "not-json":
             del payload[case]
         path.write_text("not json" if case == "not-json" else json.dumps(payload))
