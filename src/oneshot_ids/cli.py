@@ -26,7 +26,6 @@ manifest or arguments.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import re
 import signal
@@ -270,14 +269,13 @@ def run_experiment(
     wrapper set on `cli.<stage>` (as the benchmark tracer does) sees them.
     """
     cfg = replace(manifest.training, seed=seed)
-    on_batch = None
-    if manifest.dump_batch:
+    on_epoch = None
+    if manifest.dump_batch:   # epoch 0's batch starts pairs.txt, a later fresh one appends
         out_dir.mkdir(parents=True, exist_ok=True)
-        dumped = itertools.count()   # the first batch starts pairs.txt, later ones append
-        on_batch = lambda b: b.dump(out_dir / "pairs.txt", append=next(dumped) > 0)  # noqa: E731
+        on_epoch = lambda e, _m, _l, b: b and b.dump(out_dir / "pairs.txt", append=e > 0)  # noqa: E731
     split = prepare_experiment(raw, excluded_name, seed)
     _instances_per_class(split, cfg.test_batch_size)   # fail before training, not after
-    model, trace = run_training(split, cfg, on_batch)
+    model, trace = run_training(split, cfg, on_epoch)
     rows = vote_sweep(model, split, cfg.test_batch_size, manifest.votes, seed=seed)
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -181,7 +181,10 @@ class SiameseModel:
 
 
 def checked_layers(widths: Sequence[int], activation: str) -> tuple[int, ...]:
-    """`widths` as ints, once every one is positive and `activation` is known."""
+    """`widths` as ints, once every one is a positive integer (numpy's too,
+    but not a bool) and `activation` is known."""
+    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in widths):
+        raise ConfigError(f"layer widths must be integers, got {list(widths)}", "architecture")
     sizes = tuple(int(s) for s in widths)
     if any(s <= 0 for s in sizes):
         raise ConfigError(f"layer widths must be positive, got {list(sizes)}", "architecture")
@@ -445,5 +448,8 @@ def load_model(path: str | Path) -> SiameseModel:
             [np.array(b, dtype=dtype) for b in payload["biases"]],
             payload["activation"],
         )
+    except ConfigError as exc:   # widths or an activation that `checked_layers` refuses
+        key = "layer_sizes" if "architecture" in exc.fields else "activation"
+        raise ValueError(f"{path}: {exc} (checkpoint {key!r})") from None
     except (TypeError, ValueError) as exc:   # a list entry of the wrong type, or a bad shape
         raise ValueError(f"{path}: {exc}") from None

@@ -2,14 +2,14 @@
 
 By default one pair batch is generated in the first epoch and swept
 repeatedly, one optimizer step per `minibatch_size` consecutive pairs;
-`fresh_batch_per_epoch` regenerates the batch every epoch instead. The
-class-balanced sampler draws a small class's rows many times, so a step
-works on its distinct rows: once per generated batch, `_step_plan` lists
-each step's distinct dataset rows and each pair's positions among them,
-and each step gathers only those rows from the dataset matrix, which
-`batch_gradients` embeds once each. Everything is deterministic given the
-config seed. The model trains, and is returned, in float32
-(`COMPUTE_DTYPE`): its float64 initial draws are rounded once.
+`fresh_batch_per_epoch` regenerates it every epoch. The class-balanced
+sampler draws a small class's rows many times, so a step works on its
+distinct rows: once per generated batch, `_step_plan` lists each step's
+distinct dataset rows and each pair's positions among them, and a step
+gathers only those rows, which `batch_gradients` embeds once each. An
+optional hook sees each epoch's model, loss and new batch. Training is
+deterministic given the config seed. The model trains, and is returned, in
+float32 (`COMPUTE_DTYPE`): its float64 initial draws are rounded once.
 """
 
 from __future__ import annotations
@@ -134,12 +134,13 @@ def _step_plan(batch: PairBatch, minibatch_size: int, n_rows: int) -> _StepPlan:
 def run_training(
     split: ExperimentSplit,
     cfg: TrainingConfig,
-    on_batch: Callable[[PairBatch], None] | None = None,
+    on_epoch: Callable[[int, SiameseModel, float, PairBatch | None], object] | None = None,
 ) -> tuple[SiameseModel, TrainingTrace]:
     """Train a twin network on `split`, whose excluded class is withheld.
 
-    `on_batch` observes every generated pair batch, which is how exclusion
-    audits and batch dumps hook in.
+    After each epoch's timed steps, `on_epoch(epoch, model, loss, batch)`
+    gets the 0-based epoch, the model, the epoch's mean pair loss and the
+    batch generated in that epoch or None. Its return value is ignored.
     """
     ds = split.dataset
     model = init_model(
@@ -151,13 +152,12 @@ def run_training(
     trace = TrainingTrace()
     for epoch in range(cfg.n_epochs):
         started = time.perf_counter()
+        generated = None
         if epoch == 0 or cfg.fresh_batch_per_epoch:
             key = (epoch,) if cfg.fresh_batch_per_epoch else ()
-            batch = generate_training_batch(
+            batch = generated = generate_training_batch(
                 split, cfg.train_batch_size, stream_rng(cfg.seed, PAIR_STREAM, *key)
             )
-            if on_batch is not None:
-                on_batch(batch)
             plan = _step_plan(batch, cfg.minibatch_size, len(rows))
         epoch_loss = 0.0
         for s, start in enumerate(range(0, len(batch), cfg.minibatch_size)):
@@ -176,4 +176,6 @@ def run_training(
             trace.steps += 1
         trace.losses.append(epoch_loss / len(batch))
         trace.seconds.append(time.perf_counter() - started)
+        if on_epoch is not None:
+            on_epoch(epoch, model, trace.losses[-1], generated)
     return model, trace

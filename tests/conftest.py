@@ -47,6 +47,15 @@ def build_split(
     return ExperimentSplit(ds, excluded_class, training, testing, lab, unlab)
 
 
+def batch_recorder(seen: list):
+    """An `on_epoch` hook for `run_training` that appends each generated
+    pair batch to `seen`."""
+    def on_epoch(epoch, model, loss, batch):
+        if batch is not None:
+            seen.append(batch)
+    return on_epoch
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -24,7 +24,7 @@ from oneshot_ids.seeding import EVAL_STREAM, stream_rng
 from oneshot_ids.synthetic import make_raw, write_files
 from oneshot_ids.trainer import TrainingConfig, run_training
 
-from conftest import build_split
+from conftest import batch_recorder, build_split
 from published_cms import ALL_PUBLISHED
 from test_network import fd_gradients, max_relative_error, random_batch
 
@@ -59,7 +59,7 @@ def trained(tmp_path_factory) -> TrainedFixture:
     fixture = TrainedFixture(split=split, model=None, trace=None)
     cfg = TrainingConfig(n_epochs=200, seed=RUN_SEED)
     started = time.perf_counter()
-    model, trace = run_training(split, cfg, on_batch=fixture.batches.append)
+    model, trace = run_training(split, cfg, batch_recorder(fixture.batches))
     fixture.train_seconds = time.perf_counter() - started
     started = time.perf_counter()
     fixture.sweep_rows = vote_sweep(model, split, 30000, (1, 5), seed=RUN_SEED)

@@ -321,10 +321,11 @@ class TestRun:
         batches = []
         real = cli.run_training
 
-        def recording(split, cfg, on_batch):
-            def both(batch):
-                batches.append(batch)
-                on_batch(batch)
+        def recording(split, cfg, on_epoch):
+            def both(epoch, model, loss, batch):
+                if batch is not None:
+                    batches.append(batch)
+                on_epoch(epoch, model, loss, batch)
             return real(split, cfg, both)
 
         monkeypatch.setattr(cli, "run_training", recording)

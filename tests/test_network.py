@@ -934,7 +934,14 @@ class TestCheckpoint:
             ("layer_sizes-number", "checkpoint 'layer_sizes' is not a list"),
             ("weights-number", "checkpoint 'weights' is not a list"),
             ("biases-number", "checkpoint 'biases' is not a list"),
-            ("layer-size-list", r"int\(\) argument must be"),
+            ("layer-size-list", r"layer widths must be integers, got \[\[4\], 3, 2\] "
+                                r"\(checkpoint 'layer_sizes'\)"),
+            ("layer-size-float", r"layer widths must be integers, got \[4\.5, 3, 2\] "
+                                 r"\(checkpoint 'layer_sizes'\)"),
+            ("layer-size-string", r"layer widths must be integers, got \['4', 3, 2\] "
+                                  r"\(checkpoint 'layer_sizes'\)"),
+            ("layer-size-bool", r"layer widths must be integers, got \[True, 3, 2\] "
+                                r"\(checkpoint 'layer_sizes'\)"),
             ("bias-width", r"layer 0: weight \(4, 3\) and bias \(4,\)"),
             ("layer-widths", r"layer 1: weight \(3, 2\) and bias \(2,\)"),
         ],
@@ -954,8 +961,9 @@ class TestCheckpoint:
             payload["biases"][0] = [0.0] * 4
         elif case == "layer-widths":
             payload["layer_sizes"] = [4, 3, 3]
-        elif case == "layer-size-list":
-            payload["layer_sizes"][0] = [4]
+        elif case.startswith("layer-size-"):
+            payload["layer_sizes"][0] = {"list": [4], "float": 4.5, "string": "4",
+                                         "bool": True}[case.removeprefix("layer-size-")]
         elif case.endswith("-number"):
             payload[case.removesuffix("-number")] = 5
         elif case != "not-json":

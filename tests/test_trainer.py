@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import math
+import types
 
 import numpy as np
 import pytest
 
 from oneshot_ids import TrainingConfig, prepare_experiment, run_training, trainer
 from oneshot_ids.dataset import COMPUTE_DTYPE
-from oneshot_ids.network import Gradients, apply_update, init_model, init_momentum_state
+from oneshot_ids.network import (ConfigError, Gradients, apply_update, checked_layers, init_model,
+                                 init_momentum_state)
 from oneshot_ids.pairgen import generate_training_batch
 from oneshot_ids.seeding import INIT_STREAM, PAIR_STREAM, stream_rng
 from oneshot_ids.synthetic import make_raw
 
+from conftest import batch_recorder
 from test_network import unfused_gradients
 
 
@@ -129,6 +132,25 @@ class TestValidation:
         with pytest.raises(ValueError, match=name):
             TrainingConfig(**overrides)
 
+    @pytest.mark.parametrize(
+        "widths",
+        [(20.5, 64, 32, 16), ("64", True), (64.9, 32, 16), (True, 3, 2), (np.float64(8), 4)],
+        ids=["float-input", "string-and-bool", "float-hidden", "bool", "numpy-float"],
+    )
+    def test_width_that_is_not_an_integer_rejected(self, widths):
+        for build in (lambda: TrainingConfig(architecture=widths),
+                      lambda: checked_layers(widths, "sigmoid"),
+                      lambda: init_model(widths)):
+            with pytest.raises(ConfigError, match="layer widths must be integers") as info:
+                build()
+            assert info.value.fields == ("architecture",)
+
+    def test_numpy_integer_widths_accepted(self):
+        widths = tuple(np.array([20, 8, 4]))
+        sizes = checked_layers(widths, "sigmoid")
+        assert sizes == (20, 8, 4) and all(type(s) is int for s in sizes)
+        assert TrainingConfig(architecture=widths[1:]).architecture == widths[1:]
+
     def test_config_rejects_oversized_minibatch(self):
         with pytest.raises(ValueError, match="minibatch_size"):
             TrainingConfig(train_batch_size=100, minibatch_size=200)
@@ -139,7 +161,7 @@ class TestBatchUsage:
         split = small_experiment
         ds = split.dataset
         seen = []
-        run_training(split, quick_cfg(), on_batch=seen.append)
+        run_training(split, quick_cfg(), batch_recorder(seen))
         assert len(seen) == 1
         excluded = set(np.flatnonzero(ds.labels == split.excluded_class).tolist())
         for batch in seen:
@@ -150,12 +172,12 @@ class TestBatchUsage:
         split = small_experiment
         seen = []
         cfg = quick_cfg(n_epochs=3, fresh_batch_per_epoch=True)
-        run_training(split, cfg, on_batch=seen.append)
+        run_training(split, cfg, batch_recorder(seen))
         assert len(seen) == 3
         assert not np.array_equal(seen[0].left_idx, seen[1].left_idx)
         # regeneration is still deterministic
         seen2 = []
-        run_training(split, cfg, on_batch=seen2.append)
+        run_training(split, cfg, batch_recorder(seen2))
         for b1, b2 in zip(seen, seen2):
             assert np.array_equal(b1.left_idx, b2.left_idx)
 
@@ -267,7 +289,7 @@ class TestStepPlan:
         monkeypatch.setattr(trainer, "_step_plan", counted)
         seen = []
         run_training(small_experiment, quick_cfg(n_epochs=4, fresh_batch_per_epoch=fresh),
-                     on_batch=seen.append)
+                     batch_recorder(seen))
         assert len(built) == plans
         assert all(a is b for a, b in zip(built, seen, strict=True))
 
@@ -301,3 +323,79 @@ class TestLossCurve:
         epoch, loss, secs = lines[1].split(",")
         assert epoch == "1"
         assert float(loss) == pytest.approx(trace.losses[0])
+
+
+# the settings the hook is checked at: a fixture and the config on it
+HOOK_SETTINGS = {
+    "small": ("small_experiment", dict(n_epochs=3, train_batch_size=120, minibatch_size=40,
+                                       seed=4)),
+    "acceptance": ("acceptance_split", dict(n_epochs=3, seed=11)),
+}
+
+
+class TestEpochHook:
+    """`on_epoch(epoch, model, loss, batch)` runs once after each epoch's
+    steps and changes nothing about training."""
+
+    @pytest.fixture(params=[(name, fresh) for name in HOOK_SETTINGS for fresh in (False, True)],
+                    ids=lambda p: f"{p[0]}-{'fresh' if p[1] else 'fixed'}")
+    def hooked(self, request):
+        """(split, cfg, calls, model, trace) of a run whose hook records its
+        arguments, and a copy of the parameters, at each call."""
+        name, overrides = HOOK_SETTINGS[request.param[0]]
+        split = request.getfixturevalue(name)
+        cfg = TrainingConfig(fresh_batch_per_epoch=request.param[1], **overrides)
+        calls = []
+        model, trace = run_training(
+            split, cfg, lambda *args: calls.append((*args, args[1].params.copy()))
+        )
+        return split, cfg, calls, model, trace
+
+    def test_called_once_per_epoch_with_the_returned_model(self, hooked):
+        _, cfg, calls, model, trace = hooked
+        assert [epoch for epoch, *_ in calls] == list(range(cfg.n_epochs))
+        assert all(seen is model for _, seen, *_ in calls)
+        # the last call comes after the last step
+        assert np.array_equal(calls[-1][4], model.params)
+        assert [loss for _, _, loss, *_ in calls] == trace.losses
+
+    def test_batch_is_the_one_generated_that_epoch(self, hooked):
+        split, cfg, calls, *_ = hooked
+        fresh = cfg.fresh_batch_per_epoch
+        generated = [epoch for epoch, _, _, batch, _ in calls if batch is not None]
+        assert generated == (list(range(cfg.n_epochs)) if fresh else [0])
+        for epoch in generated:
+            key = (epoch,) if fresh else ()
+            want = generate_training_batch(split, cfg.train_batch_size,
+                                           stream_rng(cfg.seed, PAIR_STREAM, *key))
+            batch = calls[epoch][3]
+            assert np.array_equal(batch.left_idx, want.left_idx)
+            assert np.array_equal(batch.right_idx, want.right_idx)
+            assert np.array_equal(batch.similar, want.similar)
+
+    def test_recording_changes_no_bit(self, hooked):
+        split, cfg, _, model, trace = hooked
+        plain_model, plain_trace = run_training(split, cfg)
+        assert model.params.tobytes() == plain_model.params.tobytes()
+        assert trace.losses == plain_trace.losses
+
+    def test_hook_time_is_outside_the_epoch_seconds(self, small_experiment, monkeypatch):
+        # a clock that only the hook moves: every epoch then takes 0 s
+        now = [0.0]
+        monkeypatch.setattr(trainer, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+
+        def slow(*args):
+            now[0] += 100.0
+
+        _, trace = run_training(small_experiment, quick_cfg(n_epochs=3), slow)
+        assert trace.seconds == [0.0, 0.0, 0.0]
+
+    def test_failing_epoch_is_not_reported(self, small_experiment, monkeypatch):
+        def fail(*args):
+            raise FloatingPointError("step failed")
+
+        monkeypatch.setattr(trainer, "batch_gradients", fail)
+        calls = []
+        with pytest.raises(FloatingPointError):
+            run_training(small_experiment, quick_cfg(), lambda *args: calls.append(args))
+        assert calls == []
