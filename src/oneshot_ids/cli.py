@@ -40,10 +40,6 @@ from .evaluator import (DEFAULT_VOTE_SWEEP, _checked_votes, _instances_per_class
 from .network import ConfigError, LossConfig, save_model
 from .trainer import TrainingConfig, run_training
 
-EXPERIMENT_ARTIFACTS = (
-    "cm.csv", "cm.txt", "metrics.json", "sweep.csv", "trace.csv", "checkpoint.json",
-)
-
 # Published j=5 overall accuracies (percent) for the benchmark datasets,
 # keyed by the attack class excluded from training. Shown for orientation
 # only: the originating study does not publish its network architecture,

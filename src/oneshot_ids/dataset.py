@@ -202,17 +202,26 @@ class RawDataset:
         return len(self.labels)
 
 
+def is_integer(value: object) -> bool:
+    """The rule for every count, index, width and seed: an int or a numpy
+    integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def attack_index(
     class_names: Sequence[str], excluded: int | str, error: type[ValueError] = DatasetError
 ) -> int:
     """Index into `class_names` (the benign class first) of a class that may
-    be withheld: an unknown name, an out-of-range index or the benign class
+    be withheld: an unknown name, a value that is neither a name nor an
+    integer (a bool included), an out-of-range index or the benign class
     raises `error`, naming the class and listing `class_names`."""
     have = list(class_names)
     if isinstance(excluded, str):
         if excluded not in have:
             raise error(f"unknown class {excluded!r}; have {have}")
         excluded = have.index(excluded)
+    elif not is_integer(excluded):
+        raise error(f"excluded class {excluded!r} is not a class name or index; have {have}")
     if not 0 <= excluded < len(have):
         raise error(f"excluded class index {excluded} out of range; have {have}")
     if excluded == 0:
@@ -462,16 +471,6 @@ class Encoder:
     def width(self) -> int:
         return sum(c.width for c in self.columns)
 
-    def groups(self) -> list[tuple[str, str, int, int]]:
-        """(name, kind, start, stop) slice of each source feature in the
-        encoded vector; used to audit one-hot group sums."""
-        out = []
-        offset = 0
-        for c in self.columns:
-            out.append((c.name, c.kind, offset, offset + c.width))
-            offset += c.width
-        return out
-
     def transform(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         """Encode feature columns, in schema feature order, into an (n, width)
         `COMPUTE_DTYPE` matrix; numeric columns are scaled in float64 and
@@ -547,9 +546,6 @@ class EncodedDataset:
     def width(self) -> int:
         return self.matrix.shape[1]
 
-    def instances_of(self, class_index: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == class_index)
-
 
 def encode(raw: RawDataset, encoder: Encoder) -> EncodedDataset:
     """Transform every row of `raw` with a fitted encoder. Finite cells and
@@ -594,9 +590,6 @@ class ExperimentSplit:
         if class_index == self.excluded_class:
             return self.excluded_unlabelled
         return self.testing_pools[class_index]
-
-    def training_indices(self) -> np.ndarray:
-        return np.concatenate([self.training_pools[c] for c in self.training_classes])
 
 
 def _halve(indices: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

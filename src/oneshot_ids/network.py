@@ -50,6 +50,8 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import DTypeLike
 
+from .dataset import is_integer
+
 CLAMP_EPS = 1e-12
 CHECKPOINT_FORMAT = "twin-embedding-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -181,9 +183,9 @@ class SiameseModel:
 
 
 def checked_layers(widths: Sequence[int], activation: str) -> tuple[int, ...]:
-    """`widths` as ints, once every one is a positive integer (numpy's too,
-    but not a bool) and `activation` is known."""
-    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in widths):
+    """`widths` as ints, once every one is a positive integer (`is_integer`)
+    and `activation` is known."""
+    if not all(is_integer(s) for s in widths):
         raise ConfigError(f"layer widths must be integers, got {list(widths)}", "architecture")
     sizes = tuple(int(s) for s in widths)
     if any(s <= 0 for s in sizes):
@@ -230,15 +232,13 @@ def _forward_trace(model: SiameseModel, x: np.ndarray) -> list[np.ndarray]:
 
 
 def embed(model: SiameseModel, x: np.ndarray) -> np.ndarray:
-    """Embed one vector (1-D) or a batch (2-D) in the model's dtype; the
-    output layer is linear."""
+    """Embed a (rows, input width) block in the model's dtype; the output
+    layer is linear."""
     x = np.asarray(x, dtype=model.dtype)
-    single = x.ndim == 1
-    batch = x[None, :] if single else x
-    if batch.shape[1] != model.input_width:
-        raise ValueError(f"input width {batch.shape[1]} != model input width {model.input_width}")
-    out = _forward_trace(model, batch)[-1]
-    return out[0] if single else out
+    if x.ndim != 2 or x.shape[1] != model.input_width:
+        raise ValueError(f"input of shape {x.shape} is not a block of rows of the model's "
+                         f"input width {model.input_width}")
+    return _forward_trace(model, x)[-1]
 
 
 @dataclass

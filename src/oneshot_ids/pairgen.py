@@ -14,7 +14,7 @@ heavy class imbalance.
 A batch is three columns: the dataset rows of each pair's left and right
 instance and the bool `similar` mask, which the losses read as 1.0
 (similar) or 0.0 (dissimilar). A pair's classes are the dataset's labels
-at its rows; `pair_counts` reads them there.
+at its rows.
 """
 
 from __future__ import annotations
@@ -50,38 +50,6 @@ class PairBatch:
         header = [] if append else [("left_idx", "right_idx", "target")]
         rows = zip(self.left_idx.tolist(), self.right_idx.tolist(), targets)
         write_csv(path, itertools.chain(header, rows), append)
-
-
-@dataclass(frozen=True)
-class PairCounts:
-    similar_by_class: dict[int, int]
-    dissimilar_by_combination: dict[tuple[int, int], int]
-
-    @property
-    def n_similar(self) -> int:
-        return sum(self.similar_by_class.values())
-
-    @property
-    def n_dissimilar(self) -> int:
-        return sum(self.dissimilar_by_combination.values())
-
-    @property
-    def total(self) -> int:
-        return self.n_similar + self.n_dissimilar
-
-
-def pair_counts(batch: PairBatch, labels: np.ndarray) -> PairCounts:
-    """Exact batch composition, each pair's classes read from `labels` (the
-    split's `dataset.labels`); sums reconcile to len(batch)."""
-    left, right = labels[batch.left_idx], labels[batch.right_idx]
-    classes, n_similar = np.unique(left[batch.similar], return_counts=True)
-    dis = ~batch.similar
-    combos = np.sort(np.stack((left[dis], right[dis]), axis=1), axis=1)
-    combos, n_dissimilar = np.unique(combos, axis=0, return_counts=True)
-    return PairCounts(
-        dict(zip(classes.tolist(), n_similar.tolist())),
-        dict(zip(map(tuple, combos.tolist()), n_dissimilar.tolist())),
-    )
 
 
 def _spread(total: int, caps: list[int]) -> list[int]:

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import COMPUTE_DTYPE, ExperimentSplit, write_csv
+from .dataset import COMPUTE_DTYPE, ExperimentSplit, is_integer, write_csv
 from .network import (
     ConfigError,
     LossConfig,
@@ -56,8 +56,11 @@ class TrainingConfig:
 
     def __post_init__(self):
         for name in ("train_batch_size", "test_batch_size", "n_epochs", "minibatch_size"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive", name)
+            value = getattr(self, name)
+            if not is_integer(value) or value <= 0:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}", name)
+        if not is_integer(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}", "seed")
         if self.minibatch_size > self.train_batch_size:
             raise ConfigError("minibatch_size cannot exceed train_batch_size",
                               "minibatch_size", "train_batch_size")

@@ -38,7 +38,7 @@ def build_split(
     training, testing = {}, {}
     lab = unlab = None
     for c in sorted(class_sizes):
-        members = ds.instances_of(c)
+        members = np.flatnonzero(ds.labels == c)
         if c == excluded_class:
             lab, unlab = members[:labelled], members[labelled:]
         else:

@@ -19,12 +19,13 @@ from oneshot_ids import cli
 from oneshot_ids.dataset import ExperimentSplit, prepare_experiment
 from oneshot_ids.evaluator import ConfusionMatrix, VoteConfig, evaluate, metrics, vote_sweep
 from oneshot_ids.network import CONTRASTIVE, REGULARIZED_LOG, LossConfig, batch_gradients, init_model
-from oneshot_ids.pairgen import generate_training_batch, pair_counts
+from oneshot_ids.pairgen import generate_training_batch
 from oneshot_ids.seeding import EVAL_STREAM, stream_rng
 from oneshot_ids.synthetic import make_raw, write_files
 from oneshot_ids.trainer import TrainingConfig, run_training
 
 from conftest import batch_recorder, build_split
+from pair_counts import pair_counts
 from published_cms import ALL_PUBLISHED
 from test_network import fd_gradients, max_relative_error, random_batch
 
@@ -141,7 +142,7 @@ class TestCriterion3PairBatches:
 
             keys = [tuple(sorted(p)) for p in zip(batch.left_idx.tolist(), batch.right_idx.tolist())]
             assert len(set(keys)) == len(keys), "uniqueness"
-            allowed = set(split.training_indices().tolist())
+            allowed = set(np.concatenate(list(split.training_pools.values())).tolist())
             assert set(batch.left_idx.tolist()) | set(batch.right_idx.tolist()) <= allowed
             counts = pair_counts(batch, split.dataset.labels)
             assert counts.n_similar == b // 2 and counts.n_dissimilar == b - b // 2

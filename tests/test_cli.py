@@ -57,7 +57,8 @@ class TestRun:
         assert subdirs == ["exclude-attack1", "exclude-attack2", "exclude-attack3"]
         for sub in subdirs:
             files = sorted(p.name for p in (out / sub).iterdir())
-            assert files == sorted(cli.EXPERIMENT_ARTIFACTS)
+            assert files == ["checkpoint.json", "cm.csv", "cm.txt", "metrics.json", "sweep.csv",
+                             "trace.csv"]
         summary = (out / "summary.csv").read_text().splitlines()
         assert len(summary) == 4
         assert summary[0].startswith("excluded_class,status,")

@@ -646,8 +646,8 @@ class TestEncoder:
         assert any(c.hi == c.lo for c, _ in numeric)
         assert any(np.any((v < c.lo) | (v > c.hi)) for c, v in numeric)
         if vocabulary == "learned":
-            _, _, start, stop = enc.groups()[2]
-            assert np.any(expected[:, start:stop].sum(axis=1) == 0.0)
+            stop = sum(c.width for c in enc.columns[:3])
+            assert np.any(expected[:, stop - enc.columns[2].width:stop].sum(axis=1) == 0.0)
 
     def test_transform_unsorted_declared_vocabulary(self):
         # unseen values sort before, between and after the declared levels
@@ -673,9 +673,10 @@ class TestEncoder:
         raw = kdd_like_fixture(tmp_path, n_rows=40)
         enc = fit_encoder(raw, range(40))
         ds = encode(raw, enc)
-        for name, kind, start, stop in enc.groups():
-            if kind == CATEGORICAL:
-                assert np.all(ds.matrix[:, start:stop].sum(axis=1) == 1.0), name
+        stops = np.cumsum([c.width for c in enc.columns])
+        for col, stop in zip(enc.columns, stops):
+            if col.kind == CATEGORICAL:
+                assert np.all(ds.matrix[:, stop - col.width:stop].sum(axis=1) == 1.0), col.name
 
     def test_encode_values_in_unit_interval(self, tmp_path):
         raw = kdd_like_fixture(tmp_path, n_rows=30)
@@ -728,6 +729,16 @@ class TestClassInventory:
         with pytest.raises(DatasetError, match=message):
             attack_index(raw.class_names, excluded)
 
+    @pytest.mark.parametrize("excluded", [True, False, 1.0, None],
+                             ids=["true", "false", "float", "none"])
+    def test_attack_index_rejects_a_value_that_is_not_a_name_or_integer(self, excluded):
+        class Refused(ValueError):
+            pass
+
+        message = rf"^excluded class {excluded!r} is not a class name or index; have \['normal', 'a'\]$"
+        with pytest.raises(Refused, match=message):
+            attack_index(("normal", "a"), excluded, Refused)
+
     def test_attack_index_accepts_name_or_index(self):
         raw = RawDataset(two_feature_schema(), [[1.0] * 3, [2.0] * 3], ["b", "normal", "a"])
         assert [attack_index(raw.class_names, c) for c in ("a", "b", 1, 2)] == [1, 2, 1, 2]
@@ -778,12 +789,12 @@ class TestSplit:
                 train = set(split.training_pools[c].tolist())
                 test = set(split.testing_pools[c].tolist())
                 assert not train & test
-                assert train | test == set(ds.instances_of(c).tolist())
+                assert train | test == set(np.flatnonzero(ds.labels == c).tolist())
                 assert abs(len(train) - len(test)) <= 1
             lab = set(split.excluded_labelled.tolist())
             unlab = set(split.excluded_unlabelled.tolist())
             assert not lab & unlab
-            assert lab | unlab == set(ds.instances_of(2).tolist())
+            assert lab | unlab == set(np.flatnonzero(ds.labels == 2).tolist())
 
     def test_cannot_exclude_benign(self):
         raw = self.make_raw({"normal": 10, "a": 10, "b": 10})

@@ -337,6 +337,32 @@ class TestVoteKernel:
         assert np.isin(got, [1, 3]).any()
 
 
+class TestReferenceDraws:
+    """`_vote_rounds` draws references as int32: for bounds below 2**31,
+    numpy gives the same values as its int64 default and leaves the
+    generator in the same state, so a sweep's draws do not move."""
+
+    @pytest.mark.parametrize("high", [1, 2, 7, 250, 2**16 + 1, 2**31 - 1])
+    def test_int32_draws_match_the_int64_stream(self, high):
+        wide, narrow = np.random.default_rng(high), np.random.default_rng(high)
+        for shape in [(1, 1), (37, 5), (0, 5), (300, 30), (3, 1)]:
+            expected = wide.integers(0, high, size=shape)
+            got = narrow.integers(0, high, size=shape, dtype=np.int32)
+            assert got.dtype == np.int32 and np.array_equal(got, expected)
+            assert narrow.bit_generator.state == wide.bit_generator.state
+
+    @pytest.mark.parametrize("own", [None, 1], ids=["excluded", "own-class"])
+    def test_vote_rounds_leave_the_generator_where_int64_draws_do(self, own):
+        refs = TestVoteKernel.tied_refs(4)
+        pool = refs[own] if own is not None else refs[0]
+        positions = np.random.default_rng(5).integers(0, len(pool), size=45)
+        rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = _vote_rounds(pool, positions, refs, 5, rng, own)
+        expected = argmin_vote_rounds(pool, positions, refs, 5, oracle_rng, own)
+        assert np.array_equal(got, expected)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 class TestEmbeddedPools:
     def test_retained_tables_built_once_each(self, monkeypatch):
         built = record_table_builds(monkeypatch)
@@ -373,8 +399,8 @@ class TestClassify:
             x = ds.matrix[query]
             # oracle: single reference per class is deterministic with pool size 1
             refs = [ds.matrix[split.reference_pool(c)[0]] for c in range(split.n_classes)]
-            x_emb = embed(model, x)
-            dists = [np.linalg.norm(x_emb - embed(model, r)) for r in refs]
+            x_emb = embed(model, x[None])
+            dists = [np.linalg.norm(x_emb - embed(model, r[None])) for r in refs]
             expected = int(np.argmin(dists))
             got = classify(model, x[None], split, VoteConfig(1), rng=7)
             assert got.tolist() == [expected]
@@ -556,7 +582,7 @@ class TestEvaluate:
         evaluate(identity_model(ds.width), split, 40, VoteConfig(5), rng=0)
         counts = np.bincount(embedded, minlength=len(ds.matrix))
         assert counts.max() == 1
-        assert not counts[split.training_indices()].any()
+        assert not counts[np.concatenate(list(split.training_pools.values()))].any()
 
 
 class TestVoteSweep:
@@ -617,7 +643,7 @@ class TestVoteSweep:
         vote_sweep(identity_model(ds.width), split, 40, (1, 5, 30), seed=0)
         counts = np.bincount(embedded, minlength=len(ds.matrix))
         assert counts.max() == 1
-        assert not counts[split.training_indices()].any()
+        assert not counts[np.concatenate(list(split.training_pools.values()))].any()
         pools = np.concatenate([split.reference_pool(c) for c in range(split.n_classes)])
         assert np.array_equal(np.flatnonzero(counts), np.sort(np.append(pools, split.excluded_unlabelled)))
 

@@ -178,7 +178,7 @@ def max_relative_error(analytic, numeric):
 
 def distance(model, x1, x2):
     """Euclidean distance between the twin embeddings of x1 and x2."""
-    return float(np.linalg.norm(embed(model, x1) - embed(model, x2)))
+    return float(np.linalg.norm(embed(model, x1[None]) - embed(model, x2[None])))
 
 
 def identity_model(width):
@@ -239,31 +239,36 @@ class TestInit:
 class TestForward:
     def test_zero_model_embeds_to_zero(self):
         model = SiameseModel((4, 3), [np.zeros((4, 3))], [np.zeros(3)], "sigmoid")
-        assert np.array_equal(embed(model, np.ones(4)), np.zeros(3))
+        assert np.array_equal(embed(model, np.ones((1, 4))), np.zeros((1, 3)))
 
     def test_identity_layer_is_identity(self):
         model = identity_model(3)
         x = np.array([0.3, -1.2, 4.0])
-        assert np.array_equal(embed(model, x), x)
+        assert np.array_equal(embed(model, x[None]), x[None])
 
     @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh"])
     def test_matches_hand_rolled_oracle(self, activation, rng):
         model = init_model([6, 5, 4, 3], activation=activation, rng=17)
         for _ in range(5):
             x = rng.uniform(-1, 1, size=6)
-            np.testing.assert_allclose(embed(model, x), forward_oracle(model, x), rtol=1e-12)
+            np.testing.assert_allclose(embed(model, x[None])[0], forward_oracle(model, x), rtol=1e-12)
 
     def test_batched_equals_single(self, rng):
         model = init_model([5, 4, 2], rng=3)
         xs = rng.random((7, 5))
         batched = embed(model, xs)
         for k in range(7):
-            np.testing.assert_allclose(batched[k], embed(model, xs[k]), rtol=1e-12)
+            np.testing.assert_allclose(batched[k], embed(model, xs[k][None])[0], rtol=1e-12)
 
     def test_width_mismatch(self):
         model = init_model([5, 3], rng=0)
         with pytest.raises(ValueError, match="width"):
-            embed(model, np.ones(4))
+            embed(model, np.ones((1, 4)))
+
+    def test_single_vector_rejected(self):
+        model = init_model([5, 3], rng=0)
+        with pytest.raises(ValueError, match=r"shape \(5,\) is not a block of rows"):
+            embed(model, np.ones(5))
 
 
 class TestDistance:
@@ -743,7 +748,7 @@ class TestFloat32:
 
     def test_embed_casts_input_to_model_dtype(self):
         model = init_model([4, 3, 2], rng=1).copy(np.float32)
-        assert embed(model, np.ones(4)).dtype == np.float32
+        assert embed(model, np.ones((1, 4))).dtype == np.float32
         assert embed(model, np.ones((3, 4), dtype=np.float64)).dtype == np.float32
 
 

@@ -60,7 +60,6 @@ def test_star_import_binds_exactly_all():
         ("network", "batch_gradients"),
         ("network", "load_model"),
         ("pairgen", "PairBatch"),
-        ("pairgen", "pair_counts"),
         ("evaluator", "classify"),
         ("evaluator", "VoteConfig"),
     ],

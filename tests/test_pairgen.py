@@ -6,14 +6,10 @@ import numpy as np
 import pytest
 
 from oneshot_ids.network import LossConfig, batch_gradients, init_model
-from oneshot_ids.pairgen import (
-    PairBatch,
-    PairGenerationError,
-    generate_training_batch,
-    pair_counts,
-)
+from oneshot_ids.pairgen import PairBatch, PairGenerationError, generate_training_batch
 
 from conftest import build_split
+from pair_counts import pair_counts
 
 
 def all_unique_pairs(pool) -> set[tuple[int, int]]:
@@ -120,7 +116,7 @@ class TestInvariants:
         keys = batch_pair_keys(batch)
         assert len(set(keys)) == len(keys)                      # uniqueness
         assert all(a != b2 for a, b2 in keys)                   # no self-pairs
-        allowed = set(split.training_indices().tolist())
+        allowed = set(np.concatenate(list(split.training_pools.values())).tolist())
         assert set(batch.left_idx.tolist()) <= allowed          # provenance
         assert set(batch.right_idx.tolist()) <= allowed
         counts = pair_counts(batch, split.dataset.labels)
@@ -138,7 +134,7 @@ class TestInvariants:
         keys = batch_pair_keys(batch)
         assert len(set(keys)) == len(keys) == 30000
         assert all(a != b for a, b in keys)
-        allowed = set(split.training_indices().tolist())
+        allowed = set(np.concatenate(list(split.training_pools.values())).tolist())
         assert set(batch.left_idx.tolist()) | set(batch.right_idx.tolist()) <= allowed
         counts = pair_counts(batch, split.dataset.labels)
         assert counts.similar_by_class == {0: 5000, 1: 5000, 3: 5000}

@@ -117,6 +117,32 @@ class TestValidation:
             TrainingConfig(n_epochs=0)
 
     @pytest.mark.parametrize(
+        "name, value, rule",
+        [
+            ("n_epochs", True, "a positive integer, got True"),
+            ("n_epochs", 2.0, "a positive integer, got 2.0"),
+            ("minibatch_size", 256.0, "a positive integer, got 256.0"),
+            ("train_batch_size", 30000.0, "a positive integer, got 30000.0"),
+            ("test_batch_size", 100.5, "a positive integer, got 100.5"),
+            ("test_batch_size", "100", "a positive integer, got '100'"),
+            ("seed", 1.0, "a non-negative integer, got 1.0"),
+            ("seed", -1, "a non-negative integer, got -1"),
+            ("seed", False, "a non-negative integer, got False"),
+        ],
+        ids=["epochs-bool", "epochs-float", "minibatch-float", "batch-float", "test-batch-float",
+             "test-batch-string", "seed-float", "seed-negative", "seed-bool"],
+    )
+    def test_config_rejects_a_count_that_is_not_an_integer(self, name, value, rule):
+        with pytest.raises(ConfigError, match=f"^{name} must be {rule}$") as info:
+            TrainingConfig(**{name: value})
+        assert info.value.fields == (name,)
+
+    def test_numpy_integer_counts_accepted(self):
+        counts = dict(n_epochs=np.int64(3), minibatch_size=np.int32(8), train_batch_size=np.int64(16),
+                      test_batch_size=np.int64(40), seed=np.uint8(0))
+        assert TrainingConfig(**counts).n_epochs == 3
+
+    @pytest.mark.parametrize(
         "overrides, name",
         [
             ({"learning_rate": 0.0}, "learning_rate"),
