@@ -127,11 +127,14 @@ def load_schema(path: str | Path) -> Schema:
         column <name> <kind> [v1|v2|...]   # kind: numeric|categorical|label|ignore
         normal <class name>
         map <raw label> <class name>
+
+    `normal`, and `map` for any one raw label, may each appear once.
     """
     path = Path(path)
     columns: list[Column] = []
     normal = None
     label_map: dict[str, str] = {}
+    first_line: dict[str, int] = {}     # 'normal', or 'map <raw label>'
     for lineno, line in directive_lines(path, SchemaError):
         parts = line.split()
         key = parts[0]
@@ -143,10 +146,16 @@ def load_schema(path: str | Path) -> Schema:
                 columns.append(Column(parts[1], parts[2], values))
             except SchemaError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from None
-        elif key == "normal" and len(parts) == 2:
-            normal = parts[1]
-        elif key == "map" and len(parts) == 3:
-            label_map[parts[1]] = parts[2]
+        elif (key, len(parts)) in (("normal", 2), ("map", 3)):
+            directive = " ".join(parts[:-1])
+            if directive in first_line:
+                raise SchemaError(f"{path}:{lineno}: {directive!r} repeated "
+                                  f"(first set on line {first_line[directive]})")
+            first_line[directive] = lineno
+            if key == "normal":
+                normal = parts[1]
+            else:
+                label_map[parts[1]] = parts[2]
         else:
             raise SchemaError(f"{path}:{lineno}: unrecognised directive {line!r}")
     if not columns:

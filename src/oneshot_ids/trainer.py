@@ -37,7 +37,6 @@ from .pairgen import PairBatch, generate_training_batch
 from .seeding import INIT_STREAM, PAIR_STREAM, stream_rng
 
 DEFAULT_ARCHITECTURE = (64, 32, 16)   # hidden widths then embedding width
-_PLAN_PAIRS = 8192    # pairs per np.unique call while `_step_plan` builds a plan
 
 
 @dataclass(frozen=True)
@@ -69,6 +68,9 @@ class TrainingConfig:
                               "learning_rate")
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum!r}", "momentum")
+        if not self.architecture:
+            raise ConfigError("architecture needs at least the embedding width, "
+                              f"got {self.architecture!r}", "architecture")
         checked_layers(self.architecture, self.activation)
 
 
@@ -78,10 +80,6 @@ class TrainingTrace:
 
     losses: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
-    steps: int = 0
-
-    def __len__(self) -> int:
-        return len(self.losses)
 
     def to_csv(self, path: str | Path) -> None:
         epochs = enumerate(zip(self.losses, self.seconds), start=1)
@@ -89,49 +87,19 @@ class TrainingTrace:
                          *((epoch, loss, f"{secs:.6f}") for epoch, (loss, secs) in epochs)])
 
 
-@dataclass(frozen=True)
-class _StepPlan:
-    """Each step's distinct dataset rows, and each pair's rows as positions
-    among its step's.
-
-    Step s's distinct rows are `rows[bounds[s]:bounds[s + 1]]`, in
-    ascending order; pair k of step s is that block's rows `left[k]` and
-    `right[k]`.
-    """
-
-    rows: np.ndarray       # (<= 2B,) int64 dataset rows, step after step
-    bounds: np.ndarray     # (steps + 1,) int64 offsets into `rows`
-    left: np.ndarray       # (B,) int64 positions within the pair's step
-    right: np.ndarray
-
-
-def _step_plan(batch: PairBatch, minibatch_size: int, n_rows: int) -> _StepPlan:
-    """The plan for sweeping `batch` in steps of `minibatch_size` pairs over
-    a dataset of `n_rows` rows.
-
-    One `np.unique` over (step, row) keys lists a group of steps' distinct
-    rows and numbers each pair's rows among them. A group is as many whole
-    steps as fit in `_PLAN_PAIRS` pairs (at least one), which bounds the
-    temporary memory of a large batch.
-    """
-    b = len(batch)
-    group = max(1, _PLAN_PAIRS // minibatch_size) * minibatch_size
-    rows, bounds = [], [np.zeros(1, dtype=np.int64)]
-    positions = np.empty((2, b), dtype=np.int64)     # left, then right
-    for start in range(0, b, group):
-        pairs = slice(start, start + group)
-        keys = np.concatenate((batch.left_idx[pairs], batch.right_idx[pairs]))
-        steps = np.tile(np.arange(len(keys) // 2) // minibatch_size, 2)
-        keys += steps * n_rows
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        step_of, distinct_rows = np.divmod(distinct, n_rows)
-        # where each step of the group starts among its distinct keys
-        first = np.searchsorted(step_of, np.arange(steps[-1] + 2))
-        inverse -= first[steps]
-        positions[:, pairs] = inverse.reshape(2, -1)
-        rows.append(distinct_rows)
-        bounds.append(first[1:] + bounds[-1][-1])
-    return _StepPlan(np.concatenate(rows), np.concatenate(bounds), *positions)
+def _step_plan(batch: PairBatch, minibatch_size: int) -> list[tuple[np.ndarray, ...]]:
+    """One `(rows, left, right, similar)` per step of `minibatch_size`
+    consecutive pairs of `batch`: the step's distinct dataset rows in
+    ascending order, each pair's left and right rows as positions among
+    them, and the pairs' similarity labels."""
+    plan = []
+    for start in range(0, len(batch), minibatch_size):
+        step = slice(start, start + minibatch_size)
+        rows, positions = np.unique(
+            np.concatenate((batch.left_idx[step], batch.right_idx[step])), return_inverse=True
+        )
+        plan.append((rows, *positions.reshape(2, -1), batch.similar[step]))
+    return plan
 
 
 def run_training(
@@ -161,22 +129,17 @@ def run_training(
             batch = generated = generate_training_batch(
                 split, cfg.train_batch_size, stream_rng(cfg.seed, PAIR_STREAM, *key)
             )
-            plan = _step_plan(batch, cfg.minibatch_size, len(rows))
+            plan = _step_plan(batch, cfg.minibatch_size)
         epoch_loss = 0.0
-        for s, start in enumerate(range(0, len(batch), cfg.minibatch_size)):
-            step = slice(start, start + cfg.minibatch_size)
-            similar = batch.similar[step]
+        for step_rows, left, right, similar in plan:
             # np.take gathers rows in about half the time of rows[idx]
-            distinct = np.take(rows, plan.rows[plan.bounds[s]:plan.bounds[s + 1]], axis=0)
-            grads, loss_value = batch_gradients(
-                model, plan.left[step], plan.right[step], similar, distinct, cfg.loss
-            )
+            distinct = np.take(rows, step_rows, axis=0)
+            grads, loss_value = batch_gradients(model, left, right, similar, distinct, cfg.loss)
             # step on the per-pair mean so the step size is independent of
             # the minibatch size
             grads.scale(1.0 / len(similar))
             apply_update(model, grads, state, cfg.learning_rate)
             epoch_loss += loss_value
-            trace.steps += 1
         trace.losses.append(epoch_loss / len(batch))
         trace.seconds.append(time.perf_counter() - started)
         if on_epoch is not None:

@@ -430,8 +430,11 @@ class TestSchema:
             ("column x\n", ":1: expected 'column <name> <kind> [values]'"),
             ("column x categorical a b\n", ":1: expected 'column <name> <kind> [values]'"),
             ("normal normal\n", ": no columns declared"),
+            ("normal a\nnormal b\n", ":2: 'normal' repeated (first set on line 1)"),
+            ("map x a\nnormal a\nmap x b\n", ":3: 'map x' repeated (first set on line 1)"),
         ],
-        ids=["values-on-numeric", "two-fields", "five-fields", "normal-only"],
+        ids=["values-on-numeric", "two-fields", "five-fields", "normal-only", "normal-repeated",
+             "map-repeated"],
     )
     def test_directive_errors_name_the_file(self, tmp_path, text, message):
         path = tmp_path / "s.schema"

@@ -44,20 +44,36 @@ def test_default_config_values():
     assert cfg.momentum == 0.9
 
 
+def step_counter(monkeypatch) -> list:
+    """A list that gets one entry per call of `trainer.batch_gradients`,
+    the name the benchmark tracer wraps: one per optimizer step."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    real = trainer.batch_gradients
+    monkeypatch.setattr(trainer, "batch_gradients", counted)
+    return calls
+
+
 class TestStepArithmetic:
-    def test_single_step(self, small_experiment):
+    def test_single_step(self, small_experiment, monkeypatch):
         split = small_experiment
         cfg = quick_cfg(n_epochs=1, train_batch_size=100, minibatch_size=100)
+        steps = step_counter(monkeypatch)
         _, trace = run_training(split, cfg)
-        assert trace.steps == 1
-        assert len(trace) == 1
+        assert len(steps) == 1
+        assert len(trace.losses) == 1
 
-    def test_chunked_steps(self, small_experiment):
+    def test_chunked_steps(self, small_experiment, monkeypatch):
         split = small_experiment
         cfg = quick_cfg(n_epochs=3, train_batch_size=100, minibatch_size=32)
+        steps = step_counter(monkeypatch)
         _, trace = run_training(split, cfg)
-        assert trace.steps == 4 * 3  # ceil(100/32) per epoch
-        assert len(trace) == 3
+        assert len(steps) == 4 * 3  # ceil(100/32) per epoch
+        assert len(trace.losses) == 3
 
     def test_trace_epoch_count_and_timings(self, small_experiment):
         split = small_experiment
@@ -170,6 +186,11 @@ class TestValidation:
             with pytest.raises(ConfigError, match="layer widths must be integers") as info:
                 build()
             assert info.value.fields == ("architecture",)
+
+    def test_empty_architecture_rejected(self):
+        with pytest.raises(ConfigError, match=r"needs at least the embedding width, got \(\)") as info:
+            TrainingConfig(architecture=())
+        assert info.value.fields == ("architecture",)
 
     def test_numpy_integer_widths_accepted(self):
         widths = tuple(np.array([20, 8, 4]))
@@ -285,23 +306,20 @@ class TestStepPlan:
     """Each step's distinct rows and its pairs' positions among them, built
     once per generated batch."""
 
-    @pytest.mark.parametrize("minibatch", [256, 1000, 1024, 10000])
+    @pytest.mark.parametrize("minibatch", [128, 256, 1000, 1024, 10000, 30000])
     def test_positions_give_back_the_batch(self, acceptance_split, minibatch):
         split = acceptance_split
         batch = generate_training_batch(split, 30000, stream_rng(11, PAIR_STREAM))
-        plan = trainer._step_plan(batch, minibatch, len(split.dataset.matrix))
-        n_steps = -(-len(batch) // minibatch)
-        assert len(plan.bounds) == n_steps + 1
-        assert plan.bounds[0] == 0 and plan.bounds[-1] == len(plan.rows)
-        assert plan.left.shape == plan.right.shape == (len(batch),)
+        plan = trainer._step_plan(batch, minibatch)
+        assert len(plan) == -(-len(batch) // minibatch)
         # the class-balanced sampler repeats the small classes' rows
-        assert len(plan.rows) < 2 * len(batch)
-        for s in range(n_steps):
+        assert sum(len(rows) for rows, *_ in plan) < 2 * len(batch)
+        for s, (rows, left, right, similar) in enumerate(plan):
             step = slice(s * minibatch, (s + 1) * minibatch)
-            rows = plan.rows[plan.bounds[s]:plan.bounds[s + 1]]
             assert np.all(np.diff(rows) > 0)      # distinct, ascending
-            assert np.array_equal(rows[plan.left[step]], batch.left_idx[step])
-            assert np.array_equal(rows[plan.right[step]], batch.right_idx[step])
+            assert np.array_equal(rows[left], batch.left_idx[step])
+            assert np.array_equal(rows[right], batch.right_idx[step])
+            assert np.array_equal(similar, batch.similar[step])
 
     @pytest.mark.parametrize("fresh, plans", [(False, 1), (True, 4)], ids=["fixed", "fresh"])
     def test_built_once_per_generated_batch(self, small_experiment, monkeypatch, fresh, plans):
@@ -319,12 +337,13 @@ class TestStepPlan:
         assert len(built) == plans
         assert all(a is b for a, b in zip(built, seen, strict=True))
 
-    def test_training_matches_every_pair_on_its_own_rows(self, acceptance_split):
+    def test_training_matches_every_pair_on_its_own_rows(self, acceptance_split, monkeypatch):
         # 2 epochs of 8 steps; only float32 rounding differs
         cfg = TrainingConfig(n_epochs=2, train_batch_size=2048, minibatch_size=256, seed=11)
+        steps = step_counter(monkeypatch)
         model, trace = run_training(acceptance_split, cfg)
         ref_model, ref_losses = own_rows_training(acceptance_split, cfg)
-        assert trace.steps == 16
+        assert len(steps) == 16
         np.testing.assert_allclose(trace.losses, ref_losses, rtol=1e-5)
         np.testing.assert_allclose(model.params, ref_model.params, rtol=1e-5, atol=1e-6)
 
