@@ -488,15 +488,10 @@ def _write_summary(path: Path, rows: list[dict]) -> None:
 def cmd_synth(args: argparse.Namespace) -> int:
     from .synthetic import write_files
 
+    # a flag not given is not in `args`, so `gaussian_clusters` supplies its value
+    layout = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     try:
-        csv_path, schema_path = write_files(
-            args.out,
-            n_classes=args.classes,
-            per_class=args.per_class,
-            n_features=args.features,
-            separation=args.separation,
-            seed=args.seed,
-        )
+        csv_path, schema_path = write_files(args.out, **layout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -523,13 +518,15 @@ def build_parser() -> argparse.ArgumentParser:
             p_run.add_argument(flag, dest=key, action=action, help=help_text)
     p_run.set_defaults(func=cmd_run)
 
-    p_synth = subs.add_parser("synth", help="write a synthetic Gaussian-cluster dataset")
+    p_synth = subs.add_parser(
+        "synth", help="write a synthetic Gaussian-cluster dataset", argument_default=argparse.SUPPRESS
+    )
     p_synth.add_argument("--out", required=True, help="directory for synthetic.csv + synthetic.schema")
-    p_synth.add_argument("--classes", type=int, default=5)
-    p_synth.add_argument("--per-class", type=int, default=500, dest="per_class")
-    p_synth.add_argument("--features", type=int, default=20)
-    p_synth.add_argument("--separation", type=float, default=4.0)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--classes", type=int, dest="n_classes")
+    p_synth.add_argument("--per-class", type=int, dest="per_class")
+    p_synth.add_argument("--features", type=int, dest="n_features")
+    p_synth.add_argument("--separation", type=float)
+    p_synth.add_argument("--seed", type=int)
     p_synth.set_defaults(func=cmd_synth)
 
     return parser

@@ -21,7 +21,7 @@ import csv
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, NoReturn, Sequence
@@ -80,11 +80,12 @@ class Schema:
 
     `label_map` collapses raw label strings into class names (e.g. mapping
     individual attack signatures onto their attack family); unmapped labels
-    pass through unchanged. `normal_label` designates the benign class.
+    pass through unchanged. `normal_label` designates the benign class and
+    is required.
     """
 
     columns: tuple[Column, ...]
-    normal_label: str | None = None
+    normal_label: str
     label_map: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -93,6 +94,8 @@ class Schema:
             raise SchemaError(f"schema must declare exactly one label column, found {len(labels)}")
         if not self.feature_columns:
             raise SchemaError("schema declares no numeric or categorical column")
+        if self.normal_label is None:
+            raise SchemaError("schema does not designate the benign class (missing 'normal' directive)")
 
     @property
     def feature_columns(self) -> tuple[Column, ...]:
@@ -128,7 +131,7 @@ def load_schema(path: str | Path) -> Schema:
         normal <class name>
         map <raw label> <class name>
 
-    `normal`, and `map` for any one raw label, may each appear once.
+    `normal` must appear once, and `map` for any one raw label at most once.
     """
     path = Path(path)
     columns: list[Column] = []
@@ -158,8 +161,6 @@ def load_schema(path: str | Path) -> Schema:
                 label_map[parts[1]] = parts[2]
         else:
             raise SchemaError(f"{path}:{lineno}: unrecognised directive {line!r}")
-    if not columns:
-        raise SchemaError(f"{path}: no columns declared")
     try:
         return Schema(tuple(columns), normal, label_map)
     except SchemaError as exc:
@@ -173,42 +174,41 @@ class RawDataset:
     `columns` holds one array per schema feature column, in schema feature
     order: float64 for a numeric column, whose cells are finite
     (`load_dataset` rejects any other), str for a categorical one.
-    `labels` holds each row's class name, after the schema's `label_map`.
-    The class inventory is decided here, once: `class_names` lists the
-    observed classes, the schema's benign class first and then the attack
-    classes alphabetically, and `codes` holds each row's int64 index into
-    it. A schema without a benign class, or a benign class with no rows,
-    is an error.
+    `labels`, each row's raw label, is read once, here, and not kept: the
+    schema's `label_map` is applied to its distinct values. The class
+    inventory is decided here, once: `class_names` lists the observed
+    classes, the schema's benign class first and then the attack classes
+    alphabetically, and `codes` holds each row's int64 index into it. A
+    benign class with no rows is an error.
     """
 
     schema: Schema
     columns: tuple[np.ndarray, ...]
-    labels: np.ndarray
+    labels: InitVar[Sequence[str]]
     class_names: tuple[str, ...] = field(init=False)
     codes: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, labels):
         features = self.schema.feature_columns
         self.columns = tuple(
             np.asarray(values, dtype=np.float64 if col.kind == NUMERIC else np.str_)
             for col, values in zip(features, self.columns, strict=True)
         )
-        self.labels = np.asarray(self.labels, dtype=np.str_)
-        if any(len(values) != len(self.labels) for values in self.columns):
+        raw, inverse = np.unique(np.asarray(labels, dtype=np.str_), return_inverse=True)
+        if any(len(values) != len(inverse) for values in self.columns):
             raise DatasetError("every feature column needs one value per label")
+        mapped = np.array([self.schema.map_label(label) for label in raw.tolist()], dtype=np.str_)
+        observed, merged = np.unique(mapped, return_inverse=True)
         benign = self.schema.normal_label
-        if benign is None:
-            raise DatasetError("schema does not designate the benign class (missing 'normal' directive)")
-        observed, inverse = np.unique(self.labels, return_inverse=True)
         if benign not in observed:
             raise DatasetError(f"benign class {benign!r} has no instances")
         # a stable sort on "is not benign" keeps the attack classes alphabetical
         order = np.argsort(observed != benign, kind="stable")
         self.class_names = tuple(observed[order].tolist())
-        self.codes = np.argsort(order)[inverse]
+        self.codes = np.argsort(order)[merged][inverse]
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.codes)
 
 
 def is_integer(value: object) -> bool:
@@ -282,14 +282,11 @@ def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
     if not blocks:
         raise DatasetError(f"{path}: no records")
     numeric, categorical, labels = (np.concatenate(part, axis=-1) for part in zip(*blocks))
-    if schema.label_map:
-        distinct, inverse = np.unique(labels, return_inverse=True)
-        labels = np.array([schema.map_label(label) for label in distinct.tolist()])[inverse]
     numeric, categorical = iter(numeric), iter(_fitted(categorical))
     columns = tuple(
         next(numeric if col.kind == NUMERIC else categorical) for col in schema.feature_columns
     )
-    return RawDataset(schema, columns, _fitted(labels))
+    return RawDataset(schema, columns, labels)
 
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError) -> NoReturn:

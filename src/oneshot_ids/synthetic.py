@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LABEL, NUMERIC, Column, RawDataset, Schema, write_csv
+from .dataset import LABEL, NUMERIC, Column, RawDataset, Schema, is_integer, write_csv
 
 NORMAL_NAME = "normal"
 
@@ -43,15 +43,20 @@ def gaussian_clusters(
 ) -> tuple[np.ndarray, list[str]]:
     """Sample rows (interleaved by class) and their label strings.
 
-    `separation` is the minimum pairwise distance between cluster centers
-    in units of the within-cluster standard deviation.
+    The one place the synthetic layout's defaults are written. `separation`
+    is the minimum pairwise distance between cluster centers in units of
+    the within-cluster standard deviation. A count or seed that is not an
+    integer (`dataset.is_integer`) or is below its least value raises a
+    `ValueError` naming the argument.
     """
-    if n_features < 2:
-        raise ValueError("need at least 2 features for the cluster layout")
-    if n_classes < 2:
-        raise ValueError("need at least 2 classes")
-    if per_class < 1:
-        raise ValueError(f"per_class must be at least 1, got {per_class}")
+    for name, value, least in (
+        ("n_classes", n_classes, 2), ("per_class", per_class, 1),
+        ("n_features", n_features, 2), ("seed", seed, 0),
+    ):
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     if not (math.isfinite(separation) and separation > 0):
         raise ValueError(f"separation must be a finite positive number, got {separation}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 90)))
@@ -68,35 +73,24 @@ def make_schema(n_features: int) -> Schema:
     return Schema(tuple(columns), normal_label=NORMAL_NAME)
 
 
-def make_raw(
-    n_classes: int = 5,
-    per_class: int = 500,
-    n_features: int = 20,
-    separation: float = 4.0,
-    seed: int = 0,
-) -> RawDataset:
-    """In-memory RawDataset, bypassing the CSV round trip."""
-    rows, labels = gaussian_clusters(n_classes, per_class, n_features, separation, seed)
-    return RawDataset(make_schema(n_features), tuple(rows.T.copy()), labels)
+def make_raw(**layout) -> RawDataset:
+    """In-memory RawDataset of `gaussian_clusters(**layout)`, bypassing the
+    CSV round trip."""
+    rows, labels = gaussian_clusters(**layout)
+    return RawDataset(make_schema(rows.shape[1]), tuple(rows.T.copy()), labels)
 
 
-def write_files(
-    directory: str | Path,
-    n_classes: int = 5,
-    per_class: int = 500,
-    n_features: int = 20,
-    separation: float = 4.0,
-    seed: int = 0,
-) -> tuple[Path, Path]:
-    """Write dataset CSV + schema descriptor; returns their paths."""
-    rows, labels = gaussian_clusters(n_classes, per_class, n_features, separation, seed)
+def write_files(directory: str | Path, **layout) -> tuple[Path, Path]:
+    """Write the CSV and schema descriptor of `gaussian_clusters(**layout)`
+    into `directory`; returns their paths."""
+    rows, labels = gaussian_clusters(**layout)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     csv_path = directory / "synthetic.csv"
     write_csv(csv_path, ((*row.tolist(), label) for row, label in zip(rows, labels)))
     schema_path = directory / "synthetic.schema"
     with schema_path.open("w", encoding="utf-8") as fh:
-        for i in range(n_features):
+        for i in range(rows.shape[1]):
             fh.write(f"column f{i} numeric\n")
         fh.write("column label label\n")
         fh.write(f"normal {NORMAL_NAME}\n")

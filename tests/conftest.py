@@ -1,9 +1,21 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import oneshot_ids
 from oneshot_ids.dataset import EncodedDataset, Encoder, ExperimentSplit, FittedColumn
+
+
+def package_env(env: dict[str, str]) -> dict[str, str]:
+    """`env` with the directory holding the `oneshot_ids` under test first on
+    PYTHONPATH, so that a child Python process imports the same package
+    whether or not it is installed."""
+    src = str(Path(oneshot_ids.__file__).parents[1])
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
 
 
 def build_encoded(class_sizes: dict[int, int], n_features: int = 6, seed: int = 0) -> EncodedDataset:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import package_env
 from oneshot_ids import cli, dataset
 from oneshot_ids.synthetic import write_files
 
@@ -183,6 +184,25 @@ class TestRun:
         assert run_cli("run", "--manifest", str(manifest)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "benign" in err
+        assert not out.exists()
+
+    def test_schema_without_normal_exits_2_before_the_dataset_is_read(
+        self, synthetic_files, tmp_path, capsys, monkeypatch
+    ):
+        loaded = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *args: loaded.append(args))
+        csv_path, schema_path = synthetic_files
+        lines = schema_path.read_text().splitlines(keepends=True)
+        schema = tmp_path / "altered.schema"
+        schema.write_text("".join(ln for ln in lines if not ln.startswith("normal ")))
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, csv_path, schema, out)
+        assert run_cli("run", "--manifest", str(manifest)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {schema}: schema does not designate the benign class "
+            "(missing 'normal' directive)\n"
+        )
+        assert loaded == []
         assert not out.exists()
 
     def test_byte_identical_reruns(self, synthetic_files, tmp_path):
@@ -614,10 +634,11 @@ cli.main(sys.argv[1:])
         proc = subprocess.Popen([
             sys.executable, "-c", script, "run", "--dataset", str(csv_path),
             "--schema", str(schema_path), "--out", str(out), *self.GRID,
-        ])
+        ], env=package_env(dict(os.environ)))
         try:
             deadline = time.monotonic() + 30
             while not (out / "worker.pid").exists() and time.monotonic() < deadline:
+                assert proc.poll() is None, f"the run process ended with status {proc.returncode}"
                 time.sleep(0.05)
             worker = int((out / "worker.pid").read_text())
         finally:
@@ -667,6 +688,24 @@ class TestSynthCommand:
         raw = load_dataset(printed[0], load_schema(printed[1]))
         assert len(raw) == 30
         assert raw.class_names == ("normal", "attack1", "attack2")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(("--seed", "-1"), "seed must be at least 0, got -1"),
+         (("--classes", "1"), "n_classes must be at least 2, got 1"),
+         (("--per-class", "0"), "per_class must be at least 1, got 0")],
+    )
+    def test_bad_layout_exits_2_naming_the_argument(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "synth"
+        assert run_cli("synth", "--out", str(out), *flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_flags_not_given_take_the_layout_defaults(self, tmp_path, capsys):
+        assert run_cli("synth", "--out", str(tmp_path / "flags"), "--per-class", "4") == 0
+        write_files(tmp_path / "direct", per_class=4)
+        for name in ("synthetic.csv", "synthetic.schema"):
+            assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
 
     def test_end_to_end_with_run(self, tmp_path):
         out = tmp_path / "synth"

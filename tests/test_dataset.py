@@ -37,6 +37,11 @@ def two_feature_schema(normal="normal"):
     )
 
 
+def row_classes(raw):
+    """Each row's class name, read back from the inventory and the codes."""
+    return np.array(raw.class_names)[raw.codes]
+
+
 def write_csv(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -50,7 +55,7 @@ class TestLoad:
         assert len(raw) == 3
         assert raw.class_names == ("normal", "attack")
         assert [values[1] for values in raw.columns] == [3.0, 4.0]
-        assert raw.labels.tolist() == ["normal", "attack", "normal"]
+        assert raw.codes.tolist() == [0, 1, 0]
 
     def test_empty_file_errors(self, tmp_path):
         path = write_csv(tmp_path, "")
@@ -71,7 +76,7 @@ class TestLoad:
         schema = Schema((Column("proto", CATEGORICAL), Column("label", LABEL)), normal_label="normal")
         path = write_csv(tmp_path, " proto , label\ntcp,normal\nproto,label\n")
         raw = load_dataset(path, schema)
-        assert raw.labels.tolist() == ["normal", "label"]  # only line 1 can be a header
+        assert row_classes(raw).tolist() == ["normal", "label"]  # only line 1 can be a header
         assert raw.columns[0].tolist() == ["tcp", "proto"]
 
     def test_wrong_arity_names_row(self, tmp_path):
@@ -127,8 +132,8 @@ class TestLoad:
         )
         path = write_csv(tmp_path, "1,normal.\n2,smurf.\n3,neptune.\n4,smurf.\n")
         raw = load_dataset(path, schema)
-        names, counts = np.unique(raw.labels, return_counts=True)
-        assert dict(zip(names.tolist(), counts.tolist())) == {"Normal": 1, "DoS": 3}
+        assert raw.class_names == ("Normal", "DoS")
+        assert raw.codes.tolist() == [0, 1, 1, 1]
 
     def test_row_order_preserved(self, tmp_path):
         path = write_csv(tmp_path, "\n".join(f"{i},0,normal" for i in range(20)) + "\n")
@@ -153,9 +158,10 @@ class TestLoad:
         monkeypatch.setattr(dataset, "_LOAD_BLOCK_ROWS", block_rows)
         blocked = load_dataset(path, schema)
         assert len(blocked.columns) == len(whole.columns)
-        for got, expected in zip((*blocked.columns, blocked.labels), (*whole.columns, whole.labels)):
+        for got, expected in zip((*blocked.columns, blocked.codes), (*whole.columns, whole.codes)):
             assert got.dtype == expected.dtype and got.flags.c_contiguous
             assert np.array_equal(got, expected)
+        assert blocked.class_names == whole.class_names
         if numeric:
             path.write_text(path.read_text().replace("8.5", "oops"), encoding="utf-8")
             with pytest.raises(DatasetError, match="row 9: column 'x': 'oops'"):
@@ -181,7 +187,7 @@ def assert_same_outcome(got, want):
         assert got == want
         return
     assert len(got.columns) == len(want.columns)
-    for a, b in zip((*got.columns, got.labels, got.codes), (*want.columns, want.labels, want.codes)):
+    for a, b in zip((*got.columns, got.codes), (*want.columns, want.codes)):
         assert a.dtype == b.dtype and a.flags.c_contiguous and b.flags.c_contiguous
         assert np.array_equal(a, b)
     assert got.class_names == want.class_names
@@ -319,7 +325,7 @@ class TestReaderPaths:
         path = write_csv(tmp_path, "x,label\n1,normal\n  \n2,attack\n\n3,normal\n")
         got, want = read_both_ways(path, schema)
         assert_same_outcome(got, want)
-        assert got.labels.tolist() == ["normal", "attack", "normal"]
+        assert row_classes(got).tolist() == ["normal", "attack", "normal"]
 
     def test_quoted_line_break_carries_a_record_into_the_next_block(self, tmp_path):
         # the record starts on line 4, the last of the block of lines 2-4
@@ -386,9 +392,9 @@ class TestReaderPaths:
 class TestSchema:
     def test_requires_exactly_one_label(self):
         with pytest.raises(SchemaError, match="exactly one label"):
-            Schema((Column("x", NUMERIC),))
+            Schema((Column("x", NUMERIC),), normal_label="normal")
         with pytest.raises(SchemaError, match="exactly one label"):
-            Schema((Column("a", LABEL), Column("b", LABEL)))
+            Schema((Column("a", LABEL), Column("b", LABEL)), normal_label="normal")
 
     @pytest.mark.parametrize(
         "text, message",
@@ -396,8 +402,10 @@ class TestSchema:
             ("column x numeric\nnormal normal\n", "must declare exactly one label column, found 0"),
             ("column label label\nnormal normal\n", "declares no numeric or categorical column"),
             ("column x ignore\ncolumn label label\n", "declares no numeric or categorical column"),
+            ("column x numeric\ncolumn label label\n",
+             "does not designate the benign class (missing 'normal' directive)"),
         ],
-        ids=["no-label", "label-only", "ignored-only"],
+        ids=["no-label", "label-only", "ignored-only", "no-normal"],
     )
     def test_schema_level_errors_name_the_file(self, tmp_path, text, message):
         path = tmp_path / "s.schema"
@@ -429,7 +437,7 @@ class TestSchema:
             ("column x numeric a|b\n", ":1: column 'x': only categorical columns take values"),
             ("column x\n", ":1: expected 'column <name> <kind> [values]'"),
             ("column x categorical a b\n", ":1: expected 'column <name> <kind> [values]'"),
-            ("normal normal\n", ": no columns declared"),
+            ("normal normal\n", ": schema must declare exactly one label column, found 0"),
             ("normal a\nnormal b\n", ":2: 'normal' repeated (first set on line 1)"),
             ("map x a\nnormal a\nmap x b\n", ":3: 'map x' repeated (first set on line 1)"),
         ],
@@ -635,7 +643,7 @@ class TestEncoder:
         raw = kdd_like_fixture(tmp_path, n_rows=100)
         if vocabulary == "learned":
             columns = tuple(Column(c.name, c.kind) for c in raw.schema.columns)
-            raw = RawDataset(Schema(columns, normal_label="normal"), raw.columns, raw.labels)
+            raw = RawDataset(Schema(columns, normal_label="normal"), raw.columns, row_classes(raw))
         fit_rows = np.arange(0, 100, 5)  # every fit row has service svc00
         raw.columns[5][fit_rows] = 0.25  # constant over the fit rows only
         enc = fit_encoder(raw, fit_rows)
@@ -699,18 +707,32 @@ class TestEncoder:
 
 class TestClassInventory:
     def test_requires_benign_designation(self):
-        schema = Schema((Column("x", NUMERIC), Column("label", LABEL)))
-        with pytest.raises(DatasetError, match="missing 'normal' directive"):
-            RawDataset(schema, [[1.0, 2.0]], ["a", "b"])
+        with pytest.raises(SchemaError, match="missing 'normal' directive"):
+            Schema((Column("x", NUMERIC), Column("label", LABEL)), normal_label=None)
+
+    def test_raw_labels_are_mapped_into_the_inventory(self):
+        schema = Schema(
+            (Column("x", NUMERIC), Column("label", LABEL)),
+            normal_label="Normal",
+            label_map={"normal.": "Normal", "smurf.": "DoS", "neptune.": "DoS", "satan.": "Probe"},
+        )
+        labels = ["smurf.", "normal.", "satan.", "neptune.", "Normal", "weird", "smurf."]
+        raw = RawDataset(schema, [np.arange(7.0)], labels)
+        assert raw.class_names == ("Normal", "DoS", "Probe", "weird")
+        assert raw.codes.dtype == np.int64 and raw.codes.tolist() == [1, 0, 2, 1, 0, 3, 1]
+        assert len(raw) == 7 and not hasattr(raw, "labels")
 
     def test_benign_class_needs_rows(self):
         with pytest.raises(DatasetError, match="benign class 'normal' has no instances"):
             RawDataset(two_feature_schema(), [[1.0, 2.0], [3.0, 4.0]], ["attack1", "attack2"])
 
-    @pytest.mark.parametrize("normal", [None, "benign"], ids=["undeclared", "no-rows"])
-    def test_load_rejects_missing_benign_class(self, tmp_path, normal):
+    @pytest.mark.parametrize(
+        "normal, error", [(None, SchemaError), ("benign", DatasetError)], ids=["undeclared", "no-rows"]
+    )
+    def test_load_rejects_missing_benign_class(self, tmp_path, normal, error):
+        # an undeclared benign class is refused with the schema, before any row is read
         path = write_csv(tmp_path, "1.0,2.0,normal\n3.0,4.0,attack1\n")
-        with pytest.raises(DatasetError, match="benign"):
+        with pytest.raises(error, match="benign"):
             load_dataset(path, two_feature_schema(normal))
 
     def test_inventory_is_not_settable(self):

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import oneshot_ids
+from conftest import package_env
 
 # the pipeline in the order a run calls it, then its errors
 PUBLIC = [
@@ -88,9 +89,7 @@ print(*(os.environ.get(name, "-") for name in oneshot_ids._THREAD_VARIABLES))
 def probe_threads(first: str = "", **env_set: str) -> tuple[int, list[str]]:
     """(thread count, thread variables) of a fresh process whose environment
     holds no thread variable but `env_set`."""
-    env = {k: v for k, v in os.environ.items() if k not in oneshot_ids._THREAD_VARIABLES}
-    src = str(Path(oneshot_ids.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = package_env({k: v for k, v in os.environ.items() if k not in oneshot_ids._THREAD_VARIABLES})
     env.update(env_set)
     proc = subprocess.run(
         [sys.executable, "-c", THREAD_PROBE.format(first=first)],
