@@ -217,6 +217,12 @@ def is_integer(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value: object) -> bool:
+    """The rule for every rate, coefficient and distance: an int, a float or
+    a numpy real, not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def attack_index(
     class_names: Sequence[str], excluded: int | str, error: type[ValueError] = DatasetError
 ) -> int:
@@ -567,7 +573,7 @@ class ExperimentSplit:
     a testing pool (evaluation instances and comparison references). The
     excluded class is halved into a labelled pool (the few examples the
     classifier is allowed to see) and an unlabelled pool (the stream of
-    unknown instances to classify).
+    unknown instances under test).
     """
 
     dataset: EncodedDataset

@@ -27,7 +27,7 @@ from .seeding import EVAL_STREAM, stream_rng
 
 DEFAULT_VOTE_SWEEP = (1, 5, 10, 15, 20, 25, 30)
 _EMBED_CHUNK = 4096
-_CLASSIFY_CHUNK = 1024
+_VOTE_CHUNK = 1024
 _TABLE_BLOCK = 32768    # pairs per block while building a distance table
 
 
@@ -171,25 +171,11 @@ def metrics(cm: ConfusionMatrix, excluded_class: int | str) -> MetricsReport:
 
 
 def _embed_all(model: SiameseModel, matrix: np.ndarray) -> np.ndarray:
-    # one chunk at least, so that zero rows embed to a (0, width) block
     parts = [
         embed(model, matrix[start:start + _EMBED_CHUNK])
-        for start in range(0, max(len(matrix), 1), _EMBED_CHUNK)
+        for start in range(0, len(matrix), _EMBED_CHUNK)
     ]
     return np.vstack(parts)
-
-
-def _reference_embeddings(model: SiameseModel, split: ExperimentSplit) -> list[np.ndarray]:
-    """Each class's reference pool embedded once, in pool order."""
-    refs = []
-    for c in range(split.n_classes):
-        pool = split.reference_pool(c)
-        if len(pool) == 0:
-            raise EvaluationError(
-                f"empty reference pool for class {split.dataset.class_names[c]!r}"
-            )
-        refs.append(_embed_all(model, split.dataset.matrix[pool]))
-    return refs
 
 
 def _majority_winner(votes: np.ndarray, cumdist: np.ndarray) -> np.ndarray:
@@ -245,18 +231,20 @@ class _EmbeddedPools:
 
 
 def _instances_per_class(split: ExperimentSplit, test_batch_size: int) -> int:
-    """floor(test_batch_size / N), once every evaluation pool can supply it."""
+    """floor(test_batch_size / N), once every reference pool is non-empty and
+    every evaluation pool can supply it."""
     n = split.n_classes
     per_class = test_batch_size // n
     if per_class < 1:
         raise EvaluationError(f"test_batch_size {test_batch_size} too small for {n} classes")
-    for c in range(n):
+    for c, name in enumerate(split.dataset.class_names):
+        if len(split.reference_pool(c)) == 0:
+            raise EvaluationError(f"empty reference pool for class {name!r}")
         size = len(split.evaluation_pool(c))
         need = 1 if c == split.excluded_class else 2
         if size < need:
             raise EvaluationError(
-                f"evaluation pool for class {split.dataset.class_names[c]!r} has {size} row(s); "
-                f"need {need}"
+                f"evaluation pool for class {name!r} has {size} row(s); need {need}"
             )
     return per_class
 
@@ -274,9 +262,9 @@ def _embedded_pools(
     class k; the table (c, k) is built only when it has no more entries
     than that, which also bounds its memory.
     """
-    refs = _reference_embeddings(model, split)
     per_class = _instances_per_class(split, test_batch_size)
     ds = split.dataset
+    refs = [_embed_all(model, ds.matrix[split.reference_pool(c)]) for c in range(split.n_classes)]
     evals = [
         refs[c] if c != split.excluded_class
         else _embed_all(model, ds.matrix[split.evaluation_pool(c)])
@@ -303,8 +291,8 @@ def _vote_rounds(
     refs: list[np.ndarray],
     j: int,
     rng: np.random.Generator,
-    own: int | None = None,
-    tables: list[np.ndarray | None] | None = None,
+    own: int | None,
+    tables: list[np.ndarray | None],
 ) -> np.ndarray:
     """Classify the embedded instances `pool[positions]` with j voting
     rounds each.
@@ -329,11 +317,10 @@ def _vote_rounds(
         else:
             drawn_k = rng.integers(0, len(ref), size=(q, j), dtype=np.int32)
         drawn.append(drawn_k)
-    tables = tables or [None] * n
     predictions = np.empty(q, dtype=np.int64)
-    buffer = np.empty((n, min(q, _CLASSIFY_CHUNK), j), dtype=pool.dtype)
-    for start in range(0, q, _CLASSIFY_CHUNK):
-        block = slice(start, start + _CLASSIFY_CHUNK)
+    buffer = np.empty((n, min(q, _VOTE_CHUNK), j), dtype=pool.dtype)
+    for start in range(0, q, _VOTE_CHUNK):
+        block = slice(start, start + _VOTE_CHUNK)
         rows = positions[block]
         dist = buffer[:, :len(rows)]                     # (n, b, j), each class contiguous
         x = pool[rows]
@@ -369,21 +356,6 @@ def _round_votes(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for r in range(1, j):
         cumdist += dist[:, :, r]
     return votes.T, cumdist.T
-
-
-def classify(
-    model: SiameseModel,
-    X: np.ndarray,
-    split: ExperimentSplit,
-    vote: VoteConfig,
-    rng: int | np.random.Generator,
-) -> np.ndarray:
-    """Predict the class of each row of the (q, width) feature block `X` by
-    nearest-pair voting: (q,) int64 class indices. The reference pools are
-    embedded once per call, whatever q is."""
-    refs = _reference_embeddings(model, split)
-    pool = _embed_all(model, X)
-    return _vote_rounds(pool, np.arange(len(pool)), refs, vote.j, np.random.default_rng(rng))
 
 
 def evaluate(

@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import DTypeLike
 
-from .dataset import is_integer
+from .dataset import is_integer, is_real
 
 CLAMP_EPS = 1e-12
 CHECKPOINT_FORMAT = "twin-embedding-checkpoint"
@@ -95,6 +95,10 @@ class LossConfig:
     def __post_init__(self):
         if self.kind not in (CONTRASTIVE, REGULARIZED_LOG):
             raise ConfigError(f"unknown loss kind {self.kind!r}", "kind")
+        for name in ("margin", "l2"):
+            value = getattr(self, name)
+            if not is_real(value):
+                raise ConfigError(f"{name} must be a real number, got {value!r}", name)
         if self.kind == CONTRASTIVE and not 0 < self.margin < np.inf:
             raise ConfigError(f"contrastive loss requires finite margin > 0, got {self.margin!r}",
                               "margin")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LABEL, NUMERIC, Column, RawDataset, Schema, is_integer, write_csv
+from .dataset import LABEL, NUMERIC, Column, RawDataset, Schema, is_integer, is_real, write_csv
 
 NORMAL_NAME = "normal"
 
@@ -46,8 +46,9 @@ def gaussian_clusters(
     The one place the synthetic layout's defaults are written. `separation`
     is the minimum pairwise distance between cluster centers in units of
     the within-cluster standard deviation. A count or seed that is not an
-    integer (`dataset.is_integer`) or is below its least value raises a
-    `ValueError` naming the argument.
+    integer (`dataset.is_integer`) or is below its least value, and a
+    separation that is not a finite positive real (`dataset.is_real`),
+    raises a `ValueError` naming the argument.
     """
     for name, value, least in (
         ("n_classes", n_classes, 2), ("per_class", per_class, 1),
@@ -57,6 +58,8 @@ def gaussian_clusters(
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
+    if not is_real(separation):
+        raise ValueError(f"separation must be a real number, got {separation!r}")
     if not (math.isfinite(separation) and separation > 0):
         raise ValueError(f"separation must be a finite positive number, got {separation}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 90)))
@@ -88,10 +91,11 @@ def write_files(directory: str | Path, **layout) -> tuple[Path, Path]:
     directory.mkdir(parents=True, exist_ok=True)
     csv_path = directory / "synthetic.csv"
     write_csv(csv_path, ((*row.tolist(), label) for row, label in zip(rows, labels)))
+    schema = make_schema(rows.shape[1])
     schema_path = directory / "synthetic.schema"
-    with schema_path.open("w", encoding="utf-8") as fh:
-        for i in range(rows.shape[1]):
-            fh.write(f"column f{i} numeric\n")
-        fh.write("column label label\n")
-        fh.write(f"normal {NORMAL_NAME}\n")
+    schema_path.write_text(
+        "".join(f"column {c.name} {c.kind}\n" for c in schema.columns)
+        + f"normal {schema.normal_label}\n",
+        encoding="utf-8",
+    )
     return csv_path, schema_path

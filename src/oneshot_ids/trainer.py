@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import COMPUTE_DTYPE, ExperimentSplit, is_integer, write_csv
+from .dataset import COMPUTE_DTYPE, ExperimentSplit, is_integer, is_real, write_csv
 from .network import (
     ConfigError,
     LossConfig,
@@ -60,6 +60,13 @@ class TrainingConfig:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}", name)
         if not is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}", "seed")
+        for name in ("learning_rate", "momentum"):
+            value = getattr(self, name)
+            if not is_real(value):
+                raise ConfigError(f"{name} must be a real number, got {value!r}", name)
+        if not isinstance(self.fresh_batch_per_epoch, bool):
+            raise ConfigError("fresh_batch_per_epoch must be a bool, "
+                              f"got {self.fresh_batch_per_epoch!r}", "fresh_batch_per_epoch")
         if self.minibatch_size > self.train_batch_size:
             raise ConfigError("minibatch_size cannot exceed train_batch_size",
                               "minibatch_size", "train_batch_size")

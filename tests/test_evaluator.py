@@ -15,7 +15,6 @@ from oneshot_ids.evaluator import (
     _pair_distances,
     _round_votes,
     _vote_rounds,
-    classify,
     evaluate,
     metrics,
     sweep_to_csv,
@@ -253,7 +252,7 @@ class TestMajorityWinner:
         assert _majority_winner(votes, cum).tolist() == [1, 0]
 
 
-def argmin_vote_rounds(pool, positions, refs, j, rng, own=None, tables=None):
+def argmin_vote_rounds(pool, positions, refs, j, rng, own, tables):
     """`_vote_rounds` as it was before the class-major kernel: a (b, j, n)
     block per chunk, each round's nearest class by `argmin`, one
     `bincount` of the votes, and the cumulative distance as a sum over the
@@ -267,11 +266,10 @@ def argmin_vote_rounds(pool, positions, refs, j, rng, own=None, tables=None):
         else:
             drawn_k = rng.integers(0, len(ref), size=(q, j))
         drawn.append(drawn_k)
-    tables = tables or [None] * n
     predictions = np.empty(q, dtype=np.int64)
-    buffer = np.empty((min(q, evaluator._CLASSIFY_CHUNK), j, n), dtype=pool.dtype)
-    for start in range(0, q, evaluator._CLASSIFY_CHUNK):
-        block = slice(start, start + evaluator._CLASSIFY_CHUNK)
+    buffer = np.empty((min(q, evaluator._VOTE_CHUNK), j, n), dtype=pool.dtype)
+    for start in range(0, q, evaluator._VOTE_CHUNK):
+        block = slice(start, start + evaluator._VOTE_CHUNK)
         rows = positions[block]
         b = len(rows)
         dist = buffer[:b]
@@ -321,12 +319,12 @@ class TestVoteKernel:
     @pytest.mark.parametrize("j", [1, 2, 5, 30])
     def test_predictions_match_argmin_kernel(self, j, own, tabled, monkeypatch):
         # chunks of 16 rows, the last one partial
-        monkeypatch.setattr(evaluator, "_CLASSIFY_CHUNK", 16)
+        monkeypatch.setattr(evaluator, "_VOTE_CHUNK", 16)
         refs = self.tied_refs(j)
         pool = refs[own] if own is not None else np.random.default_rng(100 + j).normal(
             size=(6, 3)).astype(np.float32)
         positions = np.random.default_rng(j + 1).integers(0, len(pool), size=45)
-        tables = [evaluator._distance_table(pool, ref) for ref in refs] if tabled else None
+        tables = [evaluator._distance_table(pool, ref) if tabled else None for ref in refs]
         got = _vote_rounds(pool, positions, refs, j, np.random.default_rng(3), own, tables)
         expected = argmin_vote_rounds(
             pool, positions, refs, j, np.random.default_rng(3), own, tables
@@ -335,6 +333,20 @@ class TestVoteKernel:
         assert np.array_equal(got, expected)
         # the shared rows took votes: some prediction is one of the tied classes
         assert np.isin(got, [1, 3]).any()
+
+    def test_j1_equals_brute_force_nearest_neighbor(self):
+        # one reference row per class, so each class's one draw is that row
+        split = separated_split(pool=1)
+        ds = split.dataset
+        model = init_model([ds.width, 5, 3], rng=3)
+        refs = [embed(model, ds.matrix[split.reference_pool(c)]) for c in range(split.n_classes)]
+        queries = embed(model, ds.matrix[np.random.default_rng(0).choice(len(ds.matrix), size=8)])
+        got = _vote_rounds(
+            queries, np.arange(len(queries)), refs, 1, np.random.default_rng(7), None,
+            [None] * len(refs),
+        )
+        expected = [int(np.argmin([np.linalg.norm(x - ref[0]) for ref in refs])) for x in queries]
+        assert got.tolist() == expected
 
 
 class TestReferenceDraws:
@@ -357,8 +369,9 @@ class TestReferenceDraws:
         pool = refs[own] if own is not None else refs[0]
         positions = np.random.default_rng(5).integers(0, len(pool), size=45)
         rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
-        got = _vote_rounds(pool, positions, refs, 5, rng, own)
-        expected = argmin_vote_rounds(pool, positions, refs, 5, oracle_rng, own)
+        tables = [None] * len(refs)
+        got = _vote_rounds(pool, positions, refs, 5, rng, own, tables)
+        expected = argmin_vote_rounds(pool, positions, refs, 5, oracle_rng, own, tables)
         assert np.array_equal(got, expected)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -387,90 +400,6 @@ class TestEmbeddedPools:
                 assert table.flags.c_contiguous and table.dtype == expected.dtype
                 assert table.shape == expected.shape
                 assert table.tobytes() == expected.tobytes()
-
-
-class TestClassify:
-    def test_j1_equals_brute_force_nearest_neighbor(self):
-        split = separated_split(pool=1)
-        ds = split.dataset
-        model = init_model([ds.width, 5, 3], rng=3)
-        rng = np.random.default_rng(0)
-        for query in rng.choice(len(ds.matrix), size=8):
-            x = ds.matrix[query]
-            # oracle: single reference per class is deterministic with pool size 1
-            refs = [ds.matrix[split.reference_pool(c)[0]] for c in range(split.n_classes)]
-            x_emb = embed(model, x[None])
-            dists = [np.linalg.norm(x_emb - embed(model, r[None])) for r in refs]
-            expected = int(np.argmin(dists))
-            got = classify(model, x[None], split, VoteConfig(1), rng=7)
-            assert got.tolist() == [expected]
-
-    def test_collapsed_model_is_deterministic(self):
-        split = separated_split()
-        ds = split.dataset
-        model = SiameseModel((ds.width, 3), [np.zeros((ds.width, 3))], [np.zeros(3)], "linear")
-        preds = {
-            int(classify(model, ds.matrix[i:i + 1], split, VoteConfig(5), rng=seed)[0])
-            for i in range(4)
-            for seed in (0, 1, 2)
-        }
-        assert preds == {0}  # all distances equal -> lowest class index every round
-
-    def test_well_separated_clusters_classified(self):
-        split = separated_split(excluded=2)
-        ds = split.dataset
-        model = identity_model(ds.width)
-        rng = np.random.default_rng(5)
-        for c in range(split.n_classes):
-            pool = split.evaluation_pool(c)
-            x = ds.matrix[pool[:1]]
-            assert classify(model, x, split, VoteConfig(5), rng=rng).tolist() == [c]
-        # and as one block, every evaluation row of every class
-        rows = np.concatenate([split.evaluation_pool(c) for c in range(split.n_classes)])
-        got = classify(model, ds.matrix[rows], split, VoteConfig(5), rng=rng)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, ds.labels[rows])
-
-    def test_empty_reference_pool_error(self):
-        split = separated_split()
-        split.testing_pools[0] = np.array([], dtype=np.int64)
-        model = identity_model(split.dataset.width)
-        with pytest.raises(EvaluationError, match="'normal'"):
-            classify(model, split.dataset.matrix[:1], split, VoteConfig(1), rng=0)
-
-    def test_vote_config_validation(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            VoteConfig(0)
-
-    def test_int_seed_and_generator_agree(self):
-        split = separated_split()
-        ds = split.dataset
-        model = init_model([ds.width, 4, 3], rng=2)
-        for i in range(6):
-            x = ds.matrix[i:i + 1]
-            first = classify(model, x, split, VoteConfig(3), rng=55)
-            second = classify(model, x, split, VoteConfig(3), rng=np.random.default_rng(55))
-            assert np.array_equal(first, second)
-
-    def test_embeds_reference_pools_only(self, monkeypatch):
-        split = separated_split(excluded=2)
-        ds = split.dataset
-        embedded = record_embedded_rows(monkeypatch, ds)
-        x = np.full((1, ds.width), 0.5)
-        classify(identity_model(ds.width), x, split, VoteConfig(5), rng=0)
-        references = np.concatenate([split.reference_pool(c) for c in range(split.n_classes)])
-        assert sorted(embedded) == [-1, *sorted(references)]
-
-    @pytest.mark.parametrize("q", [0, 1, 7, 40])
-    def test_embeds_each_reference_once_per_block(self, monkeypatch, q):
-        split = separated_split(excluded=2)
-        ds = split.dataset
-        embedded = record_embedded_rows(monkeypatch, ds)
-        queries = np.random.default_rng(q).choice(len(ds.matrix), size=q)
-        got = classify(identity_model(ds.width), ds.matrix[queries], split, VoteConfig(5), rng=0)
-        assert got.shape == (q,)
-        references = np.concatenate([split.reference_pool(c) for c in range(split.n_classes)])
-        assert sorted(embedded) == sorted([*references, *queries])
 
 
 class TestEvaluate:
@@ -506,6 +435,26 @@ class TestEvaluate:
         with pytest.raises(EvaluationError, match="too small"):
             evaluate(model, split, 3, VoteConfig(1), rng=0)
 
+    def test_vote_config_validation(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            VoteConfig(0)
+
+    def test_int_seed_and_generator_agree(self):
+        split = separated_split()
+        model = init_model([split.dataset.width, 4, 3], rng=2)
+        first = evaluate(model, split, 60, VoteConfig(3), rng=55)
+        second = evaluate(model, split, 60, VoteConfig(3), rng=np.random.default_rng(55))
+        assert np.array_equal(first.counts, second.counts)
+
+    def test_collapsed_model_votes_the_lowest_class(self):
+        split = separated_split()
+        ds = split.dataset
+        model = SiameseModel((ds.width, 3), [np.zeros((ds.width, 3))], [np.zeros(3)], "linear")
+        for seed in (0, 1, 2):
+            cm = evaluate(model, split, 40, VoteConfig(5), rng=seed)
+            # all distances equal -> lowest class index every round
+            assert np.array_equal(cm.counts[:, 0], cm.row_sums())
+
     def test_scaling_final_layer_leaves_cm_unchanged(self):
         split = separated_split()
         model = init_model([split.dataset.width, 5, 3], rng=21)
@@ -537,11 +486,14 @@ class TestEvaluate:
             evaluate(identity_model(split.dataset.width), split, 30, VoteConfig(1), rng=rng)
         assert rng.bit_generator.state == state
 
-    def test_empty_labelled_pool_error(self):
+    def test_empty_labelled_pool_error(self, monkeypatch):
         split = separated_split()
         split.excluded_labelled = np.array([], dtype=np.int64)
+        # every pool is checked before any is embedded
+        embedded = record_embedded_rows(monkeypatch, split.dataset)
         with pytest.raises(EvaluationError, match="empty reference pool for class 'attack1'"):
             evaluate(identity_model(split.dataset.width), split, 40, VoteConfig(1), rng=0)
+        assert embedded == []
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("j", [1, 5, 30])

@@ -61,13 +61,102 @@ def test_star_import_binds_exactly_all():
         ("network", "batch_gradients"),
         ("network", "load_model"),
         ("pairgen", "PairBatch"),
-        ("evaluator", "classify"),
         ("evaluator", "VoteConfig"),
     ],
 )
 def test_other_names_stay_in_their_modules(module, name):
     assert hasattr(importlib.import_module(f"oneshot_ids.{module}"), name)
     assert name not in oneshot_ids.__all__
+
+
+# names the package defines but never uses, each kept for a stated reason
+UNREFERENCED_ALLOWED = {
+    # README's way to locate a bundled schema
+    "bundled_schema_path",
+    # the `synthetic` module's in-memory entry point
+    "make_raw",
+    # the reader of the checkpoint a run writes
+    "load_model",
+}
+
+
+def _defined_names(tree: ast.Module):
+    """Module-level and class-level defs and classes, and module-level
+    assignment targets."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+            if isinstance(node, ast.ClassDef):
+                yield from (
+                    member.name for member in node.body
+                    if isinstance(member, (ast.FunctionDef, ast.ClassDef))
+                )
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (
+                leaf.id for target in targets for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name)
+            )
+
+
+def _getattr_names(tree: ast.Module):
+    """The strings `getattr` reads a definition by: a constant second
+    argument, or an element of a literal tuple or list (written in place or
+    assigned to a name) that a loop feeds to `getattr` as its second
+    argument."""
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr" and len(node.args) > 1
+    ]
+    looped = {call.args[1].id for call in calls if isinstance(call.args[1], ast.Name)}
+    literals = [call.args[1] for call in calls]
+    sequences = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name)
+                and node.target.id in looped):
+            if isinstance(node.iter, ast.Name):
+                sequences.add(node.iter.id)
+            elif isinstance(node.iter, (ast.Tuple, ast.List)):
+                literals.extend(node.iter.elts)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.Tuple, ast.List))
+                and any(isinstance(t, ast.Name) and t.id in sequences for t in node.targets)):
+            literals.extend(node.value.elts)
+    return [node.value for node in literals if isinstance(node, ast.Constant)]
+
+
+def _referenced_names(tree: ast.Module):
+    """Every name read, attribute read and import alias, the elements of
+    `__all__`, and the strings `getattr` reads by. An attribute read counts
+    by its bare name, so a definition that shares its name with an attribute
+    read anywhere in the package passes."""
+    yield from _getattr_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            yield from (element.value for element in node.value.elts if isinstance(element, ast.Constant))
+
+
+def test_every_name_the_package_defines_is_used_in_it():
+    # a name whose only callers are tests is deleted, or allowed above
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(oneshot_ids.__file__).parent.glob("*.py"))
+    }
+    used = {name for tree in trees.values() for name in _referenced_names(tree)}
+    unused = {
+        name for tree in trees.values() for name in _defined_names(tree)
+        # dunders are called by Python itself
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert unused == UNREFERENCED_ALLOWED
 
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"

@@ -40,6 +40,8 @@ def test_one_draw_gives_the_row_by_row_rows(args):
         ({"separation": float("inf")}, "separation must be a finite positive number, got inf"),
         ({"separation": 0.0}, "separation must be a finite positive number, got 0.0"),
         ({"separation": -1.0}, "separation must be a finite positive number, got -1.0"),
+        ({"separation": True}, "separation must be a real number, got True"),
+        ({"separation": "4"}, "separation must be a real number, got '4'"),
         ({"per_class": True}, "per_class must be an integer, got True"),
         ({"per_class": 2.0}, "per_class must be an integer, got 2.0"),
         ({"n_classes": 3.0}, "n_classes must be an integer, got 3.0"),

@@ -8,8 +8,8 @@ import pytest
 
 from oneshot_ids import TrainingConfig, prepare_experiment, run_training, trainer
 from oneshot_ids.dataset import COMPUTE_DTYPE
-from oneshot_ids.network import (ConfigError, Gradients, apply_update, checked_layers, init_model,
-                                 init_momentum_state)
+from oneshot_ids.network import (ConfigError, Gradients, LossConfig, apply_update, checked_layers,
+                                 init_model, init_momentum_state)
 from oneshot_ids.pairgen import generate_training_batch
 from oneshot_ids.seeding import INIT_STREAM, PAIR_STREAM, stream_rng
 from oneshot_ids.synthetic import make_raw
@@ -173,6 +173,33 @@ class TestValidation:
     def test_config_rejects_bad_step_settings(self, overrides, name):
         with pytest.raises(ValueError, match=name):
             TrainingConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "config, name, value, rule",
+        [
+            (TrainingConfig, "learning_rate", True, "a real number, got True"),
+            (TrainingConfig, "learning_rate", "0.01", "a real number, got '0.01'"),
+            (TrainingConfig, "momentum", False, "a real number, got False"),
+            (TrainingConfig, "momentum", None, "a real number, got None"),
+            (TrainingConfig, "fresh_batch_per_epoch", "false", "a bool, got 'false'"),
+            (TrainingConfig, "fresh_batch_per_epoch", 1, "a bool, got 1"),
+            (LossConfig, "margin", True, "a real number, got True"),
+            (LossConfig, "margin", "1.0", "a real number, got '1.0'"),
+            (LossConfig, "l2", True, "a real number, got True"),
+            (LossConfig, "l2", "0", "a real number, got '0'"),
+        ],
+        ids=["lr-bool", "lr-string", "momentum-bool", "momentum-none", "fresh-string",
+             "fresh-int", "margin-bool", "margin-string", "l2-bool", "l2-string"],
+    )
+    def test_config_rejects_a_value_of_the_wrong_type(self, config, name, value, rule):
+        with pytest.raises(ConfigError, match=f"^{name} must be {rule}$") as info:
+            config(**{name: value})
+        assert info.value.fields == (name,)
+
+    def test_numpy_reals_accepted(self):
+        cfg = TrainingConfig(learning_rate=np.float32(0.5), momentum=np.int64(0),
+                             loss=LossConfig(margin=np.float64(2.0), l2=np.int32(0)))
+        assert cfg.learning_rate == 0.5 and cfg.loss.margin == 2.0
 
     @pytest.mark.parametrize(
         "widths",
