@@ -102,9 +102,22 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 
 def _existing_file(text: str) -> Path:
-    if not Path(text).exists():
+    path = Path(text)
+    if not path.exists():
         raise ValueError(f"file {text} not found")
-    return Path(text)
+    if path.is_dir():
+        raise ValueError(f"{text} is a directory, not a file")
+    return path
+
+
+def _output_dir(text: str) -> Path:
+    """`text` as a path, once neither it nor a parent of it is an existing
+    non-directory, so that making the directory cannot meet a file."""
+    path = Path(text)
+    blocking = next((p for p in (path, *path.parents) if p.exists() and not p.is_dir()), None)
+    if blocking is not None:
+        raise ValueError(f"cannot make directory {text}: {blocking} is not a directory")
+    return path
 
 
 def _parse_exclude(value: str | list[str]) -> list[str]:
@@ -130,7 +143,7 @@ def _parse_reference(text: str) -> str:
 _SETTINGS = {
     "dataset": ("manifest", "dataset", _existing_file, "dataset CSV path"),
     "schema": ("manifest", "schema", _existing_file, "schema descriptor path"),
-    "out": ("manifest", "out", Path, "output directory"),
+    "out": ("manifest", "out", _output_dir, "output directory"),
     "exclude": ("manifest", "exclude", _parse_exclude,
                 f"attack class to exclude (repeatable, or {ALL_ATTACKS!r})"),
     "votes": ("manifest", "votes", lambda v: _checked_votes(_parse_ints(v)),
@@ -163,9 +176,8 @@ _SETTINGS = {
 _MANIFEST_LINE = re.compile(r"([^=\s]*)\s*=?\s*(.*)")
 
 
-def _parse_manifest_file(path: Path) -> dict[str, str]:
-    if not path.exists():
-        raise ManifestError(f"manifest file {path} not found")
+def _parse_manifest_file(text: str) -> dict[str, str]:
+    path = _parsed("manifest", _existing_file, text)
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
     for lineno, line in directive_lines(path, ManifestError):
@@ -194,7 +206,7 @@ def _parsed(key: str, parse, value):
 def build_manifest(args: argparse.Namespace) -> ExperimentManifest:
     """Merge manifest file values and CLI flags (flags override); each value
     goes through its setting's parser, and an error names the key."""
-    values = _parse_manifest_file(Path(args.manifest)) if args.manifest else {}
+    values = _parse_manifest_file(args.manifest) if args.manifest else {}
     configs: dict[str, dict] = {"manifest": {}, "training": {}, "loss": {}}
     for key, (config, name, parse, _) in _SETTINGS.items():
         value = getattr(args, key)
@@ -244,6 +256,9 @@ def _resolve_excluded(manifest: ExperimentManifest, raw) -> list[str]:
     names = manifest.exclude
     if names == [ALL_ATTACKS]:
         names = list(raw.class_names[1:])
+        if not names:
+            raise ManifestError(f"exclude: {ALL_ATTACKS} finds no attack class among the "
+                                f"dataset's classes {list(raw.class_names)}")
     for name in names:
         _parsed("exclude", lambda n: attack_index(raw.class_names, n), name)
     slugs = [_slug(name) for name in names]
@@ -491,7 +506,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     # a flag not given is not in `args`, so `gaussian_clusters` supplies its value
     layout = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     try:
-        csv_path, schema_path = write_files(args.out, **layout)
+        csv_path, schema_path = write_files(_parsed("out", _output_dir, args.out), **layout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,10 +34,10 @@ pre-activation.
   max(margin - d, 0)^2; the batch loss is the sum over pairs.
 * regularized_log: the distance is mapped to a similarity s = exp(-d)
   in (0, 1], the batch loss is the negated log-likelihood
-  -sum(y log s + (1-y) log(1-s)) plus an L2 weight penalty added once
-  per batch.
+  -sum(y log s + (1-y) log(1-s)) plus an L2 weight penalty, which
+  `batch_gradients` adds once per batch.
 
-Gradients are exact analytic derivatives of those batch sums.
+The gradient is the exact analytic derivative of those batch sums.
 """
 
 from __future__ import annotations
@@ -208,8 +208,7 @@ def init_model(
     """Scaled-uniform weight init (bound sqrt(6/(fan_in+fan_out))), zero biases,
     in float64."""
     sizes = checked_layers(layer_sizes, activation)
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -245,34 +244,17 @@ def embed(model: SiameseModel, x: np.ndarray) -> np.ndarray:
     return _forward_trace(model, x)[-1]
 
 
-@dataclass
-class Gradients:
-    """dL/d(parameter) as one vector laid out like `SiameseModel.params`
-    for `layer_sizes`; `d_weights` and `d_biases` are views into it."""
-
-    layer_sizes: tuple[int, ...]
-    flat: np.ndarray
-    d_weights: list[np.ndarray] = field(init=False, repr=False)
-    d_biases: list[np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.d_weights, self.d_biases = _views(self.flat, self.layer_sizes)
-
-    def scale(self, factor: float) -> None:
-        """Multiply every gradient by `factor`, in place."""
-        self.flat *= factor
-
-    def check_finite(self) -> None:
-        """Raise FloatingPointError naming the first layer with a non-finite
-        gradient, if any."""
-        if np.isfinite(self.flat).all():
-            return
-        for k, (g_w, g_b) in enumerate(zip(self.d_weights, self.d_biases)):
-            if not (np.isfinite(g_w).all() and np.isfinite(g_b).all()):
-                raise FloatingPointError(f"numerical overflow in layer {k}")
+def _check_finite(grad: np.ndarray, layer_sizes: Sequence[int]) -> None:
+    """Raise FloatingPointError naming the first layer with a non-finite
+    gradient in `grad` (laid out like `SiameseModel.params`), if any."""
+    if np.isfinite(grad).all():
+        return
+    for k, (g_w, g_b) in enumerate(zip(*_views(grad, layer_sizes))):
+        if not (np.isfinite(g_w).all() and np.isfinite(g_b).all()):
+            raise FloatingPointError(f"numerical overflow in layer {k}")
 
 
-def _pair_terms(d: np.ndarray, similar: np.ndarray, loss: LossConfig, model: SiameseModel):
+def _pair_terms(d: np.ndarray, similar: np.ndarray, loss: LossConfig):
     """Per-pair losses and the coefficient c with dL/d(e1-e2) = c * (e1-e2),
     the target y being the similar mask read as 1.0 or 0.0.
 
@@ -290,7 +272,7 @@ def _pair_terms(d: np.ndarray, similar: np.ndarray, loss: LossConfig, model: Sia
         # +0.0, as the y-weighted sum 2y - 2(1 - y) slack / d does
         repel = np.divide(slack, d, out=np.zeros_like(d), where=d > 0.0)
         coeff = np.where(similar, 2.0, 0.0 - 2.0 * repel)
-        return losses, coeff.astype(dtype, copy=False), 0.0
+        return losses, coeff.astype(dtype, copy=False)
     y = np.asarray(similar, dtype=np.float64)
     raw = np.exp(-d)
     s = np.clip(raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
@@ -300,27 +282,25 @@ def _pair_terms(d: np.ndarray, similar: np.ndarray, loss: LossConfig, model: Sia
     dl_dd = dl_ds * -raw
     with np.errstate(divide="ignore", invalid="ignore"):
         coeff = np.where(d > 0.0, dl_dd / d, 0.0)
-    penalty = loss.l2 * sum(
-        float(np.sum(np.square(w, dtype=np.float64))) for w in model.weights
-    )
-    return losses, coeff.astype(dtype, copy=False), penalty
+    return losses, coeff.astype(dtype, copy=False)
 
 
-def _backprop(model: SiameseModel, acts: list[np.ndarray], upstream: np.ndarray) -> Gradients:
-    """Parameter gradients from dL/d(output) for every traced row."""
+def _backprop(model: SiameseModel, acts: list[np.ndarray], upstream: np.ndarray) -> np.ndarray:
+    """The gradient, laid out like `model.params`, from dL/d(output) for every traced row."""
     _, act_deriv = _ACTIVATIONS[model.activation]
-    grads = Gradients(model.layer_sizes, np.empty_like(model.params))
+    grad = np.empty_like(model.params)
+    d_weights, d_biases = _views(grad, model.layer_sizes)
     # a bias gradient is a column sum; as a matrix-vector product it costs a
     # fifth of delta.sum(axis=0) on these narrow blocks
     ones = np.ones(len(upstream), dtype=upstream.dtype)
     delta = upstream
     for k in range(model.n_layers - 1, -1, -1):
-        np.matmul(acts[k].T, delta, out=grads.d_weights[k])
-        np.matmul(ones, delta, out=grads.d_biases[k])
+        np.matmul(acts[k].T, delta, out=d_weights[k])
+        np.matmul(ones, delta, out=d_biases[k])
         if k > 0:
             delta = delta @ model.weights[k].T
             delta *= act_deriv(acts[k])
-    return grads
+    return grad
 
 
 def _row_sums(g: np.ndarray, left: np.ndarray, right: np.ndarray, n_rows: int) -> np.ndarray:
@@ -344,15 +324,15 @@ def batch_gradients(
     similar: np.ndarray,
     rows: np.ndarray,
     loss: LossConfig,
-) -> tuple[Gradients, float]:
-    """Exact gradients of the batch loss for every weight and bias.
+) -> tuple[np.ndarray, float]:
+    """Exact gradient of the batch loss, laid out like `model.params`.
 
     Pair k is the feature rows rows[left[k]] and rows[right[k]], similar
     or not by the bool mask similar[k]; `left` and `right` are positions
     into `rows`, one per pair. Each row of `rows` is embedded once, and
     both twins backpropagate into the same parameter set in one pass, so
     a row that several pairs share costs one row's work. Returns the
-    gradients together with the batch loss.
+    gradient together with the batch loss.
     """
     n = len(left)
     if n == 0:
@@ -366,41 +346,32 @@ def batch_gradients(
     # the distances as `evaluator._pair_distances` computes them (square,
     # sum, root: bit-identical to np.linalg.norm)
     d = np.sqrt(np.add.reduce(np.square(diff), axis=-1))
-    losses, coeff, penalty = _pair_terms(d, similar, loss, model)
+    losses, coeff = _pair_terms(d, similar, loss)
     diff *= coeff[:, None]    # g = dL/d(e_left - e_right), pair by pair
-    grads = _backprop(model, acts, _row_sums(diff, left, right, len(emb)))
-    if loss.kind == REGULARIZED_LOG and loss.l2 > 0:
-        for k, w in enumerate(model.weights):
-            grads.d_weights[k] += 2.0 * loss.l2 * w
-    grads.check_finite()
-    return grads, float(losses.sum() + penalty)
-
-
-@dataclass
-class MomentumState:
-    """Classic momentum over the flat parameter vector:
-    v <- momentum*v + g; params <- params - lr*v."""
-
-    momentum: float
-    velocity: np.ndarray
-
-
-def init_momentum_state(model: SiameseModel, momentum: float = 0.9) -> MomentumState:
-    return MomentumState(momentum, np.zeros_like(model.params))
+    grad = _backprop(model, acts, _row_sums(diff, left, right, len(emb)))
+    penalty = 0.0
+    if loss.kind == REGULARIZED_LOG:   # the L2 weight penalty, once per batch
+        penalty = loss.l2 * sum(float(np.sum(np.square(w, dtype=np.float64)))
+                                for w in model.weights)
+        if loss.l2 > 0:
+            for g_w, w in zip(_views(grad, model.layer_sizes)[0], model.weights):
+                g_w += 2.0 * loss.l2 * w
+    _check_finite(grad, model.layer_sizes)
+    return grad, float(losses.sum() + penalty)
 
 
 def apply_update(
     model: SiameseModel,
-    grads: Gradients,
-    state: MomentumState,
+    grad: np.ndarray,
+    velocity: np.ndarray,
+    momentum: float,
     learning_rate: float,
 ) -> None:
-    """One momentum gradient-descent step, updating the model's parameter
-    vector and the velocity in place."""
-    v = state.velocity
-    v *= state.momentum
-    v += grads.flat
-    model.params -= learning_rate * v
+    """One momentum step on vectors laid out like `model.params`, in place:
+    velocity <- momentum * velocity + grad; params <- params - learning_rate * velocity."""
+    velocity *= momentum
+    velocity += grad
+    model.params -= learning_rate * velocity
 
 
 def _shortest_digits(a: np.ndarray) -> list:

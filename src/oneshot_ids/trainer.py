@@ -31,7 +31,6 @@ from .network import (
     batch_gradients,
     checked_layers,
     init_model,
-    init_momentum_state,
 )
 from .pairgen import PairBatch, generate_training_batch
 from .seeding import INIT_STREAM, PAIR_STREAM, stream_rng
@@ -124,7 +123,7 @@ def run_training(
     model = init_model(
         (ds.width, *cfg.architecture), cfg.activation, stream_rng(cfg.seed, INIT_STREAM)
     ).copy(COMPUTE_DTYPE)
-    state = init_momentum_state(model, cfg.momentum)
+    velocity = np.zeros_like(model.params)
 
     rows = ds.matrix
     trace = TrainingTrace()
@@ -141,11 +140,11 @@ def run_training(
         for step_rows, left, right, similar in plan:
             # np.take gathers rows in about half the time of rows[idx]
             distinct = np.take(rows, step_rows, axis=0)
-            grads, loss_value = batch_gradients(model, left, right, similar, distinct, cfg.loss)
+            grad, loss_value = batch_gradients(model, left, right, similar, distinct, cfg.loss)
             # step on the per-pair mean so the step size is independent of
             # the minibatch size
-            grads.scale(1.0 / len(similar))
-            apply_update(model, grads, state, cfg.learning_rate)
+            grad *= 1.0 / len(similar)
+            apply_update(model, grad, velocity, cfg.momentum, cfg.learning_rate)
             epoch_loss += loss_value
         trace.losses.append(epoch_loss / len(batch))
         trace.seconds.append(time.perf_counter() - started)

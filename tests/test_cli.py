@@ -71,6 +71,52 @@ class TestRun:
         assert run_cli("run", "--manifest", str(manifest)) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["dataset", "schema", "manifest"])
+    def test_input_path_that_is_a_directory_exits_2_naming_it(
+        self, synthetic_files, tmp_path, capsys, key
+    ):
+        csv_path, schema_path = synthetic_files
+        out = tmp_path / "out"
+        settings = {"dataset": csv_path, "schema": schema_path, "out": out, key: tmp_path}
+        argv = [part for k, v in settings.items() for part in (f"--{k}", str(v))]
+        assert run_cli("run", *argv) == 2
+        assert capsys.readouterr().err == f"error: {key}: {tmp_path} is a directory, not a file\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under", [(), ("sub",)], ids=["file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_loading(
+        self, synthetic_files, tmp_path, capsys, monkeypatch, under
+    ):
+        csv_path, schema_path = synthetic_files
+        blocking = tmp_path / "file"
+        blocking.write_text("kept\n")
+        out = blocking.joinpath(*under)
+
+        def no_load(*args):
+            raise AssertionError("the dataset was loaded")
+
+        monkeypatch.setattr(cli, "load_dataset", no_load)
+        manifest = write_manifest(tmp_path, csv_path, schema_path, out)
+        assert run_cli("run", "--manifest", str(manifest)) == 2
+        assert capsys.readouterr().err == (
+            f"error: out: cannot make directory {out}: {blocking} is not a directory\n"
+        )
+        assert blocking.read_text() == "kept\n"
+
+    def test_all_attacks_without_an_attack_class_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "benign.csv"
+        csv_path.write_text("1.0,normal\n2.0,normal\n3.0,normal\n")
+        schema_path = tmp_path / "benign.schema"
+        schema_path.write_text("column x numeric\ncolumn label label\nnormal normal\n")
+        out = tmp_path / "out"
+        manifest = write_manifest(tmp_path, csv_path, schema_path, out)
+        assert run_cli("run", "--manifest", str(manifest)) == 2
+        assert capsys.readouterr().err == (
+            "error: exclude: all-attacks finds no attack class among the dataset's classes "
+            "['normal']\n"
+        )
+        assert not out.exists()
+
     def test_dataset_that_is_not_utf8_exits_2_without_artifacts(self, tmp_path, capsys):
         csv_path = tmp_path / "data.csv"
         csv_path.write_bytes(
@@ -700,6 +746,19 @@ class TestSynthCommand:
         assert run_cli("synth", "--out", str(out), *flags) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", [(), ("sub",)], ids=["file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, under):
+        blocking = tmp_path / "file"
+        blocking.write_text("kept\n")
+        out = blocking.joinpath(*under)
+        assert run_cli("synth", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: out: cannot make directory {out}: {blocking} is not a directory\n"
+        )
+        assert blocking.read_text() == "kept\n"
 
     def test_flags_not_given_take_the_layout_defaults(self, tmp_path, capsys):
         assert run_cli("synth", "--out", str(tmp_path / "flags"), "--per-class", "4") == 0

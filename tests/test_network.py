@@ -17,7 +17,6 @@ from oneshot_ids.network import (
     batch_gradients,
     embed,
     init_model,
-    init_momentum_state,
     load_model,
     save_model,
 )
@@ -77,20 +76,41 @@ def repeated_rows_batch(rng, width):
     return left, right, similar, rng.random((5, width))
 
 
-def pair_losses(d, similar, model=None, **loss):
-    """Per-pair losses and batch penalty from `_pair_terms` at distances d."""
+def pair_losses(d, similar, **loss):
+    """Per-pair losses from `_pair_terms` at distances d."""
     d = np.atleast_1d(np.asarray(d, dtype=float))
     y = np.atleast_1d(np.asarray(similar, dtype=float))
-    losses, _, penalty = _pair_terms(d, y, LossConfig(**loss), model)
-    return losses, penalty
+    return _pair_terms(d, y, LossConfig(**loss))[0]
+
+
+def l2_penalty(model, l2):
+    """The regularized-log batch penalty: l2 times the sum of squared weights."""
+    return l2 * sum(float(np.sum(np.square(w, dtype=np.float64))) for w in model.weights)
 
 
 def log_loss(s, similar, l2, model):
     """Regularized log batch loss at mapped similarities s, i.e. d = -ln s."""
     with np.errstate(divide="ignore"):
         d = -np.log(np.atleast_1d(np.asarray(s, dtype=float)))
-    losses, penalty = pair_losses(d, similar, model, kind=REGULARIZED_LOG, l2=l2)
-    return float(np.sum(losses) + penalty)
+    losses = pair_losses(d, similar, kind=REGULARIZED_LOG, l2=l2)
+    return float(np.sum(losses) + l2_penalty(model, l2))
+
+
+def contrastive_penalty(d, similar, margin):
+    """What a contrastive `batch_gradients` step, its L2 coefficient set,
+    adds to the sum of its pair losses, on pairs at distances d: an identity
+    model embeds each pair's rows (0, 0) and (d, 0)."""
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    similar = np.atleast_1d(np.asarray(similar, dtype=bool))
+    cfg = LossConfig(margin=margin, l2=0.1)
+    right = np.stack([d, np.zeros_like(d)], axis=1)
+    step_loss = batch_gradients(identity_model(2), *make_batch(0.0 * right, right, similar), cfg)[1]
+    return step_loss - float(np.sum(_pair_terms(d, similar, cfg)[0]))
+
+
+def grad_layers(grad, model):
+    """The per-layer weight and bias gradients: views into the flat `grad`."""
+    return network._views(grad, model.layer_sizes)
 
 
 # The unfused step, kept as the reference for the distinct-row step: one
@@ -132,13 +152,13 @@ def unfused_gradients(model, batch, loss_cfg):
     acts1, pres1 = trace(rows[left])
     acts2, pres2 = trace(rows[right])
     diff = acts1[-1] - acts2[-1]
-    losses, coeff, penalty = _pair_terms(
-        np.linalg.norm(diff, axis=1), similar.astype(float), loss_cfg, model
-    )
+    losses, coeff = _pair_terms(np.linalg.norm(diff, axis=1), similar.astype(float), loss_cfg)
     upstream = coeff[:, None] * diff
     backprop(acts1, pres1, upstream)
     backprop(acts2, pres2, -upstream)
+    penalty = 0.0
     if loss_cfg.kind == REGULARIZED_LOG:
+        penalty = l2_penalty(model, loss_cfg.l2)
         for k, w in enumerate(model.weights):
             d_weights[k] += 2.0 * loss_cfg.l2 * w
     return d_weights, d_biases, float(np.sum(losses) + penalty)
@@ -308,15 +328,15 @@ class TestDistance:
 
 class TestContrastiveLoss:
     def test_similar_zero_distance(self):
-        losses, _ = pair_losses(0.0, True)
+        losses = pair_losses(0.0, True)
         assert losses[0] == 0.0
 
     def test_dissimilar_beyond_margin(self):
-        losses, _ = pair_losses(1.5, False, margin=1.0)
+        losses = pair_losses(1.5, False, margin=1.0)
         assert losses[0] == 0.0
 
     def test_dissimilar_inside_margin(self):
-        losses, _ = pair_losses(0.4, False, margin=1.0)
+        losses = pair_losses(0.4, False, margin=1.0)
         assert losses[0] == pytest.approx(0.36)
 
     @given(
@@ -325,9 +345,8 @@ class TestContrastiveLoss:
         margin=st.floats(0.01, 5.0),
     )
     def test_nonnegative_and_zero_set(self, d, similar, margin):
-        losses, penalty = pair_losses(d, similar, margin=margin)
-        value = losses[0]
-        assert penalty == 0.0
+        value = pair_losses(d, similar, margin=margin)[0]
+        assert contrastive_penalty(d, similar, margin) == 0.0
         assert value >= 0.0
         if (similar and d == 0.0) or (not similar and d >= margin):
             assert value == 0.0
@@ -337,7 +356,7 @@ class TestContrastiveLoss:
     def test_vectorized(self):
         d = np.array([0.0, 0.4, 2.0])
         t = np.array([1.0, 0.0, 0.0])
-        losses, _ = pair_losses(d, t, margin=1.0)
+        losses = pair_losses(d, t, margin=1.0)
         np.testing.assert_allclose(losses, [0.0, 0.36, 0.0])
 
     def test_margin_validation(self):
@@ -361,6 +380,10 @@ class TestRegularizedLogLoss:
     def test_zero_weights_no_penalty(self):
         model = SiameseModel((3, 2), [np.zeros((3, 2))], [np.zeros(2)], "sigmoid")
         assert log_loss(0.5, True, l2=5.0, model=model) == pytest.approx(math.log(2))
+        # both rows embed to the same point, so the pair's loss is -ln(1 - 1e-12)
+        step = batch_gradients(model, *make_batch(np.zeros(3), np.ones(3), [True]),
+                               LossConfig(kind=REGULARIZED_LOG, l2=5.0))[1]
+        assert step == pytest.approx(0.0, abs=1e-9)
 
     def test_penalty_added_once(self):
         model = identity_model(2)  # sum of squared weights = 2
@@ -390,9 +413,9 @@ class TestGradients:
             np.array([[3.0, 4.0], [0.0, 0.0]]),
             [False, False],
         )  # distances 5 > margin 1
-        grads, loss = batch_gradients(model, *batch, LossConfig(kind=CONTRASTIVE, margin=1.0))
+        grad, loss = batch_gradients(model, *batch, LossConfig(kind=CONTRASTIVE, margin=1.0))
         assert loss == 0.0
-        assert all(np.all(g == 0.0) for g in grads.d_weights + grads.d_biases)
+        assert np.all(grad == 0.0)
 
     @pytest.mark.parametrize("kind", [CONTRASTIVE, REGULARIZED_LOG])
     @pytest.mark.parametrize("activation", ["sigmoid", "relu", "tanh"])
@@ -401,10 +424,10 @@ class TestGradients:
         model = init_model([3, 4, 2], activation=activation, rng=rng)
         batch = random_batch(rng, 3, 8)
         cfg = LossConfig(kind=kind)
-        grads, _ = batch_gradients(model, *batch, cfg)
+        d_weights, d_biases = grad_layers(batch_gradients(model, *batch, cfg)[0], model)
         fd_w, fd_b = fd_gradients(model, batch, cfg)
-        assert max_relative_error(grads.d_weights, fd_w) < 1e-4
-        assert max_relative_error(grads.d_biases, fd_b) < 1e-4
+        assert max_relative_error(d_weights, fd_w) < 1e-4
+        assert max_relative_error(d_biases, fd_b) < 1e-4
 
     @pytest.mark.parametrize("kind", [CONTRASTIVE, REGULARIZED_LOG])
     @pytest.mark.parametrize("activation", ["sigmoid", "relu", "tanh", "linear"])
@@ -417,11 +440,12 @@ class TestGradients:
         model = init_model([5, 6, 4, 3], activation=activation, rng=rng)
         batch = random_batch(rng, 5, 40)
         cfg = LossConfig(kind=kind)
-        grads, loss = batch_gradients(model, *batch, cfg)
+        grad, loss = batch_gradients(model, *batch, cfg)
         ref_w, ref_b, ref_loss = unfused_gradients(model, batch, cfg)
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
         scale = max(float(np.max(np.abs(g))) for g in ref_w + ref_b)
-        for got, want in zip(grads.d_weights + grads.d_biases, ref_w + ref_b):
+        d_weights, d_biases = grad_layers(grad, model)
+        for got, want in zip(d_weights + d_biases, ref_w + ref_b):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("kind", [CONTRASTIVE, REGULARIZED_LOG])
@@ -431,10 +455,10 @@ class TestGradients:
         model = init_model([3, 4, 2], activation=activation, rng=rng)
         batch = repeated_rows_batch(rng, 3)
         cfg = LossConfig(kind=kind)
-        grads, _ = batch_gradients(model, *batch, cfg)
+        d_weights, d_biases = grad_layers(batch_gradients(model, *batch, cfg)[0], model)
         fd_w, fd_b = fd_gradients(model, batch, cfg)
-        assert max_relative_error(grads.d_weights, fd_w) < 1e-4
-        assert max_relative_error(grads.d_biases, fd_b) < 1e-4
+        assert max_relative_error(d_weights, fd_w) < 1e-4
+        assert max_relative_error(d_biases, fd_b) < 1e-4
 
     @pytest.mark.parametrize("kind", [CONTRASTIVE, REGULARIZED_LOG])
     def test_repeated_rows_match_every_pair_on_its_own_rows(self, kind):
@@ -444,7 +468,7 @@ class TestGradients:
         model = init_model([3, 5, 2], rng=rng)
         left, right, similar, rows = repeated_rows_batch(rng, 3)
         cfg = LossConfig(kind=kind)
-        grads, loss = batch_gradients(model, left, right, similar, rows, cfg)
+        grad, loss = batch_gradients(model, left, right, similar, rows, cfg)
         copied, copied_loss = batch_gradients(
             model, *make_batch(rows[left], rows[right], similar), cfg
         )
@@ -452,8 +476,8 @@ class TestGradients:
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
         np.testing.assert_allclose(copied_loss, ref_loss, rtol=1e-12)
         scale = max(float(np.max(np.abs(g))) for g in ref_w + ref_b)
-        for got, other, want in zip(grads.d_weights + grads.d_biases,
-                                    copied.d_weights + copied.d_biases, ref_w + ref_b):
+        for got, other, want in zip(sum(grad_layers(grad, model), []),
+                                    sum(grad_layers(copied, model), []), ref_w + ref_b):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
             np.testing.assert_allclose(other, want, rtol=1e-12, atol=1e-12 * scale)
 
@@ -499,7 +523,7 @@ class TestGradients:
         g1, l1 = batch_gradients(model, *make_batch(x1, x2, similar), cfg)
         g2, l2 = batch_gradients(model, *doubled, cfg)
         assert l2 == pytest.approx(2 * l1, rel=1e-12)
-        for a, b in zip(g1.d_weights, g2.d_weights):
+        for a, b in zip(grad_layers(g1, model)[0], grad_layers(g2, model)[0]):
             np.testing.assert_allclose(b, 2 * a, rtol=1e-10, atol=1e-14)
 
     def test_twin_swap_symmetry(self):
@@ -510,7 +534,7 @@ class TestGradients:
         g1, l1 = batch_gradients(model, *make_batch(x1, x2, similar), cfg)
         g2, l2 = batch_gradients(model, *make_batch(x2, x1, similar), cfg)
         assert l1 == pytest.approx(l2, rel=1e-12)
-        for a, b in zip(g1.d_weights, g2.d_weights):
+        for a, b in zip(grad_layers(g1, model)[0], grad_layers(g2, model)[0]):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
 
     def test_empty_batch_rejected(self):
@@ -534,8 +558,8 @@ class TestGradients:
         similar = np.array([True, False, True, False, True])
         model = init_model([3, 2], rng=0)
         cfg = LossConfig(kind=kind)
-        from_mask = _pair_terms(d, similar, cfg, model)
-        from_float = _pair_terms(d, similar.astype(float), cfg, model)
+        from_mask = _pair_terms(d, similar, cfg)
+        from_float = _pair_terms(d, similar.astype(float), cfg)
         for got, want in zip(from_mask, from_float):
             assert np.array_equal(got, want)
 
@@ -570,9 +594,9 @@ class TestStepValues:
         # zero, inside and beyond the margin, on it, and float32-sized values
         d = np.concatenate([[0.0, 0.0, 1.0, 1.0, 1e-30, 7.5], rng.random(200) * 2.0])
         similar = np.arange(len(d)) % 2 == 0
-        losses, coeff, penalty = _pair_terms(d, similar, LossConfig(margin=1.0), None)
+        losses, coeff = _pair_terms(d, similar, LossConfig(margin=1.0))
         want_losses, want_coeff = weighted_contrastive_terms(d, similar.astype(float), 1.0)
-        assert penalty == 0.0
+        assert contrastive_penalty(d, similar, 1.0) == 0.0
         assert losses.tobytes() == want_losses.tobytes()
         assert coeff.tobytes() == want_coeff.tobytes()
 
@@ -607,8 +631,8 @@ class TestFlatParameters:
         assert not np.shares_memory(kept.params, model.params)
         x = rng.random((8, 5))
         before = embed(model, x)
-        grads, _ = batch_gradients(model, *random_batch(rng, 5, 12), LossConfig())
-        apply_update(model, grads, init_momentum_state(model), learning_rate=0.5)
+        grad, _ = batch_gradients(model, *random_batch(rng, 5, 12), LossConfig())
+        apply_update(model, grad, np.zeros_like(model.params), 0.9, learning_rate=0.5)
         moved = SiameseModel(
             model.layer_sizes, [w.copy() for w in model.weights], [b.copy() for b in model.biases],
             model.activation,
@@ -627,30 +651,31 @@ class TestFlatParameters:
     def test_update_equals_the_per_array_formula(self, dtype):
         rng = np.random.default_rng(14)
         model = init_model([6, 5, 4, 3], rng=rng).copy(dtype)
-        state = init_momentum_state(model, momentum=0.9)
+        flat_velocity = np.zeros_like(model.params)
         params = [a.copy() for a in model.weights + model.biases]
         velocity = [np.zeros_like(a) for a in params]
         for _ in range(3):
-            grads, _ = batch_gradients(model, *random_batch(rng, 6, 20), LossConfig())
-            grads.scale(1.0 / 20)
-            apply_update(model, grads, state, learning_rate=0.05)
-            for v, g, p in zip(velocity, grads.d_weights + grads.d_biases, params):
+            grad, _ = batch_gradients(model, *random_batch(rng, 6, 20), LossConfig())
+            grad *= 1.0 / 20
+            apply_update(model, grad, flat_velocity, 0.9, learning_rate=0.05)
+            for v, g, p in zip(velocity, sum(grad_layers(grad, model), []), params):
                 v *= 0.9
                 v += g
                 p -= 0.05 * v
         for got, want in zip(model.weights + model.biases, params):
             assert got.dtype == dtype and got.tobytes() == want.tobytes()
-        assert state.velocity.tobytes() == np.concatenate([v.ravel() for v in velocity]).tobytes()
+        assert flat_velocity.tobytes() == np.concatenate([v.ravel() for v in velocity]).tobytes()
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("part", ["weight", "bias"])
     def test_nonfinite_gradient_names_its_layer(self, monkeypatch, k, part):
         real = network._backprop
 
-        def spoiled(*args):
-            grads = real(*args)
-            (grads.d_weights if part == "weight" else grads.d_biases)[k].flat[-1] = np.inf
-            return grads
+        def spoiled(model, *args):
+            grad = real(model, *args)
+            d_weights, d_biases = grad_layers(grad, model)
+            (d_weights if part == "weight" else d_biases)[k].flat[-1] = np.inf
+            return grad
 
         monkeypatch.setattr(network, "_backprop", spoiled)
         rng = np.random.default_rng(3)
@@ -691,12 +716,12 @@ class TestFloat32:
         rng = np.random.default_rng(3)
         model = init_model([5, 6, 4, 3], activation=activation, rng=rng).copy(np.float32)
         batch = random_batch(rng, 5, 40)   # float64 feature rows
-        grads, _ = batch_gradients(model, *batch, LossConfig(kind=kind))
-        state = init_momentum_state(model)
-        grads.scale(1.0 / len(batch[0]))
-        apply_update(model, grads, state, learning_rate=0.01)
+        grad, _ = batch_gradients(model, *batch, LossConfig(kind=kind))
+        velocity = np.zeros_like(model.params)
+        grad *= 1.0 / len(batch[0])
+        apply_update(model, grad, velocity, 0.9, learning_rate=0.01)
         arrays = (
-            grads.d_weights + grads.d_biases + [grads.flat, state.velocity, model.params]
+            sum(grad_layers(grad, model), []) + [grad, velocity, model.params]
             + model.weights + model.biases
         )
         assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
@@ -712,8 +737,7 @@ class TestFloat32:
     def test_pair_terms_hand_coeff_back_in_distance_dtype(self, kind):
         d = np.array([0.0, 0.5, 2.0], dtype=np.float32)
         y = np.array([1.0, 0.0, 0.0])    # float64 targets
-        model = init_model([3, 2], rng=0).copy(np.float32)
-        losses, coeff, _ = _pair_terms(d, y, LossConfig(kind=kind), model)
+        losses, coeff = _pair_terms(d, y, LossConfig(kind=kind))
         assert coeff.dtype == np.float32
         assert losses.dtype == np.float64
 
@@ -730,8 +754,9 @@ class TestFloat32:
         g32, loss32 = batch_gradients(model32, *batch, cfg)
         g64, loss64 = batch_gradients(model64, *batch, cfg)
         np.testing.assert_allclose(loss32, loss64, rtol=1e-4)
-        scale = max(float(np.max(np.abs(g))) for g in g64.d_weights + g64.d_biases)
-        for got, want in zip(g32.d_weights + g32.d_biases, g64.d_weights + g64.d_biases):
+        layers32, layers64 = (sum(grad_layers(g, model32), []) for g in (g32, g64))
+        scale = max(float(np.max(np.abs(g))) for g in layers64)
+        for got, want in zip(layers32, layers64):
             np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4 * scale)
 
     def test_regularized_log_identical_dissimilar_pair_finite(self):
@@ -740,11 +765,11 @@ class TestFloat32:
         x = np.array([0.2, 0.7, 0.1])
         batch = make_batch(x, x, [False])
         cfg = LossConfig(kind=REGULARIZED_LOG)
-        grads, loss32 = batch_gradients(model32, *batch, cfg)
+        grad, loss32 = batch_gradients(model32, *batch, cfg)
         loss64 = batch_gradients(model32.copy(np.float64), *batch, cfg)[1]
         assert math.isfinite(loss32)
         assert loss32 == loss64
-        assert all(np.all(np.isfinite(g)) for g in grads.d_weights + grads.d_biases)
+        assert np.all(np.isfinite(grad))
 
     def test_embed_casts_input_to_model_dtype(self):
         model = init_model([4, 3, 2], rng=1).copy(np.float32)
@@ -756,36 +781,30 @@ class TestOptimizer:
     def test_zero_gradient_no_change(self):
         model = init_model([3, 2], rng=1)
         before = [w.copy() for w in model.weights]
-        grads, _ = batch_gradients(
+        grad, _ = batch_gradients(
             model,
             *make_batch(np.ones((1, 3)), np.ones((1, 3)), [True]),
             LossConfig(),
         )
-        state = init_momentum_state(model, momentum=0.9)
-        apply_update(model, grads, state, learning_rate=0.5)
+        apply_update(model, grad, np.zeros_like(model.params), 0.9, learning_rate=0.5)
         for w0, w1 in zip(before, model.weights):
             assert np.array_equal(w0, w1)
 
     def test_plain_step_subtracts_gradient(self):
         model = SiameseModel((2, 2), [np.ones((2, 2))], [np.zeros(2)], "linear")
-        from oneshot_ids.network import Gradients
-
-        g = Gradients((2, 2), np.array([0.25, 0.25, 0.25, 0.25, 0.5, 0.5]))
-        state = init_momentum_state(model, momentum=0.0)
-        apply_update(model, g, state, learning_rate=1.0)
+        g = np.array([0.25, 0.25, 0.25, 0.25, 0.5, 0.5])
+        apply_update(model, g, np.zeros_like(model.params), 0.0, learning_rate=1.0)
         np.testing.assert_allclose(model.weights[0], np.full((2, 2), 0.75))
         np.testing.assert_allclose(model.biases[0], np.full(2, -0.5))
 
     def test_momentum_two_step_displacement(self):
         # v1 = g, v2 = 0.9 g + g = 1.9 g  =>  total displacement lr*g*(1+1.9)
-        from oneshot_ids.network import Gradients
-
         model = SiameseModel((2, 2), [np.zeros((2, 2))], [np.zeros(2)], "linear")
-        g = Gradients((2, 2), np.array([2.0, 2.0, 2.0, 2.0, 0.0, 0.0]))
-        state = init_momentum_state(model, momentum=0.9)
+        g = np.array([2.0, 2.0, 2.0, 2.0, 0.0, 0.0])
+        velocity = np.zeros_like(model.params)
         lr = 0.1
-        apply_update(model, g, state, lr)
-        apply_update(model, g, state, lr)
+        apply_update(model, g, velocity, 0.9, lr)
+        apply_update(model, g, velocity, 0.9, lr)
         np.testing.assert_allclose(model.weights[0], np.full((2, 2), -lr * 2.0 * 2.9))
 
     def test_training_reduces_loss_by_half(self):
@@ -798,12 +817,12 @@ class TestOptimizer:
         x2 = np.vstack([a[8:], b[:8]])
         batch = make_batch(x1, x2, [True] * 8 + [False] * 8)
         cfg = LossConfig(kind=CONTRASTIVE)
-        state = init_momentum_state(model, momentum=0.9)
+        velocity = np.zeros_like(model.params)
         initial = batch_gradients(model, *batch, cfg)[1]
         for _ in range(100):
-            grads, _ = batch_gradients(model, *batch, cfg)
-            grads.scale(1.0 / len(x1))
-            apply_update(model, grads, state, learning_rate=0.01)
+            grad, _ = batch_gradients(model, *batch, cfg)
+            grad *= 1.0 / len(x1)
+            apply_update(model, grad, velocity, 0.9, learning_rate=0.01)
         assert batch_gradients(model, *batch, cfg)[1] <= 0.5 * initial
 
 
@@ -823,10 +842,10 @@ class TestCheckpoint:
     def test_float32_roundtrip_embeds_identically(self, tmp_path, rng):
         model = init_model([7, 5, 3], activation="sigmoid", rng=4).copy(np.float32)
         batch = random_batch(rng, 7, 16)
-        state = init_momentum_state(model)
+        velocity = np.zeros_like(model.params)
         for _ in range(3):   # weights that are no longer rounded float64 draws
-            grads, _ = batch_gradients(model, *batch, LossConfig())
-            apply_update(model, grads, state, learning_rate=0.05)
+            grad, _ = batch_gradients(model, *batch, LossConfig())
+            apply_update(model, grad, velocity, 0.9, learning_rate=0.05)
         path = tmp_path / "checkpoint.json"
         save_model(model, path)
         loaded = load_model(path)

@@ -8,8 +8,7 @@ import pytest
 
 from oneshot_ids import TrainingConfig, prepare_experiment, run_training, trainer
 from oneshot_ids.dataset import COMPUTE_DTYPE
-from oneshot_ids.network import (ConfigError, Gradients, LossConfig, apply_update, checked_layers,
-                                 init_model, init_momentum_state)
+from oneshot_ids.network import ConfigError, LossConfig, apply_update, checked_layers, init_model
 from oneshot_ids.pairgen import generate_training_batch
 from oneshot_ids.seeding import INIT_STREAM, PAIR_STREAM, stream_rng
 from oneshot_ids.synthetic import make_raw
@@ -309,7 +308,7 @@ def own_rows_training(split, cfg):
     ds = split.dataset
     model = init_model((ds.width, *cfg.architecture), cfg.activation,
                        stream_rng(cfg.seed, INIT_STREAM)).copy(COMPUTE_DTYPE)
-    state = init_momentum_state(model, cfg.momentum)
+    velocity = np.zeros_like(model.params)
     batch = generate_training_batch(split, cfg.train_batch_size, stream_rng(cfg.seed, PAIR_STREAM))
     losses = []
     for _ in range(cfg.n_epochs):
@@ -320,10 +319,9 @@ def own_rows_training(split, cfg):
                 model, (batch.left_idx[step], batch.right_idx[step], batch.similar[step], ds.matrix),
                 cfg.loss,
             )
-            grads = Gradients(model.layer_sizes,
-                              np.concatenate([a.ravel() for a in d_weights + d_biases]))
-            grads.scale(1.0 / len(batch.similar[step]))
-            apply_update(model, grads, state, cfg.learning_rate)
+            grad = np.concatenate([a.ravel() for a in d_weights + d_biases])
+            grad *= 1.0 / len(batch.similar[step])
+            apply_update(model, grad, velocity, cfg.momentum, cfg.learning_rate)
             total += loss
         losses.append(total / len(batch))
     return model, losses
