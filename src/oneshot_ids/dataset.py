@@ -17,6 +17,7 @@ encoder on the training pools, for the leave-one-attack-out protocol.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import itertools
@@ -251,8 +252,9 @@ def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
     or whose fields are the schema's column names in order, is treated as a
     header and skipped; any later malformed row, and any non-finite numeric
     cell (``inf``, ``nan``), is an error naming its line number and column.
-    The file must be UTF-8: a byte that is not is an error naming its line,
-    the byte and its column.
+    An empty label cell is an error naming its row. The file must be UTF-8,
+    and a byte-order mark that starts it is skipped: a byte that is not
+    UTF-8 is an error naming its line, the byte and its column.
 
     Line 1 and then each block of `_LOAD_BLOCK_ROWS` lines are read by one
     of two paths. numpy's C reader (`_c_block`) takes a block whose lines
@@ -270,7 +272,7 @@ def load_dataset(path: str | Path, schema: Schema) -> RawDataset:
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     lineno = 0      # the last csv record read, as the row path numbers rows
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             size = 1    # line 1 alone: the row path holds the header rule
             while lines := list(itertools.islice(fh, size)):
                 block = _c_block(lines, schema) if lineno else None
@@ -320,8 +322,10 @@ def _decoded(path: Path, lineno: int, line: bytes, error: type[ValueError]) -> s
 def directive_lines(path: Path, error: type[ValueError]) -> Iterator[tuple[int, str]]:
     """(line number, stripped text) of each line of a settings file (a
     schema or a manifest) that is neither blank nor a ``#`` comment. Lines
-    end at "\\n", "\\r\\n" or "\\r"; a line that is not UTF-8 raises `error`."""
-    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
+    end at "\\n", "\\r\\n" or "\\r"; a byte-order mark that starts the file
+    is skipped, and a line that is not UTF-8 raises `error`."""
+    lines = path.read_bytes().removeprefix(codecs.BOM_UTF8).splitlines()
+    for lineno, line in enumerate(lines, start=1):
         text = _decoded(path, lineno, line, error).strip()
         if text and not text.startswith("#"):
             yield lineno, text
@@ -385,9 +389,14 @@ def _row_block(
                 f"{path}: row {lineno}: column {schema.columns[bad].name!r}: "
                 f"{record[bad]!r} is not a finite number"
             )
+        label = record[schema.label_index].strip()
+        if not label:
+            raise DatasetError(
+                f"{path}: row {lineno}: column {names[schema.label_index]!r}: empty label"
+            )
         numbers.extend(parsed)
         words.extend([record[i].strip() for i in categorical_cols])
-        labels.append(record[schema.label_index].strip())
+        labels.append(label)
     rows = len(labels)
     block = _block(
         np.array(numbers, dtype=np.float64).reshape(rows, len(numeric_cols)),
@@ -413,7 +422,7 @@ def _c_block(lines: list[str], schema: Schema) -> tuple[np.ndarray, np.ndarray, 
     line, so every line must hold one comma per column boundary (a schema
     has at least a feature and a label column). Its numbers are
     `float()`'s wherever both parse a cell, and a cell only `float()` parses
-    (``1_000``) raises here.
+    (``1_000``) raises here. An empty label is left to the row path's error.
     """
     commas = len(schema.columns) - 1
     # a line within the csv field limit, read at each call, holds no field over it
@@ -437,6 +446,8 @@ def _c_block(lines: list[str], schema: Schema) -> tuple[np.ndarray, np.ndarray, 
     if not np.isfinite(numbers).all():
         return None
     cells = np.char.strip(cells)
+    if (cells[:, -1] == "").any():
+        return None
     return _block(numbers, cells[:, :-1], cells[:, -1])
 
 
@@ -565,7 +576,7 @@ def encode(raw: RawDataset, encoder: Encoder) -> EncodedDataset:
     return EncodedDataset(encoder.transform(raw.columns), raw.codes, raw.class_names, encoder)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSplit:
     """Per-class instance pools for one leave-one-attack-out experiment.
 
@@ -582,6 +593,20 @@ class ExperimentSplit:
     testing_pools: dict[int, np.ndarray]
     excluded_labelled: np.ndarray
     excluded_unlabelled: np.ndarray
+
+    def __post_init__(self):
+        # the one size rule for a split: a retained class's testing pool needs
+        # 2 rows (an instance is never its own reference), each excluded pool 1
+        for c, name in enumerate(self.dataset.class_names):
+            excluded = c == self.excluded_class
+            pools = ({"labelled": self.excluded_labelled, "unlabelled": self.excluded_unlabelled}
+                     if excluded else {"testing": self.testing_pools[c]})
+            count = sum(map(len, pools.values())) + len(self.training_pools.get(c, ()))
+            need = 1 if excluded else 2
+            for pool, rows in pools.items():
+                if len(rows) < need:
+                    raise DatasetError(f"class {name!r} has {count} instance(s); need at least "
+                                       f"{2 * need}: its {pool} pool has {len(rows)} of {need} row(s)")
 
     @property
     def training_classes(self) -> tuple[int, ...]:
@@ -620,14 +645,6 @@ def prepare_experiment(raw: RawDataset, excluded_class: int | str, seed: int) ->
     split is deterministic given the seed.
     """
     excluded_class = attack_index(raw.class_names, excluded_class)
-    # a retained class's testing pool needs 2 rows (an instance is never its
-    # own reference), the excluded class's unlabelled pool 1
-    for c, count in enumerate(np.bincount(raw.codes, minlength=len(raw.class_names))):
-        need = 2 if c == excluded_class else 4
-        if count < need:
-            raise DatasetError(
-                f"class {raw.class_names[c]!r} has {count} instance(s); need at least {need}"
-            )
     rng = stream_rng(seed, SPLIT_STREAM)
     training, testing = {}, {}
     for c in range(len(raw.class_names)):

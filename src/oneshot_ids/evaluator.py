@@ -231,21 +231,12 @@ class _EmbeddedPools:
 
 
 def _instances_per_class(split: ExperimentSplit, test_batch_size: int) -> int:
-    """floor(test_batch_size / N), once every reference pool is non-empty and
-    every evaluation pool can supply it."""
+    """floor(test_batch_size / N), which must be at least 1. The split's
+    pools can supply it: `ExperimentSplit` holds their size rule."""
     n = split.n_classes
     per_class = test_batch_size // n
     if per_class < 1:
         raise EvaluationError(f"test_batch_size {test_batch_size} too small for {n} classes")
-    for c, name in enumerate(split.dataset.class_names):
-        if len(split.reference_pool(c)) == 0:
-            raise EvaluationError(f"empty reference pool for class {name!r}")
-        size = len(split.evaluation_pool(c))
-        need = 1 if c == split.excluded_class else 2
-        if size < need:
-            raise EvaluationError(
-                f"evaluation pool for class {name!r} has {size} row(s); need {need}"
-            )
     return per_class
 
 

@@ -917,6 +917,13 @@ class TestManifestParsing:
         with pytest.raises(cli.ManifestError, match=expected):
             cli.build_manifest(args)
 
+    def test_byte_order_mark_skipped(self, synthetic_files, tmp_path):
+        csv_path, schema_path = synthetic_files
+        path = write_manifest(tmp_path, csv_path, schema_path, tmp_path / "out")
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        args = cli.build_parser().parse_args(["run", "--manifest", str(path)])
+        assert cli.build_manifest(args).dataset == Path(csv_path)   # the file's first setting
+
     def test_missing_manifest_file(self, tmp_path):
         assert run_cli("run", "--manifest", str(tmp_path / "none.manifest")) == 2
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import numpy as np
@@ -78,6 +79,20 @@ class TestLoad:
         raw = load_dataset(path, schema)
         assert row_classes(raw).tolist() == ["normal", "label"]  # only line 1 can be a header
         assert raw.columns[0].tolist() == ["tcp", "proto"]
+
+    def test_byte_order_mark_skipped_before_a_headerless_first_row(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with one
+        path = write_csv(tmp_path, "\ufeff1.0,2.0,normal\n3.0,4.0,attack\n")
+        raw = load_dataset(path, two_feature_schema())
+        assert row_classes(raw).tolist() == ["normal", "attack"]
+        assert raw.columns[0].tolist() == [1.0, 3.0]
+
+    def test_byte_order_mark_skipped_before_a_header_without_numeric_column(self, tmp_path):
+        schema = Schema((Column("proto", CATEGORICAL), Column("label", LABEL)), normal_label="normal")
+        path = write_csv(tmp_path, "\ufeffproto,label\ntcp,normal\n")
+        raw = load_dataset(path, schema)
+        assert row_classes(raw).tolist() == ["normal"]
+        assert raw.columns[0].tolist() == ["tcp"]
 
     def test_wrong_arity_names_row(self, tmp_path):
         path = write_csv(tmp_path, "1.0,2.0,normal\n3.0,attack\n")
@@ -247,6 +262,14 @@ class TestReaderPaths:
         path = write_csv(tmp_path, mixed_file(line=f"4.5,p1,z,normal,{cell}"))
         got, want = read_both_ways(path, MIXED)
         assert want == f"{path}: row 5: column 'y': {cell!r} is not a finite number"
+        assert got == want
+
+    @pytest.mark.parametrize("label", ["", "  "])
+    @pytest.mark.parametrize("at", [0, 4], ids=["line-1", "later-block"])
+    def test_same_error_for_an_empty_label_naming_its_row(self, tmp_path, label, at):
+        path = write_csv(tmp_path, mixed_file(line=f"4.5,p1,z,{label},-4", at=at))
+        got, want = read_both_ways(path, MIXED)
+        assert want == f"{path}: row {at + 1}: column 'label': empty label"
         assert got == want
 
     @pytest.mark.parametrize("line, fields", [
@@ -478,6 +501,11 @@ class TestSchema:
         expected = r"s\.schema: line 3: byte 0x96 at column 8 is not UTF-8"
         with pytest.raises(SchemaError, match=expected):
             load_schema(path)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "s.schema"
+        path.write_bytes(b"\xef\xbb\xbfcolumn x numeric\ncolumn label label\nnormal normal\n")
+        assert [c.name for c in load_schema(path).columns] == ["x", "label"]
 
     def test_unknown_kind(self):
         with pytest.raises(SchemaError, match="unknown kind"):
@@ -838,6 +866,33 @@ class TestSplit:
         message = f"class 'tiny' has {size} instance\\(s\\); need at least {need}"
         with pytest.raises(DatasetError, match=message):
             prepare_experiment(raw, excluded, seed=0)
+        # the rule is the split's: the same class built by hand is refused,
+        # retained as a 1-row testing pool, excluded as an empty labelled pool
+        split = prepare_experiment(self.make_raw({"normal": 10, "tiny": 10, "b": 10}), excluded, 0)
+        tiny = attack_index(split.dataset.class_names, "tiny")
+        rows = np.flatnonzero(split.dataset.labels == tiny)[:size]
+        if excluded == "tiny":
+            pools = {"excluded_labelled": rows[:0], "excluded_unlabelled": rows}
+            short = "labelled pool has 0 of 1"
+        else:
+            # halved as prepare_experiment halves it: the odd row to training
+            pools = {"training_pools": {**split.training_pools, tiny: rows[1:]},
+                     "testing_pools": {**split.testing_pools, tiny: rows[:1]}}
+            short = "testing pool has 1 of 2"
+        with pytest.raises(DatasetError, match=f"{message}: its {short} row"):
+            replace(split, **pools)
+
+    def test_replace_rechecks_the_rule(self):
+        raw = self.make_raw({"normal": 10, "a": 10, "b": 10})
+        split = prepare_experiment(raw, "b", seed=0)
+        # a class mask: training pools without one retained class still score
+        masked = replace(split, training_pools={0: split.training_pools[0]})
+        assert masked.training_classes == (0,)
+        # a cap on the labelled examples that leaves none cannot
+        with pytest.raises(DatasetError, match="class 'b' has 5 instance.*labelled pool has 0"):
+            replace(split, excluded_labelled=split.excluded_labelled[:0])
+        with pytest.raises(FrozenInstanceError):
+            split.excluded_labelled = split.excluded_labelled[:0]
 
     def test_smallest_classes_accepted(self):
         raw = self.make_raw({"normal": 4, "a": 4, "tiny": 2})

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from oneshot_ids import evaluator
+from oneshot_ids.dataset import DatasetError
 from oneshot_ids.evaluator import (
     ConfusionMatrix,
     EvaluationError,
@@ -336,10 +338,10 @@ class TestVoteKernel:
 
     def test_j1_equals_brute_force_nearest_neighbor(self):
         # one reference row per class, so each class's one draw is that row
-        split = separated_split(pool=1)
+        split = separated_split(pool=2)
         ds = split.dataset
         model = init_model([ds.width, 5, 3], rng=3)
-        refs = [embed(model, ds.matrix[split.reference_pool(c)]) for c in range(split.n_classes)]
+        refs = [embed(model, ds.matrix[split.reference_pool(c)[:1]]) for c in range(split.n_classes)]
         queries = embed(model, ds.matrix[np.random.default_rng(0).choice(len(ds.matrix), size=8)])
         got = _vote_rounds(
             queries, np.arange(len(queries)), refs, 1, np.random.default_rng(7), None,
@@ -478,22 +480,17 @@ class TestEvaluate:
         assert cm.counts[0].tolist() == [0, 100, 0]
 
     def test_single_row_testing_pool_rejected_before_any_draw(self):
+        # the split refuses the pool when it is built, so no evaluation
+        # ever holds it
         split = separated_split(n_classes=3, excluded=2, pool=2)
-        split.testing_pools[1] = split.testing_pools[1][:1]
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(EvaluationError, match="'attack1' has 1 row"):
-            evaluate(identity_model(split.dataset.width), split, 30, VoteConfig(1), rng=rng)
-        assert rng.bit_generator.state == state
+        testing = {**split.testing_pools, 1: split.testing_pools[1][:1]}
+        with pytest.raises(DatasetError, match="class 'attack1' .*testing pool has 1 of 2"):
+            replace(split, testing_pools=testing)
 
-    def test_empty_labelled_pool_error(self, monkeypatch):
+    def test_empty_labelled_pool_error(self):
         split = separated_split()
-        split.excluded_labelled = np.array([], dtype=np.int64)
-        # every pool is checked before any is embedded
-        embedded = record_embedded_rows(monkeypatch, split.dataset)
-        with pytest.raises(EvaluationError, match="empty reference pool for class 'attack1'"):
-            evaluate(identity_model(split.dataset.width), split, 40, VoteConfig(1), rng=0)
-        assert embedded == []
+        with pytest.raises(DatasetError, match="class 'attack1' .*labelled pool has 0 of 1"):
+            replace(split, excluded_labelled=np.array([], dtype=np.int64))
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("j", [1, 5, 30])

@@ -129,7 +129,7 @@ class TestInvariants:
         # 20k-row pools: each bucket draws a few thousand of ~2e8 pair numbers
         sizes = {0: 20000, 1: 20000, 3: 20000}
         split = build_split(sizes, excluded_class=2, labelled=2, unlabelled=2,
-                            testing_sizes={c: 1 for c in sizes}, n_features=2)
+                            testing_sizes={c: 2 for c in sizes}, n_features=2)
         batch = generate_training_batch(split, 30000, rng=17)
         keys = batch_pair_keys(batch)
         assert len(set(keys)) == len(keys) == 30000
